@@ -1,14 +1,10 @@
-"""Pure Python term-map kernel.
+"""Term-map kernel: the tight loops behind MultiPoly arithmetic.
 
 A term map is a dict sending an exponent tuple (one non-negative int per
 variable, fixed length) to a nonzero exact coefficient (int or Fraction).
 Everything here preserves that canonical form: results never carry a zero
 coefficient, and coefficients are produced by exact integer or rational
 arithmetic only.
-
-hooklab._backend prefers the compiled twin of this module (hooklab._accel)
-and falls back to this one.  Both expose the same four functions and must
-stay behaviourally identical; the test suite compares them directly.
 """
 
 
@@ -55,11 +51,3 @@ def scale_terms(a, s):
         raise ValueError("scale_terms requires a nonzero scalar")
     return {e: c * s for e, c in a.items()}
 
-
-def mul_monomial(a, exps, coeff=1):
-    """Return term map a times the single term coeff * x^exps."""
-    if not coeff:
-        return {}
-    return {
-        tuple(i + j for i, j in zip(e, exps)): c * coeff for e, c in a.items()
-    }

@@ -42,7 +42,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterable, Mapping
 
-from hooklab import _backend as _B
+from hooklab._kernel_py import iadd_terms, mul_terms, scale_terms
 from hooklab.multipoly import MultiPoly, Var, falling_factorial, specialize
 from hooklab.trees import (
     BinaryTree,
@@ -117,7 +117,7 @@ def _weight_terms(labels, pv, ambient: int, top_only: bool = False) -> dict:
     factors.sort(key=len)
     acc = {tuple(mono): 1}
     for f in factors:
-        acc = _B.mul_terms(acc, f)
+        acc = mul_terms(acc, f)
     return acc
 
 
@@ -164,7 +164,7 @@ def _sum_terms_over_labels(labels, ambient: int, top_only: bool = False) -> dict
     n = len(labels)
     acc: dict = {}
     for pv in itertools.product(*(range(j) for j in range(1, n))):
-        _B.iadd_terms(acc, _weight_terms(labels, pv, ambient, top_only))
+        iadd_terms(acc, _weight_terms(labels, pv, ambient, top_only))
     return acc
 
 
@@ -201,7 +201,7 @@ def _weight_sum_chunk(args) -> dict:
     n = len(labels)
     acc: dict = {}
     for idx in range(lo, hi):
-        _B.iadd_terms(acc, _weight_terms(labels, _decode_pv(n, idx), ambient, top_only))
+        iadd_terms(acc, _weight_terms(labels, _decode_pv(n, idx), ambient, top_only))
     return acc
 
 
@@ -228,7 +228,7 @@ def hook_weight_sum(r: int, threads: int = 1) -> MultiPoly:
     acc: dict = {}
     with ProcessPoolExecutor(max_workers=threads) as pool:
         for part in pool.map(_weight_sum_chunk, jobs):
-            _B.iadd_terms(acc, part)
+            iadd_terms(acc, part)
     return MultiPoly._raw(r, acc)
 
 
@@ -267,8 +267,8 @@ def increasing_hook_sum(r: int) -> tuple:
     for pv in itertools.product(*(range(j) for j in range(1, r))):
         term = {(0,): 1}
         for h in _hook_sizes(r, pv):
-            term = _B.mul_terms(term, {(1,): h, (0,): 1})
-        _B.iadd_terms(acc, term)
+            term = mul_terms(term, {(1,): h, (0,): 1})
+        iadd_terms(acc, term)
     lhs = MultiPoly._raw(1, acc)
     x = MultiPoly.variable(1, 0)
     rhs = x + 1
@@ -317,11 +317,11 @@ def binary_hook_sum(n: int) -> tuple:
         term = {(0,): 1}
         for h in sizes:
             prod_h *= h
-            term = _B.mul_terms(term, {(1,): h, (0,): 1})
+            term = mul_terms(term, {(1,): h, (0,): 1})
         count, rem = divmod(nfact, prod_h)
         if rem:
             raise ValueError(f"hook product {prod_h} does not divide {n}!")
-        _B.iadd_terms(acc, _B.scale_terms(term, count))
+        iadd_terms(acc, scale_terms(term, count))
     lhs = MultiPoly._raw(1, acc)
     x = MultiPoly.variable(1, 0)
     rhs = MultiPoly.const(1, Fraction(1, n + 1))
@@ -447,7 +447,7 @@ def cayley_degree_identity(r: int, threads: int = 1) -> tuple:
         jobs = [(r, lo, hi) for lo, hi in _chunk_bounds(total, threads * 4)]
         with ProcessPoolExecutor(max_workers=threads) as pool:
             for part in pool.map(_cayley_chunk, jobs):
-                _B.iadd_terms(acc, part)
+                iadd_terms(acc, part)
     lhs = MultiPoly._raw(r, acc)
     big_k = MultiPoly(r, {u: 1 for u in _unit_exps(r)[1]})
     rhs = MultiPoly.monomial(r, (1,) * r) * big_k ** (r - 2)

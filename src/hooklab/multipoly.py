@@ -10,11 +10,10 @@ coefficients), so polynomial equality is plain dict equality.
 Term maps are unordered.  Every rendered form (to_text, to_json_dict,
 canonical_hash) sorts terms in descending lexicographic order of the
 exponent tuple, which is what makes output byte-reproducible across
-runs and across kernel backends.
+runs.
 
-The hot arithmetic lives in hooklab._backend (compiled when available);
-this module owns validation, construction and everything that is not a
-tight loop.
+The hot arithmetic lives in hooklab._kernel_py; this module owns
+validation, construction and everything that is not a tight loop.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from hashlib import sha256
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
-from hooklab import _backend as _B
+from hooklab._kernel_py import iadd_terms, mul_terms, scale_terms
 
 Rational = Fraction
 Coeff = Union[int, Fraction]
@@ -80,7 +79,8 @@ class MultiPoly:
                 raise ValueError(
                     f"exponent tuple {exps} has length {len(exps)}, expected {nvars}"
                 )
-            if any(not isinstance(e, int) or e < 0 for e in exps):
+            if any(isinstance(e, bool) or not isinstance(e, int) or e < 0
+                   for e in exps):
                 raise ValueError(f"exponents must be non-negative ints: {exps}")
             c = _check_coeff(c)
             if c:
@@ -134,7 +134,7 @@ class MultiPoly:
         for p in polys:
             if p._nvars != nvars:
                 raise ValueError(f"expected {nvars} variables, got {p._nvars}")
-            _B.iadd_terms(acc, p._terms)
+            iadd_terms(acc, p._terms)
         return cls._raw(nvars, acc)
 
     @property
@@ -194,7 +194,7 @@ class MultiPoly:
         if q is None:
             return NotImplemented
         out = dict(self._terms)
-        _B.iadd_terms(out, q._terms)
+        iadd_terms(out, q._terms)
         return MultiPoly._raw(self._nvars, out)
 
     __radd__ = __add__
@@ -202,7 +202,7 @@ class MultiPoly:
     def __neg__(self) -> "MultiPoly":
         if not self._terms:
             return self
-        return MultiPoly._raw(self._nvars, _B.scale_terms(self._terms, -1))
+        return MultiPoly._raw(self._nvars, scale_terms(self._terms, -1))
 
     def __sub__(self, other) -> "MultiPoly":
         q = self._coerce(other)
@@ -220,7 +220,7 @@ class MultiPoly:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return MultiPoly._raw(self._nvars, _B.mul_terms(self._terms, q._terms))
+        return MultiPoly._raw(self._nvars, mul_terms(self._terms, q._terms))
 
     __rmul__ = __mul__
 
@@ -232,10 +232,10 @@ class MultiPoly:
         e = exponent
         while e:
             if e & 1:
-                result = _B.mul_terms(result, base)
+                result = mul_terms(result, base)
             e >>= 1
             if e:
-                base = _B.mul_terms(base, base)
+                base = mul_terms(base, base)
         return MultiPoly._raw(self._nvars, result)
 
     def substitute(self, images: Sequence["MultiPoly"], nvars: int) -> "MultiPoly":
@@ -260,7 +260,7 @@ class MultiPoly:
             cache = caches[i]
             top = max(cache)
             while top < e:
-                cache[top + 1] = _B.mul_terms(cache[top], cache[1])
+                cache[top + 1] = mul_terms(cache[top], cache[1])
                 top += 1
             return cache[e]
 
@@ -269,8 +269,8 @@ class MultiPoly:
             term = {(0,) * nvars: c}
             for i, e in enumerate(exps):
                 if e:
-                    term = _B.mul_terms(term, power(i, e))
-            _B.iadd_terms(out, term)
+                    term = mul_terms(term, power(i, e))
+            iadd_terms(out, term)
         return MultiPoly._raw(nvars, out)
 
     def to_text(self, names: Sequence[str] | None = None) -> str:

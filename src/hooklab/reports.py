@@ -8,7 +8,7 @@ polynomials).  Integer-valued checks summarize the integer the same
 way.
 
 Serialization is deterministic: dict keys are emitted sorted and the
-canonical hashes are stable across runs and across backends.  The one
+canonical hashes are stable across runs and worker counts.  The one
 field outside that contract is elapsed_ms.
 """
 

@@ -52,6 +52,10 @@ class TestConstruction:
             MultiPoly(2, {(1,): 1})
         with pytest.raises(ValueError):
             MultiPoly(1, {(-1,): 1})
+        with pytest.raises(ValueError):
+            MultiPoly(2, {(True, False): 3})
+        with pytest.raises(ValueError):
+            MultiPoly.from_json_dict({"nvars": 1, "terms": [{"exp": [True], "num": 1}]})
 
     def test_var_marker_validation(self):
         with pytest.raises(ValueError):
