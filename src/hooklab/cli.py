@@ -15,8 +15,9 @@ HOOKLAB_BUDGET_CEILING replaces the ceilings for people who know what
 they are asking for.
 
 Reports are deterministic: running the same command twice gives the
-same output except for elapsed_ms, and --threads only changes how
-enumeration work is chunked, never a verdict or a hash.
+same output except for elapsed_ms, and --threads (worker processes,
+at most the CPU count) only changes how enumeration work is chunked,
+never a verdict or a hash.
 """
 
 from __future__ import annotations
@@ -497,7 +498,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="attach per-split/per-partition summands where applicable",
     )
     verify_p.add_argument(
-        "--threads", type=int, default=1, help="parallel chunks for the big sweeps"
+        "--threads",
+        type=int,
+        default=1,
+        help="worker processes (at most the CPU count) for the big sweeps",
     )
     verify_p.add_argument("--out", default=None, help="write to a file instead of stdout")
     return parser

@@ -27,8 +27,9 @@ Identity functions return both sides and never assert; callers compare.
 Label ℓ always binds to variable index ℓ-1 of the ambient ring, so
 subtree weights over split label sets multiply without reindexing.
 
-The tree sums are pure folds of per-tree term maps.  Chunked variants
-split the enumeration index space and fold partial sums; because the
+The tree sums are pure folds of per-tree term maps over an index range
+of the family.  The parallel sweeps hand those ranges to
+hooklab.parallel.fold_chunks and fold the partial sums; because the
 coefficient arithmetic is exact and addition commutes, the canonical
 result is identical no matter how the fold is sliced.
 """
@@ -36,7 +37,6 @@ result is identical no matter how the fold is sliced.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -44,6 +44,7 @@ from typing import Iterable, Mapping
 
 from hooklab._kernel_py import iadd_terms, mul_terms, scale_terms
 from hooklab.multipoly import MultiPoly, Var, falling_factorial, specialize
+from hooklab.parallel import fold_chunks
 from hooklab.trees import (
     BinaryTree,
     IncreasingTree,
@@ -160,10 +161,16 @@ def top_weight(t: IncreasingTree, ambient: int | None = None) -> MultiPoly:
     )
 
 
-def _sum_terms_over_labels(labels, ambient: int, top_only: bool = False) -> dict:
-    n = len(labels)
+def _weight_sum_chunk(args) -> dict:
+    """Summed term maps of the trees [lo, hi) on a label set.
+
+    Trees are indexed by their parent-position vectors in
+    lexicographic order, the order enumerate_increasing walks.
+    """
+    labels, ambient, top_only, lo, hi = args
+    pvs = itertools.product(*(range(j) for j in range(1, len(labels))))
     acc: dict = {}
-    for pv in itertools.product(*(range(j) for j in range(1, n))):
+    for pv in itertools.islice(pvs, lo, hi):
         iadd_terms(acc, _weight_terms(labels, pv, ambient, top_only))
     return acc
 
@@ -182,35 +189,8 @@ def tree_weight_sum(labels: tuple, ambient: int) -> MultiPoly:
         raise ValueError(
             f"ambient ring with {ambient} variables cannot hold label {labels[-1]}"
         )
-    return MultiPoly._raw(ambient, _sum_terms_over_labels(labels, ambient))
-
-
-def _decode_pv(n: int, index: int) -> tuple:
-    """Parent positions of the tree at `index` among the (n-1)! on n labels."""
-    pv = []
-    weight = factorial(n - 1)
-    for j in range(1, n):
-        weight //= j
-        d, index = divmod(index, weight)
-        pv.append(d)
-    return tuple(pv)
-
-
-def _weight_sum_chunk(args) -> dict:
-    labels, ambient, lo, hi, top_only = args
-    n = len(labels)
-    acc: dict = {}
-    for idx in range(lo, hi):
-        iadd_terms(acc, _weight_terms(labels, _decode_pv(n, idx), ambient, top_only))
-    return acc
-
-
-def _chunk_bounds(total: int, parts: int) -> list:
-    step, extra = divmod(total, parts)
-    bounds = [0]
-    for i in range(parts):
-        bounds.append(bounds[-1] + step + (1 if i < extra else 0))
-    return [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
+    total = factorial(len(labels) - 1)
+    return MultiPoly._raw(ambient, _weight_sum_chunk((labels, ambient, False, 0, total)))
 
 
 def hook_weight_sum(r: int, threads: int = 1) -> MultiPoly:
@@ -220,15 +200,9 @@ def hook_weight_sum(r: int, threads: int = 1) -> MultiPoly:
     labels = tuple(range(1, r + 1))
     if threads <= 1:
         return tree_weight_sum(labels, r)
-    total = factorial(r - 1)
-    jobs = [
-        (labels, r, lo, hi, False)
-        for lo, hi in _chunk_bounds(total, threads * 4)
-    ]
-    acc: dict = {}
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        for part in pool.map(_weight_sum_chunk, jobs):
-            iadd_terms(acc, part)
+    acc = fold_chunks(
+        _weight_sum_chunk, (labels, r, False), factorial(r - 1), threads, iadd_terms
+    )
     return MultiPoly._raw(r, acc)
 
 
@@ -439,15 +413,7 @@ def cayley_degree_identity(r: int, threads: int = 1) -> tuple:
     """
     if r < 2:
         raise ValueError("need at least two vertices")
-    total = cayley_count(r)
-    acc: dict = {}
-    if threads <= 1:
-        acc = _cayley_chunk((r, 0, total))
-    else:
-        jobs = [(r, lo, hi) for lo, hi in _chunk_bounds(total, threads * 4)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(_cayley_chunk, jobs):
-                iadd_terms(acc, part)
+    acc = fold_chunks(_cayley_chunk, (r,), cayley_count(r), threads, iadd_terms)
     lhs = MultiPoly._raw(r, acc)
     big_k = MultiPoly(r, {u: 1 for u in _unit_exps(r)[1]})
     rhs = MultiPoly.monomial(r, (1,) * r) * big_k ** (r - 2)
@@ -459,4 +425,4 @@ def top_weight_sum(r: int) -> MultiPoly:
     if r < 1:
         raise ValueError("need at least one vertex")
     labels = tuple(range(1, r + 1))
-    return MultiPoly._raw(r, _sum_terms_over_labels(labels, r, top_only=True))
+    return MultiPoly._raw(r, _weight_sum_chunk((labels, r, True, 0, factorial(r - 1))))

@@ -185,8 +185,7 @@ def enumerate_increasing(
     """Yield increasing trees on the given labels in enumeration order.
 
     With start/stop, yields exactly the trees whose indices lie in
-    [start, stop); disjoint ranges partition the family, which is what
-    the parallel sweeps build on.
+    [start, stop); disjoint ranges partition the family.
     """
     labs = _clean_labels(labels)
     n = len(labs)

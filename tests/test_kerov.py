@@ -115,6 +115,11 @@ class TestFactorizationCounts:
     def test_threads_do_not_change_the_count(self):
         mu = IntPartition((3, 2, 2))
         assert kv.count_factorizations(mu, threads=3) == kv.count_factorizations(mu)
+        # 8! long cycles: past POOL_THRESHOLD, so this one goes through a pool
+        mu = IntPartition((4, 3, 2))
+        assert factorial(mu.size - 1) >= kv.POOL_THRESHOLD
+        closed = kv.factorization_count_closed_form(mu)
+        assert kv.count_factorizations(mu, threads=2) == closed == 192
 
     def test_size_cap(self):
         with pytest.raises(ValueError):
