@@ -1,22 +1,73 @@
 """Term-map kernel: the tight loops behind MultiPoly arithmetic.
 
-A term map is a dict sending an exponent tuple (one non-negative int per
-variable, fixed length) to a nonzero exact coefficient (int or Fraction).
-Everything here preserves that canonical form: results never carry a zero
+A term map is a dict sending a packed monomial key to a nonzero exact
+coefficient (int or Fraction).  The key of the exponent vector
+(e_0, ..., e_{n-1}) is the int
+
+    e_0 << WIDTH*(n-1)  |  e_1 << WIDTH*(n-2)  |  ...  |  e_{n-1}
+
+so every variable owns a WIDTH-bit field (16 bits) and variable 0 the
+most significant one.  Descending key order is therefore descending
+lexicographic order of the exponent tuples, and the product of two
+monomials is the sum of their keys (the packed monomials of Monagan and
+Pearce, "Parallel sparse polynomial multiplication using heaps",
+ISSAC 2009).  Keys of different variable counts do not mix; the caller
+keeps the count.
+
+The top bit of every field is a guard.  Stored keys keep it clear, so a
+field holds at most FIELD_MAX (32767) and the sum of two keys never carries
+from one field into the next.  mul_terms checks the guard bits of its
+output and raises OverflowError where a field overflowed: exponents
+never wrap.
+
+Everything here preserves the canonical form: results never carry a zero
 coefficient, and coefficients are produced by exact integer or rational
 arithmetic only.
 """
 
+import struct
+from functools import reduce
+from operator import or_
+
+WIDTH = 16
+FIELD_MAX = (1 << (WIDTH - 1)) - 1
+_FIELD = (1 << WIDTH) - 1
+_FIELD_CODE = "H"  # struct code of one WIDTH-bit unsigned field
+
+
+def pack(exps) -> int:
+    """Key of a sequence of exponents, each already within [0, FIELD_MAX]."""
+    key = 0
+    for e in exps:
+        key = key << WIDTH | e
+    return key
+
+
+def unpack(key: int, nvars: int) -> tuple:
+    """Exponent tuple of a key in a ring of nvars variables."""
+    raw = key.to_bytes(WIDTH // 8 * nvars, "big")
+    return struct.unpack(f">{nvars}{_FIELD_CODE}", raw)
+
+
+def _guard_bits(key: int) -> int:
+    """The guard bit of every field that key reaches."""
+    fields = -(-key.bit_length() // WIDTH)
+    return ((1 << WIDTH * fields) - 1) // _FIELD << (WIDTH - 1)
+
 
 def mul_terms(a, b):
-    """Return the product of two term maps as a new term map."""
+    """Return the product of two term maps as a new term map.
+
+    Raises OverflowError when an exponent of the product exceeds
+    FIELD_MAX.
+    """
     if len(a) > len(b):
         a, b = b, a
     out = {}
     get = out.get
     for ea, ca in a.items():
         for eb, cb in b.items():
-            key = tuple(i + j for i, j in zip(ea, eb))
+            key = ea + eb
             c = get(key)
             if c is None:
                 out[key] = ca * cb
@@ -26,6 +77,9 @@ def mul_terms(a, b):
                     out[key] = c
                 else:
                     del out[key]
+    seen = reduce(or_, out, 0)
+    if seen & _guard_bits(seen):
+        raise OverflowError(f"an exponent of the product exceeds {FIELD_MAX}")
     return out
 
 
@@ -50,4 +104,3 @@ def scale_terms(a, s):
     if not s:
         raise ValueError("scale_terms requires a nonzero scalar")
     return {e: c * s for e, c in a.items()}
-

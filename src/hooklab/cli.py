@@ -126,9 +126,9 @@ def run_theorem1(bound: int, threads: int, trace: bool) -> list:
 def run_postnikov(bound: int, threads: int, trace: bool) -> list:
     out = []
     for r in range(1, bound + 1):
-        (lhs, rhs), ms = _timed(lambda r=r: hf.increasing_hook_sum(r))
-        out.append(compare_sides("postnikov", {"r": r}, lhs, rhs, ms))
-        (lhs, rhs), ms = _timed(lambda r=r: hf.uniform_chain_sides(r))
+        (lhs_uni, rhs), ms = _timed(lambda r=r: hf.increasing_hook_sum(r))
+        out.append(compare_sides("postnikov", {"r": r}, lhs_uni, rhs, ms))
+        (lhs, rhs), ms = _timed(lambda r=r: hf.uniform_chain_sides(r, lhs_uni))
         out.append(compare_sides("postnikov/chain", {"r": r}, lhs, rhs, ms))
     return out
 

@@ -42,7 +42,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterable, Mapping
 
-from hooklab._kernel_py import iadd_terms, mul_terms, scale_terms
+from hooklab._kernel_py import FIELD_MAX, WIDTH, iadd_terms, mul_terms, pack, scale_terms
 from hooklab.multipoly import MultiPoly, Var, falling_factorial, specialize
 from hooklab.parallel import fold_chunks
 from hooklab.trees import (
@@ -77,29 +77,29 @@ __all__ = [
 LINEAR_EXTENSION_BOUND = 9
 
 
-@lru_cache(maxsize=None)
-def _unit_exps(nvars: int) -> tuple:
-    """Exponent tuples for the constant 1 and each single variable."""
-    zero = (0,) * nvars
-    units = tuple(
-        tuple(1 if j == i else 0 for j in range(nvars)) for i in range(nvars)
-    )
-    return zero, units
+def _label_keys(labels, ambient: int) -> list:
+    """Packed key of the variable k_l of each label l in the ambient ring.
 
-
-def _weight_terms(labels, pv, ambient: int, top_only: bool = False) -> dict:
-    """Term map of the weight of one tree, given parent positions.
-
-    labels is the sorted label tuple; pv[j-1] is the position (index
-    into labels) of the father of labels[j].  With top_only the
-    constant in each linear factor is dropped, which yields exactly the
-    terms of maximal total degree.
+    The root-side monomial of a weight raises k_l to the number of
+    children of l, at most len(labels) - 1, which must fit a key field.
     """
-    zero, units = _unit_exps(ambient)
-    n = len(labels)
-    mono = [0] * ambient
+    if len(labels) - 1 > FIELD_MAX:
+        raise OverflowError(f"a tree on {len(labels)} vertices overflows a key field")
+    return [1 << WIDTH * (ambient - l) for l in labels]
+
+
+def _weight_terms(units, pv, top_only: bool = False) -> dict:
+    """Packed term map of the weight of one tree, given parent positions.
+
+    units[j] is the key of the variable of the j-th smallest label (see
+    _label_keys); pv[j-1] is the position of the father of that label.
+    With top_only the constant in each linear factor is dropped, which
+    yields exactly the terms of maximal total degree.
+    """
+    n = len(units)
+    mono = 0
     for p in pv:
-        mono[labels[p] - 1] += 1
+        mono += units[p]
     hook_mask = [1 << j for j in range(n)]
     for j in range(n - 1, 0, -1):
         hook_mask[pv[j - 1]] |= hook_mask[j]
@@ -110,13 +110,13 @@ def _weight_terms(labels, pv, ambient: int, top_only: bool = False) -> dict:
         size = 0
         for b in range(n):
             if m >> b & 1:
-                lin[units[labels[b] - 1]] = 1
+                lin[units[b]] = 1
                 size += 1
         if not top_only and size != 1:
-            lin[zero] = 1 - size
+            lin[0] = 1 - size
         factors.append(lin)
     factors.sort(key=len)
-    acc = {tuple(mono): 1}
+    acc = {mono: 1}
     for f in factors:
         acc = mul_terms(acc, f)
     return acc
@@ -144,7 +144,8 @@ def tree_weight(t: IncreasingTree, ambient: int | None = None) -> MultiPoly:
     it explicitly keeps subtree weights of a split comparable.
     """
     ambient = _resolve_ambient(t, ambient)
-    return MultiPoly._raw(ambient, _weight_terms(t.labels, _parent_positions(t), ambient))
+    units = _label_keys(t.labels, ambient)
+    return MultiPoly._raw(ambient, _weight_terms(units, _parent_positions(t)))
 
 
 def top_weight(t: IncreasingTree, ambient: int | None = None) -> MultiPoly:
@@ -156,9 +157,8 @@ def top_weight(t: IncreasingTree, ambient: int | None = None) -> MultiPoly:
     homogeneous component of tree_weight.
     """
     ambient = _resolve_ambient(t, ambient)
-    return MultiPoly._raw(
-        ambient, _weight_terms(t.labels, _parent_positions(t), ambient, top_only=True)
-    )
+    units = _label_keys(t.labels, ambient)
+    return MultiPoly._raw(ambient, _weight_terms(units, _parent_positions(t), top_only=True))
 
 
 def _weight_sum_chunk(args) -> dict:
@@ -168,19 +168,30 @@ def _weight_sum_chunk(args) -> dict:
     lexicographic order, the order enumerate_increasing walks.
     """
     labels, ambient, top_only, lo, hi = args
+    units = _label_keys(labels, ambient)
     pvs = itertools.product(*(range(j) for j in range(1, len(labels))))
     acc: dict = {}
     for pv in itertools.islice(pvs, lo, hi):
-        iadd_terms(acc, _weight_terms(labels, pv, ambient, top_only))
+        iadd_terms(acc, _weight_terms(units, pv, top_only))
     return acc
 
 
 @lru_cache(maxsize=None)
-def tree_weight_sum(labels: tuple, ambient: int) -> MultiPoly:
+def _swept(labels: tuple, ambient: int) -> list:
+    """Cache slot of one weight sum: empty until its first sweep fills it.
+
+    The slot is keyed without the worker count, so a sum swept in a
+    pool is found by every later call.
+    """
+    return []
+
+
+def tree_weight_sum(labels: tuple, ambient: int, threads: int = 1) -> MultiPoly:
     """Sum of hook weights over all increasing trees on a label set.
 
     Cached: the splitting recurrences evaluate it on many overlapping
-    subsets.  labels must be a tuple of distinct positive ints.
+    subsets.  labels must be a tuple of distinct positive ints.  A
+    sweep not yet cached runs on `threads` worker processes.
     """
     labels = tuple(sorted(labels))
     if not labels:
@@ -189,21 +200,30 @@ def tree_weight_sum(labels: tuple, ambient: int) -> MultiPoly:
         raise ValueError(
             f"ambient ring with {ambient} variables cannot hold label {labels[-1]}"
         )
-    total = factorial(len(labels) - 1)
-    return MultiPoly._raw(ambient, _weight_sum_chunk((labels, ambient, False, 0, total)))
+    slot = _swept(labels, ambient)
+    if not slot:
+        acc = fold_chunks(
+            _weight_sum_chunk, (labels, ambient, False), factorial(len(labels) - 1),
+            threads, iadd_terms,
+        )
+        slot.append(MultiPoly._raw(ambient, acc))
+    return slot[0]
+
+
+tree_weight_sum.cache_info = _swept.cache_info
+tree_weight_sum.cache_clear = _swept.cache_clear
 
 
 def hook_weight_sum(r: int, threads: int = 1) -> MultiPoly:
     """Left side of the main identity: sum of weights over all trees on {1..r}."""
     if r < 1:
         raise ValueError("need at least one vertex")
-    labels = tuple(range(1, r + 1))
-    if threads <= 1:
-        return tree_weight_sum(labels, r)
-    acc = fold_chunks(
-        _weight_sum_chunk, (labels, r, False), factorial(r - 1), threads, iadd_terms
-    )
-    return MultiPoly._raw(r, acc)
+    return tree_weight_sum(tuple(range(1, r + 1)), r, threads)
+
+
+def _variable_total(r: int) -> MultiPoly:
+    """K = k_1 + ... + k_r."""
+    return MultiPoly._raw(r, {1 << WIDTH * i: 1 for i in range(r)})
 
 
 def hook_weight_closed_form(r: int) -> MultiPoly:
@@ -218,7 +238,7 @@ def hook_weight_closed_form(r: int) -> MultiPoly:
         raise ValueError("need at least one vertex")
     if r == 1:
         return MultiPoly.const(1, 1)
-    k_minus_1 = MultiPoly(r, {u: 1 for u in _unit_exps(r)[1]}) - 1
+    k_minus_1 = _variable_total(r) - 1
     return MultiPoly.monomial(r, (1,) * r) * falling_factorial(k_minus_1, r - 2)
 
 
@@ -239,9 +259,9 @@ def increasing_hook_sum(r: int) -> tuple:
         raise ValueError("need at least one vertex")
     acc: dict = {}
     for pv in itertools.product(*(range(j) for j in range(1, r))):
-        term = {(0,): 1}
+        term = {0: 1}
         for h in _hook_sizes(r, pv):
-            term = mul_terms(term, {(1,): h, (0,): 1})
+            term = mul_terms(term, {1: h, 0: 1})
         iadd_terms(acc, term)
     lhs = MultiPoly._raw(1, acc)
     x = MultiPoly.variable(1, 0)
@@ -251,7 +271,7 @@ def increasing_hook_sum(r: int) -> tuple:
     return lhs, rhs
 
 
-def uniform_chain_sides(r: int) -> tuple:
+def uniform_chain_sides(r: int, lhs_uni: MultiPoly | None = None) -> tuple:
     """The univariate identity rederived from the multivariate sum.
 
     Setting every k_i to the same k in the weight turns each factor
@@ -262,8 +282,11 @@ def uniform_chain_sides(r: int) -> tuple:
         lhs_univariate * (x+1)^(r-1)  ==  weight_sum|_{k_i=x+1} * (x*r+1).
 
     Returns that pair; equality certifies the derivation chain.
+    lhs_univariate is the lhs of increasing_hook_sum(r), computed here
+    unless the caller passes the one it already has as lhs_uni.
     """
-    lhs_uni, _ = increasing_hook_sum(r)
+    if lhs_uni is None:
+        lhs_uni, _ = increasing_hook_sum(r)
     x = MultiPoly.variable(1, 0)
     left = lhs_uni * (x + 1) ** (r - 1)
     collapsed = specialize(
@@ -288,10 +311,10 @@ def binary_hook_sum(n: int) -> tuple:
     for shape in enumerate_binary(n):
         sizes = subtree_sizes(shape)
         prod_h = 1
-        term = {(0,): 1}
+        term = {0: 1}
         for h in sizes:
             prod_h *= h
-            term = mul_terms(term, {(1,): h, (0,): 1})
+            term = mul_terms(term, {1: h, 0: 1})
         count, rem = divmod(nfact, prod_h)
         if rem:
             raise ValueError(f"hook product {prod_h} does not divide {n}!")
@@ -378,9 +401,9 @@ def cayley_fiber_sums(r: int) -> Mapping:
     groups: dict = {}
     for u in enumerate_cayley(r):
         image = increasing_from_cayley(u)
-        exps = tuple(degree_vector(u)) if r > 1 else (0,)
+        key = pack(degree_vector(u))
         acc = groups.setdefault(image, {})
-        acc[exps] = acc.get(exps, 0) + 1
+        acc[key] = acc.get(key, 0) + 1
     return {t: MultiPoly._raw(r, terms) for t, terms in groups.items()}
 
 
@@ -397,10 +420,9 @@ def _cayley_chunk(args) -> dict:
     r, lo, hi = args
     acc: dict = {}
     for idx in range(lo, hi):
-        u = cayley_tree_at(r, idx)
-        exps = tuple(degree_vector(u))
-        c = acc.get(exps)
-        acc[exps] = 1 if c is None else c + 1
+        key = pack(degree_vector(cayley_tree_at(r, idx)))
+        c = acc.get(key)
+        acc[key] = 1 if c is None else c + 1
     return acc
 
 
@@ -415,8 +437,7 @@ def cayley_degree_identity(r: int, threads: int = 1) -> tuple:
         raise ValueError("need at least two vertices")
     acc = fold_chunks(_cayley_chunk, (r,), cayley_count(r), threads, iadd_terms)
     lhs = MultiPoly._raw(r, acc)
-    big_k = MultiPoly(r, {u: 1 for u in _unit_exps(r)[1]})
-    rhs = MultiPoly.monomial(r, (1,) * r) * big_k ** (r - 2)
+    rhs = MultiPoly.monomial(r, (1,) * r) * _variable_total(r) ** (r - 2)
     return lhs, rhs
 
 

@@ -1,7 +1,17 @@
 """Exact sparse multivariate polynomials over the rationals.
 
-A polynomial in n variables is stored as a term map: a dict sending each
-exponent tuple (length n, non-negative ints) to a nonzero coefficient.
+A polynomial in n variables is stored as a term map: a dict sending the
+packed key of each exponent vector to a nonzero coefficient.  The key
+layout is hooklab._kernel_py's: variable i owns a WIDTH-bit field
+(16 bits), variable 0 the most significant one, and the top bit of each
+field is a guard that stored keys keep clear, so an exponent is at most
+FIELD_MAX (32767).  A monomial product is one integer add.  Exponent
+tuples (length n, non-negative ints) stay the only format at the API:
+the constructor, const, variable, monomial, coefficient and
+from_json_dict pack them; terms, sorted_terms and the rendered forms
+unpack them.  An exponent the field cannot hold raises OverflowError;
+none wraps.
+
 Coefficients are exact, either int or fractions.Fraction; the two mix
 freely because Python's numeric tower makes them agree under ==, hash
 and arithmetic.  The term map is kept canonical at all times (no zero
@@ -9,8 +19,8 @@ coefficients), so polynomial equality is plain dict equality.
 
 Term maps are unordered.  Every rendered form (to_text, to_json_dict,
 canonical_hash) sorts terms in descending lexicographic order of the
-exponent tuple, which is what makes output byte-reproducible across
-runs.
+exponent tuple, which is descending order of the packed key; that is
+what makes output byte-reproducible across runs.
 
 The hot arithmetic lives in hooklab._kernel_py; this module owns
 validation, construction and everything that is not a tight loop.
@@ -25,7 +35,15 @@ from hashlib import sha256
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
-from hooklab._kernel_py import iadd_terms, mul_terms, scale_terms
+from hooklab._kernel_py import (
+    FIELD_MAX,
+    WIDTH,
+    iadd_terms,
+    mul_terms,
+    pack,
+    scale_terms,
+    unpack,
+)
 
 Rational = Fraction
 Coeff = Union[int, Fraction]
@@ -61,6 +79,25 @@ def _check_coeff(c) -> Coeff:
     return c
 
 
+def _check_exps(exps, nvars: int) -> tuple:
+    exps = tuple(exps)
+    if len(exps) != nvars:
+        raise ValueError(
+            f"exponent tuple {exps} has length {len(exps)}, expected {nvars}"
+        )
+    if any(isinstance(e, bool) or not isinstance(e, int) or e < 0 for e in exps):
+        raise ValueError(f"exponents must be non-negative ints: {exps}")
+    _check_fit(exps)
+    return exps
+
+
+def _check_fit(exps) -> None:
+    if exps and max(exps) > FIELD_MAX:
+        raise OverflowError(
+            f"exponent {max(exps)} exceeds {FIELD_MAX}, the largest a key field holds"
+        )
+
+
 class MultiPoly:
     """Immutable sparse polynomial with exact rational coefficients."""
 
@@ -74,31 +111,24 @@ class MultiPoly:
             terms.items() if isinstance(terms, Mapping) else terms
         )
         for exps, c in items:
-            exps = tuple(exps)
-            if len(exps) != nvars:
-                raise ValueError(
-                    f"exponent tuple {exps} has length {len(exps)}, expected {nvars}"
-                )
-            if any(isinstance(e, bool) or not isinstance(e, int) or e < 0
-                   for e in exps):
-                raise ValueError(f"exponents must be non-negative ints: {exps}")
+            key = pack(_check_exps(exps, nvars))
             c = _check_coeff(c)
             if c:
-                acc = clean.get(exps)
+                acc = clean.get(key)
                 if acc is None:
-                    clean[exps] = c
+                    clean[key] = c
                 else:
                     acc = acc + c
                     if acc:
-                        clean[exps] = acc
+                        clean[key] = acc
                     else:
-                        del clean[exps]
+                        del clean[key]
         self._nvars = nvars
         self._terms = clean
 
     @classmethod
     def _raw(cls, nvars: int, terms: dict) -> "MultiPoly":
-        """Wrap an already canonical term map without copying. Trusted callers only."""
+        """Wrap an already canonical packed term map without copying. Trusted callers only."""
         self = object.__new__(cls)
         self._nvars = nvars
         self._terms = terms
@@ -116,8 +146,7 @@ class MultiPoly:
     def variable(cls, nvars: int, index: int) -> "MultiPoly":
         if not 0 <= index < nvars:
             raise ValueError(f"variable index {index} out of range for {nvars} vars")
-        exps = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls._raw(nvars, {exps: 1})
+        return cls._raw(nvars, {1 << WIDTH * (nvars - 1 - index): 1})
 
     @classmethod
     def monomial(cls, nvars: int, exps: Sequence[int], coeff: Coeff = 1) -> "MultiPoly":
@@ -143,15 +172,18 @@ class MultiPoly:
 
     @property
     def terms(self) -> Mapping:
-        """Read-only view of the canonical term map."""
-        return MappingProxyType(self._terms)
+        """Read-only map from exponent tuples to coefficients."""
+        n = self._nvars
+        return MappingProxyType({unpack(k, n): c for k, c in self._terms.items()})
 
     def sorted_terms(self) -> list:
         """Terms as (exponents, coeff) pairs in descending lex order."""
-        return sorted(self._terms.items(), key=lambda kv: kv[0], reverse=True)
+        n, terms = self._nvars, self._terms
+        return [(unpack(k, n), terms[k]) for k in sorted(terms, reverse=True)]
 
     def coefficient(self, exps: Sequence[int]) -> Coeff:
-        return self._terms.get(tuple(exps), 0)
+        """Coefficient of one monomial; exps is checked like the constructor's."""
+        return self._terms.get(pack(_check_exps(exps, self._nvars)), 0)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -160,7 +192,7 @@ class MultiPoly:
         """Max term degree, or -1 for the zero polynomial."""
         if not self._terms:
             return -1
-        return max(sum(e) for e in self._terms)
+        return max(sum(unpack(k, self._nvars)) for k in self._terms)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -227,7 +259,7 @@ class MultiPoly:
     def __pow__(self, exponent: int) -> "MultiPoly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial power requires a non-negative int")
-        result = {(0,) * self._nvars: 1}
+        result = {0: 1}
         base = self._terms
         e = exponent
         while e:
@@ -253,8 +285,7 @@ class MultiPoly:
         for q in images:
             if not isinstance(q, MultiPoly) or q.nvars != nvars:
                 raise ValueError("every image must be a MultiPoly in `nvars` variables")
-        unit = {(0,) * nvars: 1}
-        caches = [{0: unit, 1: q._terms} for q in images]
+        caches = [{0: {0: 1}, 1: q._terms} for q in images]
 
         def power(i: int, e: int) -> dict:
             cache = caches[i]
@@ -265,9 +296,9 @@ class MultiPoly:
             return cache[e]
 
         out: dict = {}
-        for exps, c in self._terms.items():
-            term = {(0,) * nvars: c}
-            for i, e in enumerate(exps):
+        for key, c in self._terms.items():
+            term = {0: c}
+            for i, e in enumerate(unpack(key, self._nvars)):
                 if e:
                     term = mul_terms(term, power(i, e))
             iadd_terms(out, term)
@@ -377,7 +408,8 @@ def specialize(p: MultiPoly, assignment: Mapping[int, "Coeff | Var"]) -> MultiPo
             raise ValueError(f"assignment key {i!r} is not a variable of the input")
     nvars_out = 1 + max(j for _, j in targets) if targets else 0
     out: dict = {}
-    for exps, c in p._terms.items():
+    for k, c in p._terms.items():
+        exps = unpack(k, n)
         coeff = c
         for i, s in scalars.items():
             e = exps[i]
@@ -385,10 +417,11 @@ def specialize(p: MultiPoly, assignment: Mapping[int, "Coeff | Var"]) -> MultiPo
                 coeff = coeff * s**e
         if not coeff:
             continue
-        key = [0] * nvars_out
+        image = [0] * nvars_out
         for src, dst in targets:
-            key[dst] += exps[src]
-        k = tuple(key)
+            image[dst] += exps[src]
+        _check_fit(image)
+        k = pack(image)
         acc = out.get(k)
         if acc is None:
             out[k] = coeff
@@ -414,5 +447,6 @@ def top_homogeneous(p: MultiPoly) -> MultiPoly:
     if p.is_zero():
         raise ValueError("the zero polynomial has no top homogeneous part")
     d = p.total_degree()
-    kept = {e: c for e, c in p._terms.items() if sum(e) == d}
+    n = p.nvars
+    kept = {k: c for k, c in p._terms.items() if sum(unpack(k, n)) == d}
     return MultiPoly._raw(p.nvars, kept)

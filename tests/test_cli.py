@@ -151,6 +151,14 @@ class TestVerify:
             cli.main(["verify", "bogus"])
         assert exc.value.code == 2
 
+    def test_postnikov_sums_each_r_once(self, monkeypatch):
+        calls = []
+        real = cli.hf.increasing_hook_sum
+        monkeypatch.setattr(cli.hf, "increasing_hook_sum", lambda r: calls.append(r) or real(r))
+        reports = cli.run_postnikov(4, 1, False)
+        assert calls == [1, 2, 3, 4]
+        assert all(rep.equal for rep in reports) and len(reports) == 8
+
     def test_threads_must_be_positive(self, capsys):
         code, _, err = run_main(["verify", "theorem1", "--r", "2", "--threads", "0"], capsys)
         assert code == 2 and "threads" in err

@@ -80,7 +80,31 @@ class TestHookWeightSum:
             assert hf.hook_weight_sum(r) == hf.hook_weight_closed_form(r)
 
     def test_threads_do_not_change_the_sum(self):
-        assert hf.hook_weight_sum(6, threads=3) == hf.hook_weight_sum(6)
+        hf.tree_weight_sum.cache_clear()
+        pooled = hf.hook_weight_sum(6, threads=3)
+        hf.tree_weight_sum.cache_clear()
+        assert pooled == hf.hook_weight_sum(6)
+
+    def test_pooled_sum_is_cached_for_tree_weight_sum(self, monkeypatch):
+        workers, chunks = [], []
+        real_chunk = hf._weight_sum_chunk
+
+        def counted_chunk(args):
+            chunks.append(args)
+            return real_chunk(args)
+
+        def in_process_fold(chunk, args, total, n, add):
+            workers.append(n)
+            return chunk((*args, 0, total))
+
+        monkeypatch.setattr(hf, "_weight_sum_chunk", counted_chunk)
+        monkeypatch.setattr(hf, "fold_chunks", in_process_fold)
+        hf.tree_weight_sum.cache_clear()
+        pooled = hf.hook_weight_sum(5, threads=2)
+        assert hf.tree_weight_sum((1, 2, 3, 4, 5), 5) is pooled
+        assert workers == [2] and len(chunks) == 1
+        assert hf.tree_weight_sum.cache_info().hits == 1
+        assert pooled == hf.hook_weight_closed_form(5)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -108,6 +132,8 @@ class TestUniformSpecialization:
         for r in range(1, 7):
             lhs, rhs = hf.uniform_chain_sides(r)
             assert lhs == rhs
+            passed = hf.uniform_chain_sides(r, hf.increasing_hook_sum(r)[0])
+            assert passed == (lhs, rhs)
 
 
 class TestBinaryShapes:

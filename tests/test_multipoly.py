@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hooklab._kernel_py import FIELD_MAX, WIDTH
 from hooklab.multipoly import (
     MultiPoly,
     Var,
@@ -57,6 +58,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             MultiPoly.from_json_dict({"nvars": 1, "terms": [{"exp": [True], "num": 1}]})
 
+    def test_rejects_exponent_past_the_key_field(self):
+        assert MultiPoly(2, {(FIELD_MAX, 0): 1}).sorted_terms() == [((FIELD_MAX, 0), 1)]
+        with pytest.raises(OverflowError, match=str(FIELD_MAX)):
+            MultiPoly(2, {(0, FIELD_MAX + 1): 1})
+        with pytest.raises(OverflowError):
+            MultiPoly.monomial(1, (FIELD_MAX + 1,))
+
     def test_var_marker_validation(self):
         with pytest.raises(ValueError):
             Var(-1)
@@ -78,6 +86,11 @@ class TestArithmetic:
         assert (x + y) ** 0 == MultiPoly.const(2, 1)
         with pytest.raises(ValueError):
             (x + y) ** -1
+
+    def test_pow_past_the_key_field_raises(self):
+        assert MultiPoly.variable(1, 0) ** FIELD_MAX == MultiPoly.monomial(1, (FIELD_MAX,))
+        with pytest.raises(OverflowError):
+            MultiPoly.variable(1, 0) ** 2 ** (WIDTH - 1)
 
     def test_mixed_nvars_refused(self):
         with pytest.raises(ValueError):
@@ -139,6 +152,11 @@ class TestSpecialize:
     def test_identifying_variables(self):
         q = specialize(x * y, {0: Var(0), 1: Var(0)})
         assert q == MultiPoly(1, {(2,): 1})
+
+    def test_identifying_past_the_key_field_raises(self):
+        p = MultiPoly(2, {(FIELD_MAX, 1): 1})
+        with pytest.raises(OverflowError):
+            specialize(p, {0: Var(0), 1: Var(0)})
 
     def test_all_scalar_gives_constant(self):
         q = specialize(x + 2 * y, {0: 5, 1: Fraction(1, 2)})
