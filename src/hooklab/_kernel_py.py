@@ -43,6 +43,11 @@ def pack(exps) -> int:
     return key
 
 
+def unit(nvars: int, index: int) -> int:
+    """Key of the variable `index` in a ring of nvars variables."""
+    return 1 << WIDTH * (nvars - 1 - index)
+
+
 def unpack(key: int, nvars: int) -> tuple:
     """Exponent tuple of a key in a ring of nvars variables."""
     raw = key.to_bytes(WIDTH // 8 * nvars, "big")

@@ -191,26 +191,35 @@ def run_fibers(bound: int, threads: int, trace: bool) -> list:
     return out
 
 
-def _split_trace(summands) -> list:
-    return [
-        {"x1": list(x1), "x2": list(x2), "terms": len(p), "text": p.to_text()}
-        for x1, x2, p in summands
-    ]
+def _split_entry(x1, x2, p) -> dict:
+    return {"x1": list(x1), "x2": list(x2), "terms": len(p), "text": p.to_text()}
 
 
-def _partition_trace(summands) -> list:
-    return [
-        {"blocks": [list(b) for b in part], "terms": len(p), "text": p.to_text()}
-        for part, p in summands
-    ]
+def _partition_entry(part, p) -> dict:
+    return {"blocks": [list(b) for b in part], "terms": len(p), "text": p.to_text()}
+
+
+def _traced(trace: bool, summands, entry) -> tuple:
+    """(payload, summands) for a side that sums them: under --trace the
+    stream renders each summand into the payload as the sum consumes it."""
+    if not trace:
+        return None, None
+    payload: list = []
+
+    def stream():
+        for s in summands:
+            payload.append(entry(*s))
+            yield s
+
+    return payload, stream()
 
 
 def run_pq(bound: int, threads: int, trace: bool) -> list:
     out = []
     for r in range(2, bound + 1):
-        payload = _split_trace(rc.split_summands(r)) if trace else None
+        payload, summands = _traced(trace, rc.split_summands(r), _split_entry)
         (lhs, rhs), ms = _timed(
-            lambda r=r: (rc.split_polynomial(r), rc.closed_polynomial(r))
+            lambda r=r: (rc.split_polynomial(r, summands), rc.closed_polynomial(r))
         )
         out.append(compare_sides("pq", {"r": r}, lhs, rhs, ms, trace=payload))
         for name, family in (
@@ -246,8 +255,8 @@ def run_grafting(bound: int, threads: int, trace: bool) -> list:
                 agreed += 1
         ms = round((time.perf_counter() - t0) * 1000.0, 3)
         out.append(compare_sides("grafting/law", {"r": r}, trees, agreed, ms))
-        payload = _split_trace(rc.grafting_split_summands(r)) if trace else None
-        (lhs, rhs), ms = _timed(lambda r=r: rc.grafting_split_sides(r))
+        payload, summands = _traced(trace, rc.grafting_split_summands(r), _split_entry)
+        (lhs, rhs), ms = _timed(lambda r=r: rc.grafting_split_sides(r, summands))
         out.append(compare_sides("grafting/split", {"r": r}, lhs, rhs, ms, trace=payload))
     return out
 
@@ -255,8 +264,8 @@ def run_grafting(bound: int, threads: int, trace: bool) -> list:
 def run_root_recurrence(bound: int, threads: int, trace: bool) -> list:
     out = []
     for r in range(2, bound + 1):
-        payload = _partition_trace(rc.root_degree_summands(r)) if trace else None
-        (lhs, rhs), ms = _timed(lambda r=r: rc.root_degree_sides(r))
+        payload, summands = _traced(trace, rc.root_degree_summands(r), _partition_entry)
+        (lhs, rhs), ms = _timed(lambda r=r: rc.root_degree_sides(r, summands))
         out.append(
             compare_sides("root-recurrence", {"r": r}, lhs, rhs, ms, trace=payload)
         )
@@ -266,8 +275,8 @@ def run_root_recurrence(bound: int, threads: int, trace: bool) -> list:
 def run_mvl(bound: int, threads: int, trace: bool) -> list:
     out = []
     for r in range(2, bound + 1):
-        payload = _partition_trace(rc.lagrange_summands(r)) if trace else None
-        (lhs, rhs), ms = _timed(lambda r=r: rc.lagrange_identity_sides(r))
+        payload, summands = _traced(trace, rc.lagrange_summands(r), _partition_entry)
+        (lhs, rhs), ms = _timed(lambda r=r: rc.lagrange_identity_sides(r, summands))
         out.append(compare_sides("mvl", {"r": r}, lhs, rhs, ms, trace=payload))
     rng = random.Random(ORACLE_SEED)
     max_r = min(bound, ORACLE_MAX_R)

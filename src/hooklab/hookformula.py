@@ -36,25 +36,27 @@ result is identical no matter how the fold is sliced.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from typing import Iterable, Mapping
 
-from hooklab._kernel_py import FIELD_MAX, WIDTH, iadd_terms, mul_terms, pack, scale_terms
+from hooklab._kernel_py import FIELD_MAX, iadd_terms, mul_terms, pack, scale_terms, unit
 from hooklab.multipoly import MultiPoly, Var, falling_factorial, specialize
 from hooklab.parallel import fold_chunks
 from hooklab.trees import (
-    BinaryTree,
     IncreasingTree,
+    _clean_labels,
+    _parent_positions,
     cayley_count,
     cayley_tree_at,
     degree_vector,
     enumerate_binary,
     enumerate_cayley,
     increasing_from_cayley,
+    parent_vectors,
     subtree_sizes,
+    subtree_totals,
 )
 
 __all__ = [
@@ -67,6 +69,7 @@ __all__ = [
     "hook_weight_sum",
     "increasing_hook_sum",
     "linear_extension_check",
+    "subset_closed_form",
     "top_weight",
     "top_weight_sum",
     "tree_weight",
@@ -85,7 +88,17 @@ def _label_keys(labels, ambient: int) -> list:
     """
     if len(labels) - 1 > FIELD_MAX:
         raise OverflowError(f"a tree on {len(labels)} vertices overflows a key field")
-    return [1 << WIDTH * (ambient - l) for l in labels]
+    return [unit(ambient, l - 1) for l in labels]
+
+
+def _ksum(ambient: int, labels) -> MultiPoly:
+    """K_X, the sum of the variables of the labels X; zero for no labels."""
+    return MultiPoly._raw(ambient, dict.fromkeys(_label_keys(labels, ambient), 1))
+
+
+def _kprod(ambient: int, labels) -> MultiPoly:
+    """k_X, the product of the variables of the labels X."""
+    return MultiPoly._raw(ambient, {sum(_label_keys(labels, ambient)): 1})
 
 
 def _weight_terms(units, pv, top_only: bool = False) -> dict:
@@ -96,24 +109,14 @@ def _weight_terms(units, pv, top_only: bool = False) -> dict:
     With top_only the constant in each linear factor is dropped, which
     yields exactly the terms of maximal total degree.
     """
-    n = len(units)
     mono = 0
     for p in pv:
         mono += units[p]
-    hook_mask = [1 << j for j in range(n)]
-    for j in range(n - 1, 0, -1):
-        hook_mask[pv[j - 1]] |= hook_mask[j]
     factors = []
-    for j in range(1, n):
-        m = hook_mask[j]
-        lin = {}
-        size = 0
-        for b in range(n):
-            if m >> b & 1:
-                lin[units[b]] = 1
-                size += 1
-        if not top_only and size != 1:
-            lin[0] = 1 - size
+    for keys in subtree_totals([(u,) for u in units], pv)[1:]:
+        lin = dict.fromkeys(keys, 1)
+        if not top_only and len(keys) != 1:
+            lin[0] = 1 - len(keys)
         factors.append(lin)
     factors.sort(key=len)
     acc = {mono: 1}
@@ -122,17 +125,14 @@ def _weight_terms(units, pv, top_only: bool = False) -> dict:
     return acc
 
 
-def _parent_positions(t: IncreasingTree) -> tuple:
-    pos = {v: i for i, v in enumerate(t.labels)}
-    return tuple(pos[t.parent[v]] for v in t.labels[1:])
-
-
-def _resolve_ambient(t: IncreasingTree, ambient: int | None) -> int:
+def _resolve_ambient(labels: tuple, ambient: int | None) -> int:
+    """ambient, or the largest of the sorted labels when it is None;
+    refuses a label with no variable among the ambient ones."""
     if ambient is None:
-        ambient = t.labels[-1]
-    elif ambient < t.labels[-1]:
+        return labels[-1]
+    if labels[-1] > ambient:
         raise ValueError(
-            f"ambient ring with {ambient} variables cannot hold label {t.labels[-1]}"
+            f"ambient ring with {ambient} variables cannot hold label {labels[-1]}"
         )
     return ambient
 
@@ -143,7 +143,7 @@ def tree_weight(t: IncreasingTree, ambient: int | None = None) -> MultiPoly:
     The ambient variable count defaults to the largest label; passing
     it explicitly keeps subtree weights of a split comparable.
     """
-    ambient = _resolve_ambient(t, ambient)
+    ambient = _resolve_ambient(t.labels, ambient)
     units = _label_keys(t.labels, ambient)
     return MultiPoly._raw(ambient, _weight_terms(units, _parent_positions(t)))
 
@@ -156,7 +156,7 @@ def top_weight(t: IncreasingTree, ambient: int | None = None) -> MultiPoly:
     generating monomial total, and it coincides with taking the top
     homogeneous component of tree_weight.
     """
-    ambient = _resolve_ambient(t, ambient)
+    ambient = _resolve_ambient(t.labels, ambient)
     units = _label_keys(t.labels, ambient)
     return MultiPoly._raw(ambient, _weight_terms(units, _parent_positions(t), top_only=True))
 
@@ -164,14 +164,13 @@ def top_weight(t: IncreasingTree, ambient: int | None = None) -> MultiPoly:
 def _weight_sum_chunk(args) -> dict:
     """Summed term maps of the trees [lo, hi) on a label set.
 
-    Trees are indexed by their parent-position vectors in
-    lexicographic order, the order enumerate_increasing walks.
+    Trees are indexed in the order of trees.parent_vectors, which is
+    the order enumerate_increasing yields them in.
     """
     labels, ambient, top_only, lo, hi = args
     units = _label_keys(labels, ambient)
-    pvs = itertools.product(*(range(j) for j in range(1, len(labels))))
     acc: dict = {}
-    for pv in itertools.islice(pvs, lo, hi):
+    for pv in parent_vectors(len(labels), lo, hi):
         iadd_terms(acc, _weight_terms(units, pv, top_only))
     return acc
 
@@ -190,16 +189,11 @@ def tree_weight_sum(labels: tuple, ambient: int, threads: int = 1) -> MultiPoly:
     """Sum of hook weights over all increasing trees on a label set.
 
     Cached: the splitting recurrences evaluate it on many overlapping
-    subsets.  labels must be a tuple of distinct positive ints.  A
+    subsets.  labels must be distinct positive ints, at most ambient.  A
     sweep not yet cached runs on `threads` worker processes.
     """
-    labels = tuple(sorted(labels))
-    if not labels:
-        raise ValueError("a tree needs at least one vertex")
-    if labels[-1] > ambient:
-        raise ValueError(
-            f"ambient ring with {ambient} variables cannot hold label {labels[-1]}"
-        )
+    labels = _clean_labels(labels)
+    _resolve_ambient(labels, ambient)
     slot = _swept(labels, ambient)
     if not slot:
         acc = fold_chunks(
@@ -216,37 +210,28 @@ tree_weight_sum.cache_clear = _swept.cache_clear
 
 def hook_weight_sum(r: int, threads: int = 1) -> MultiPoly:
     """Left side of the main identity: sum of weights over all trees on {1..r}."""
-    if r < 1:
-        raise ValueError("need at least one vertex")
     return tree_weight_sum(tuple(range(1, r + 1)), r, threads)
 
 
-def _variable_total(r: int) -> MultiPoly:
-    """K = k_1 + ... + k_r."""
-    return MultiPoly._raw(r, {1 << WIDTH * i: 1 for i in range(r)})
+def subset_closed_form(labels: Iterable[int], ambient: int) -> MultiPoly:
+    """Closed form of the tree weight sum on a label set X: k_X * (K_X - 1)_(|X|-2).
+
+    At a single label the falling factorial index would be negative;
+    the convention there is that the whole product collapses to 1,
+    matching the single-vertex tree of weight 1, so that constant is
+    returned directly.  Labels are checked like tree_weight_sum's.
+    """
+    labels = _clean_labels(labels)
+    _resolve_ambient(labels, ambient)
+    if len(labels) == 1:
+        return MultiPoly.const(ambient, 1)
+    k_minus_1 = _ksum(ambient, labels) - 1
+    return _kprod(ambient, labels) * falling_factorial(k_minus_1, len(labels) - 2)
 
 
 def hook_weight_closed_form(r: int) -> MultiPoly:
-    """Right side of the main identity: k_1...k_r * (K-1)_(r-2).
-
-    At r = 1 the falling factorial index would be negative; the
-    convention there is that the whole product collapses to 1, matching
-    the single-vertex tree of weight 1, so that constant is returned
-    directly.
-    """
-    if r < 1:
-        raise ValueError("need at least one vertex")
-    if r == 1:
-        return MultiPoly.const(1, 1)
-    k_minus_1 = _variable_total(r) - 1
-    return MultiPoly.monomial(r, (1,) * r) * falling_factorial(k_minus_1, r - 2)
-
-
-def _hook_sizes(n: int, pv) -> list:
-    sizes = [1] * n
-    for j in range(n - 1, 0, -1):
-        sizes[pv[j - 1]] += sizes[j]
-    return sizes
+    """Right side of the main identity: k_1...k_r * (K-1)_(r-2)."""
+    return subset_closed_form(range(1, r + 1), r)
 
 
 def increasing_hook_sum(r: int) -> tuple:
@@ -258,9 +243,9 @@ def increasing_hook_sum(r: int) -> tuple:
     if r < 1:
         raise ValueError("need at least one vertex")
     acc: dict = {}
-    for pv in itertools.product(*(range(j) for j in range(1, r))):
+    for pv in parent_vectors(r):
         term = {0: 1}
-        for h in _hook_sizes(r, pv):
+        for h in subtree_totals([1] * r, pv):
             term = mul_terms(term, {1: h, 0: 1})
         iadd_terms(acc, term)
     lhs = MultiPoly._raw(1, acc)
@@ -333,33 +318,29 @@ def binary_reciprocal_hook_sum(n: int) -> Fraction:
         raise ValueError("size must be at least 1")
     total = Fraction(0)
     for shape in enumerate_binary(n):
-        prod_h = 1
-        for h in subtree_sizes(shape):
-            prod_h *= h
-        total += Fraction(1, prod_h)
+        total += Fraction(1, prod(subtree_sizes(shape)))
     return total
 
 
-def _lext_count(child: Mapping, avail: list) -> int:
-    """Number of ways to place the remaining frontier, one vertex at a time."""
-    if not avail:
-        return 1
-    total = 0
-    for i in range(len(avail)):
-        v = avail[i]
-        avail[i] = avail[-1]
-        avail.pop()
-        kids = child[v]
-        avail.extend(kids)
-        total += _lext_count(child, avail)
-        if kids:
-            del avail[-len(kids):]
-        if i == len(avail):
-            avail.append(v)
-        else:
-            avail.append(avail[i])
-            avail[i] = v
-    return total
+def _lext_count(pv) -> int:
+    """Number of linear extensions of a tree poset, given parent positions.
+
+    The frontier, the unplaced vertices whose parent is placed,
+    determines every vertex still to place, so the count is memoised on
+    the frontier as a bit mask; the memo lives for one call.
+    """
+    kids = [0] * (len(pv) + 1)
+    for j, p in enumerate(pv, 1):
+        kids[p] |= 1 << j
+
+    @lru_cache(maxsize=None)
+    def count(frontier: int) -> int:
+        if not frontier:
+            return 1
+        places = (v for v in range(len(kids)) if frontier >> v & 1)
+        return sum(count(frontier ^ 1 << v | kids[v]) for v in places)
+
+    return count(1)
 
 
 def linear_extension_check(t: IncreasingTree) -> tuple:
@@ -375,12 +356,9 @@ def linear_extension_check(t: IncreasingTree) -> tuple:
         raise ValueError(
             f"exhaustive labelling count is capped at {LINEAR_EXTENSION_BOUND} vertices"
         )
-    child = t.children()
-    lext = _lext_count(child, [t.root])
     pv = _parent_positions(t)
-    prod_h = 1
-    for h in _hook_sizes(n, pv):
-        prod_h *= h
+    lext = _lext_count(pv)
+    prod_h = prod(subtree_totals([1] * n, pv))
     quotient, rem = divmod(factorial(n), prod_h)
     if rem:
         raise ValueError(f"hook product {prod_h} does not divide {n}!")
@@ -437,13 +415,11 @@ def cayley_degree_identity(r: int, threads: int = 1) -> tuple:
         raise ValueError("need at least two vertices")
     acc = fold_chunks(_cayley_chunk, (r,), cayley_count(r), threads, iadd_terms)
     lhs = MultiPoly._raw(r, acc)
-    rhs = MultiPoly.monomial(r, (1,) * r) * _variable_total(r) ** (r - 2)
+    rhs = _kprod(r, range(1, r + 1)) * _ksum(r, range(1, r + 1)) ** (r - 2)
     return lhs, rhs
 
 
 def top_weight_sum(r: int) -> MultiPoly:
     """Sum of top-degree weights over all increasing trees on {1..r}."""
-    if r < 1:
-        raise ValueError("need at least one vertex")
-    labels = tuple(range(1, r + 1))
+    labels = _clean_labels(range(1, r + 1))
     return MultiPoly._raw(r, _weight_sum_chunk((labels, r, True, 0, factorial(r - 1))))

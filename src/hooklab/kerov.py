@@ -13,8 +13,8 @@ all-types total prod(mu_i) * (n-1)!/(n-l+1)!, and a binomial identity
 that the per-type sum collapses to.  The same total, carrying the sign
 (-1)^(l-1), is the top coefficient of a character polynomial; here it
 is certified purely through the counting.  tree_bridge_values ties the
-count to the tree weight sum: the closed form of the hook weight
-identity, evaluated at k_i = mu_i, must reproduce it.
+count to the tree weight sum: the expanded sum over trees and its
+closed form, each specialized to k_i = mu_i, must reproduce it.
 
 Check functions compare and return; they never assert.
 """
@@ -27,9 +27,9 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from hooklab.hookformula import hook_weight_closed_form
+from hooklab.hookformula import hook_weight_closed_form, hook_weight_sum
+from hooklab.multipoly import specialize
 from hooklab.parallel import fold_chunks
-from hooklab.trees import enumerate_increasing, hooks
 
 __all__ = [
     "IntPartition",
@@ -138,19 +138,10 @@ class Permutation:
         return tuple(out)
 
     def ncycles(self) -> int:
-        seen = 0
-        count = 0
-        for start in range(len(self._images)):
-            if not seen >> start & 1:
-                count += 1
-                x = start
-                while not seen >> x & 1:
-                    seen |= 1 << x
-                    x = self._images[x] - 1
-        return count
+        return len(_cycle_sizes([x - 1 for x in self._images]))
 
     def cycle_type(self) -> "IntPartition":
-        return IntPartition(len(c) for c in self.cycles())
+        return IntPartition(_cycle_sizes([x - 1 for x in self._images]))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Permutation):
@@ -259,39 +250,47 @@ def block_cycle_permutation(mu: IntPartition) -> Permutation:
     return Permutation(images)
 
 
-def _zero_based_images(mu: IntPartition) -> list:
-    return [x - 1 for x in block_cycle_permutation(mu).images]
-
-
-def _ncycles0(images: Sequence[int]) -> int:
+def _cycle_sizes(images: Sequence[int]) -> list:
+    """Cycle lengths of a permutation of 0..n-1 given by its images,
+    in order of each cycle's smallest element."""
     seen = 0
-    count = 0
-    for start in range(len(images)):
+    sizes = []
+    for start, x in enumerate(images):
         if not seen >> start & 1:
-            count += 1
-            x = start
-            while not seen >> x & 1:
+            size = 1
+            while x != start:
                 seen |= 1 << x
                 x = images[x]
-    return count
+                size += 1
+            sizes.append(size)
+    return sizes
 
 
-def _count_chunk(args) -> int:
-    parts, lo, hi = args
-    mu = IntPartition(parts)
-    n = mu.size
-    sig = _zero_based_images(mu)
-    target = mu.cycle_index - 1
-    count = 0
+def _first_factors(parts: tuple, lo: int = 0, hi: int | None = None) -> Iterator[list]:
+    """s1 = sigma * s2^(-1), zero-based, for the long cycles s2 of index in
+    [lo, hi): the visiting orders from 1, in lexicographic order."""
+    sig = [x - 1 for x in block_cycle_permutation(IntPartition(parts)).images]
+    n = len(sig)
     inv2 = [0] * n
     for tail in itertools.islice(itertools.permutations(range(1, n)), lo, hi):
         order = (0,) + tail
         for i in range(n - 1):
             inv2[order[i + 1]] = order[i]
         inv2[0] = order[n - 1]
-        if _ncycles0([sig[inv2[x]] for x in range(n)]) == target:
-            count += 1
-    return count
+        yield [sig[inv2[x]] for x in range(n)]
+
+
+def _long_cycle_count(mu: IntPartition) -> int:
+    """(n-1)!, the number of long cycles s2, refused past the size bound."""
+    if mu.size > FACTORIZATION_BOUND:
+        raise ValueError(f"long-cycle enumeration is capped at size {FACTORIZATION_BOUND}")
+    return factorial(mu.size - 1)
+
+
+def _count_chunk(args) -> int:
+    parts, lo, hi = args
+    target = IntPartition(parts).cycle_index - 1
+    return sum(len(_cycle_sizes(s1)) == target for s1 in _first_factors(parts, lo, hi))
 
 
 def count_factorizations(mu: IntPartition, threads: int = 1) -> int:
@@ -301,12 +300,7 @@ def count_factorizations(mu: IntPartition, threads: int = 1) -> int:
     Iterates every long cycle s2 as a visiting order starting at 1 and
     tests s1 = sigma * s2^(-1); (n-1)! of them, hence the size bound.
     """
-    n = mu.size
-    if n > FACTORIZATION_BOUND:
-        raise ValueError(
-            f"long-cycle enumeration is capped at size {FACTORIZATION_BOUND}"
-        )
-    total = factorial(n - 1)
+    total = _long_cycle_count(mu)
     workers = threads if total >= POOL_THRESHOLD else 1
     return fold_chunks(_count_chunk, (mu.parts,), total, workers, operator.add)
 
@@ -319,33 +313,10 @@ def factorization_counts_by_type(mu: IntPartition) -> Mapping[IntPartition, int]
     per-type closed formula can be checked type by type and the
     filtered total recovered by restricting to types of length j-1.
     """
-    n = mu.size
-    if n > FACTORIZATION_BOUND:
-        raise ValueError(
-            f"long-cycle enumeration is capped at size {FACTORIZATION_BOUND}"
-        )
-    sig = _zero_based_images(mu)
+    _long_cycle_count(mu)  # refuses sizes past the bound
     out: dict = {}
-    inv2 = [0] * n
-    seen_sizes = [0] * (n + 1)
-    for tail in itertools.permutations(range(1, n)):
-        order = (0,) + tail
-        for i in range(n - 1):
-            inv2[order[i + 1]] = order[i]
-        inv2[0] = order[n - 1]
-        s1 = [sig[inv2[x]] for x in range(n)]
-        seen = 0
-        sizes = []
-        for start in range(n):
-            if not seen >> start & 1:
-                size = 0
-                x = start
-                while not seen >> x & 1:
-                    seen |= 1 << x
-                    size += 1
-                    x = s1[x]
-                sizes.append(size)
-        key = IntPartition(sizes)
+    for s1 in _first_factors(mu.parts):
+        key = IntPartition(_cycle_sizes(s1))
         out[key] = out.get(key, 0) + 1
     return out
 
@@ -421,48 +392,26 @@ def signed_factorization_count(mu: IntPartition) -> int:
     return sign * factorization_count_closed_form(mu)
 
 
-def _eval_terms(p, values: Sequence[int]):
-    total = 0
-    for exps, c in p.terms.items():
-        v = c
-        for e, x in zip(exps, values):
-            if e:
-                v *= x**e
-        total += v
-    return total
-
-
 def closed_rhs_at(mu: IntPartition) -> int:
     """Closed form of the hook weight identity, evaluated at k_i = mu_i.
 
-    The expanded polynomial in l(mu) variables is evaluated term by
-    term, so this goes through the same object the symbolic checks
-    compare against rather than re-deriving the product.
+    The expanded polynomial in l(mu) variables is specialized, so this
+    goes through the same object the symbolic checks compare against
+    rather than re-deriving the product.
     """
-    value = _eval_terms(hook_weight_closed_form(mu.length), mu.parts)
-    if isinstance(value, Fraction):
-        value = int(value)
-    return value
+    at_mu = dict(enumerate(mu))
+    return specialize(hook_weight_closed_form(mu.length), at_mu).coefficient(())
 
 
 def tree_sum_at(mu: IntPartition) -> int:
     """Hook weight sum over increasing trees on {1..l(mu)}, at k_i = mu_i.
 
-    Each tree's weight is evaluated numerically factor by factor; with
-    (l(mu)-1)! trees this is the expensive side, hence the length bound
-    enforced by the bridge functions that call it.
+    The expanded sum over the (l(mu)-1)! trees is specialized; that sum
+    is the expensive side, hence the length bound enforced by the bridge
+    functions that call it.
     """
-    r = mu.length
-    vals = mu.parts
-    total = 0
-    for t in enumerate_increasing(range(1, r + 1)):
-        table = hooks(t)
-        w = 1
-        for v in t.labels[1:]:
-            hook_total = sum(vals[u - 1] for u in table.sets[v])
-            w *= vals[t.parent[v] - 1] * (hook_total - table.sizes[v] + 1)
-        total += w
-    return total
+    at_mu = dict(enumerate(mu))
+    return specialize(hook_weight_sum(mu.length), at_mu).coefficient(())
 
 
 def tree_bridge_values(mu: IntPartition) -> Mapping[str, int]:

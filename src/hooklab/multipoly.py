@@ -7,10 +7,9 @@ layout is hooklab._kernel_py's: variable i owns a WIDTH-bit field
 field is a guard that stored keys keep clear, so an exponent is at most
 FIELD_MAX (32767).  A monomial product is one integer add.  Exponent
 tuples (length n, non-negative ints) stay the only format at the API:
-the constructor, const, variable, monomial, coefficient and
-from_json_dict pack them; terms, sorted_terms and the rendered forms
-unpack them.  An exponent the field cannot hold raises OverflowError;
-none wraps.
+the constructor, monomial, coefficient and from_json_dict pack them;
+terms, sorted_terms and the rendered forms unpack them.  An exponent
+the field cannot hold raises OverflowError; none wraps.
 
 Coefficients are exact, either int or fractions.Fraction; the two mix
 freely because Python's numeric tower makes them agree under ==, hash
@@ -29,19 +28,20 @@ validation, construction and everything that is not a tight loop.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from hashlib import sha256
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Union
 
 from hooklab._kernel_py import (
     FIELD_MAX,
-    WIDTH,
     iadd_terms,
     mul_terms,
     pack,
     scale_terms,
+    unit,
     unpack,
 )
 
@@ -140,13 +140,17 @@ class MultiPoly:
 
     @classmethod
     def const(cls, nvars: int, value: Coeff) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: value})
+        self = cls(nvars)
+        c = _check_coeff(value)
+        if c:
+            self._terms[0] = c
+        return self
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "MultiPoly":
         if not 0 <= index < nvars:
             raise ValueError(f"variable index {index} out of range for {nvars} vars")
-        return cls._raw(nvars, {1 << WIDTH * (nvars - 1 - index): 1})
+        return cls._raw(nvars, {unit(nvars, index): 1})
 
     @classmethod
     def monomial(cls, nvars: int, exps: Sequence[int], coeff: Coeff = 1) -> "MultiPoly":

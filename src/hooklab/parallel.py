@@ -7,7 +7,9 @@ independent of the worker count.
 from __future__ import annotations
 
 import functools
+import multiprocessing
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable
 
@@ -23,6 +25,8 @@ def fold_chunks(chunk: Callable, args: tuple, total: int, workers: int, add: Cal
     the number of ranges, because under fork every worker starts on the
     first submit; when one is left, the whole range runs in-process.
     chunk must be a module-level function: workers receive it pickled.
+    Workers fork on Linux whatever the interpreter's default, so they
+    inherit the loaded modules; elsewhere the platform default applies.
     """
     workers = min(workers, os.cpu_count() or 1)
     parts = workers * 4
@@ -37,5 +41,7 @@ def fold_chunks(chunk: Callable, args: tuple, total: int, workers: int, add: Cal
     workers = min(workers, len(jobs))
     if workers <= 1:
         return chunk((*args, 0, total))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    method = "fork" if sys.platform.startswith("linux") else None
+    context = multiprocessing.get_context(method)
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
         return functools.reduce(add, pool.map(chunk, jobs))

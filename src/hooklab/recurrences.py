@@ -22,7 +22,10 @@ t_1...t_r in w_1.  A truncated-series solver plays that inversion back
 numerically as an independent oracle.
 
 Side-returning functions never assert; each has a *_check companion
-that just compares.  All polynomial arithmetic is exact.
+that just compares.  Where a right side sums the output of a *_summands
+generator, the caller may pass that output as `summands`, so that a
+traced run renders and sums the same summands, each built once.
+All polynomial arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -31,10 +34,13 @@ import warnings
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from hooklab.multipoly import MultiPoly, Var, falling_factorial, specialize
+from hooklab.multipoly import MultiPoly, falling_factorial, specialize
 from hooklab.hookformula import (
+    _kprod,
+    _ksum,
     hook_weight_closed_form,
     hook_weight_sum,
+    subset_closed_form,
     tree_weight,
     tree_weight_sum,
 )
@@ -69,11 +75,6 @@ __all__ = [
 def _var(r: int, label: int) -> MultiPoly:
     """The variable bound to a label, inside the ambient ring of size r."""
     return MultiPoly.variable(r, label - 1)
-
-
-def _ksum(r: int, labels: Iterable[int]) -> MultiPoly:
-    """Sum of the variables bound to a set of labels; zero for the empty set."""
-    return MultiPoly(r, {tuple(1 if j == l - 1 else 0 for j in range(r)): 1 for l in labels})
 
 
 def _ordered_splits(rest: Sequence[int]) -> Iterator[tuple[tuple, tuple]]:
@@ -129,7 +130,7 @@ def split_summands(r: int) -> Iterator[tuple[tuple, tuple, MultiPoly]]:
         yield x1, x2, term
 
 
-def split_polynomial(r: int) -> MultiPoly:
+def split_polynomial(r: int, summands: Iterable | None = None) -> MultiPoly:
     """Weight sum over trees on {1..r} divided by k_1...k_r, via the split.
 
     Each ordered pair (X1, X2) partitioning {3..r} contributes the
@@ -138,7 +139,7 @@ def split_polynomial(r: int) -> MultiPoly:
 
         k1 * (k1 + K_X1 - 1)_(|X1|-1) * (k2 + K_X2 - 1)_(|X2|).
     """
-    return MultiPoly.sum(r, (term for _, _, term in split_summands(r)))
+    return MultiPoly.sum(r, (term for _, _, term in summands or split_summands(r)))
 
 
 def closed_polynomial(r: int) -> MultiPoly:
@@ -238,7 +239,9 @@ def grafting_law_sides(
     return lhs, rhs
 
 
-def grafting_split_sides(r: int) -> tuple[MultiPoly, MultiPoly]:
+def grafting_split_sides(
+    r: int, summands: Iterable | None = None
+) -> tuple[MultiPoly, MultiPoly]:
     """The weight sum on {1..r} against its expansion over splits.
 
     Grouping trees by which labels end up in the subtree at the
@@ -250,7 +253,7 @@ def grafting_split_sides(r: int) -> tuple[MultiPoly, MultiPoly]:
     where S is the tree weight sum on a label set.
     """
     lhs = hook_weight_sum(r)
-    rhs = MultiPoly.sum(r, (term for _, _, term in grafting_split_summands(r)))
+    rhs = MultiPoly.sum(r, (term for _, _, term in summands or grafting_split_summands(r)))
     return lhs, rhs
 
 
@@ -277,26 +280,9 @@ def grafting_recurrence_check(r: int) -> bool:
     return lhs == rhs
 
 
-def subset_closed_form(labels: Iterable[int], ambient: int) -> MultiPoly:
-    """Closed form of the tree weight sum on any label set.
-
-    prod of the labels' variables times (K_X - 1)_(|X|-2); a single
-    label gives the empty tree sum 1.  This is the general-label
-    counterpart of the closed form on {1..r}.
-    """
-    labels = tuple(sorted(labels))
-    if not labels:
-        raise ValueError("a tree needs at least one vertex")
-    if len(labels) == 1:
-        return MultiPoly.const(ambient, 1)
-    present = set(labels)
-    mono = tuple(1 if j + 1 in present else 0 for j in range(ambient))
-    return MultiPoly.monomial(ambient, mono) * falling_factorial(
-        _ksum(ambient, labels) - 1, len(labels) - 2
-    )
-
-
-def root_degree_sides(r: int) -> tuple[MultiPoly, MultiPoly]:
+def root_degree_sides(
+    r: int, summands: Iterable | None = None
+) -> tuple[MultiPoly, MultiPoly]:
     """The weight sum against its expansion over root subtree partitions.
 
     Grouping trees by the set partition of {2..r} formed by the root's
@@ -312,14 +298,14 @@ def root_degree_sides(r: int) -> tuple[MultiPoly, MultiPoly]:
     if r < 1:
         raise ValueError("need at least one vertex")
     lhs = hook_weight_sum(r)
-    rhs = MultiPoly.sum(r, (term for _, term in root_degree_summands(r)))
+    rhs = MultiPoly.sum(r, (term for _, term in summands or root_degree_summands(r)))
     return lhs, rhs
 
 
 def root_degree_summands(r: int) -> Iterator[tuple[tuple, MultiPoly]]:
     """Per-partition contributions to the root degree right side."""
     for part in set_partitions(range(2, r + 1)):
-        term = MultiPoly.monomial(r, tuple([len(part)] + [0] * (r - 1)))
+        term = _var(r, 1) ** len(part)
         for block in part:
             edge = _ksum(r, block) - (len(block) - 1)
             term = term * edge * tree_weight_sum(tuple(block), r)
@@ -332,7 +318,9 @@ def root_degree_recurrence_check(r: int) -> bool:
     return lhs == rhs
 
 
-def lagrange_identity_sides(r: int) -> tuple[MultiPoly, MultiPoly]:
+def lagrange_identity_sides(
+    r: int, summands: Iterable | None = None
+) -> tuple[MultiPoly, MultiPoly]:
     """The closed form against the partition sum it must satisfy.
 
     Substituting the closed form for the inner tree sums in the root
@@ -351,18 +339,16 @@ def lagrange_identity_sides(r: int) -> tuple[MultiPoly, MultiPoly]:
     if r < 2:
         raise ValueError("need at least two vertices")
     lhs = hook_weight_closed_form(r)
-    rhs = MultiPoly.sum(r, (term for _, term in lagrange_summands(r)))
+    rhs = MultiPoly.sum(r, (term for _, term in summands or lagrange_summands(r)))
     return lhs, rhs
 
 
 def lagrange_summands(r: int) -> Iterator[tuple[tuple, MultiPoly]]:
     """Per-partition contributions to the Lagrange-form right side."""
     for part in set_partitions(range(2, r + 1)):
-        term = MultiPoly.monomial(r, tuple([len(part)] + [0] * (r - 1)))
+        term = _var(r, 1) ** len(part)
         for block in part:
-            present = set(block)
-            mono = tuple(1 if j + 1 in present else 0 for j in range(r))
-            term = term * MultiPoly.monomial(r, mono)
+            term = term * _kprod(r, block)
             term = term * falling_factorial(_ksum(r, block) - 1, len(block) - 1)
         yield part, term
 

@@ -18,17 +18,19 @@ Three shapes of object live here.
   None throughout; the module-level helpers all accept it.
 
 Enumeration order is part of the contract: callers rely on it being
-deterministic, and the index decoders (*_at functions) must agree with
-the generators so that disjoint index ranges partition the family.  For
-increasing trees the order is lexicographic in the parent-choice vector
-(non-root labels ascending, the choice for the largest label varying
-fastest); for Cayley trees it is lexicographic in the Pruefer sequence;
-for binary shapes left subtree size ascends first.
+deterministic, and an index range [start, stop) of a generator selects
+that slice of the order, so disjoint ranges partition the family.  For
+increasing trees the order is lexicographic in the parent-position
+vector (non-root labels ascending, the choice for the largest label
+varying fastest), and parent_vectors is the one sweep of it; for Cayley
+trees it is lexicographic in the Pruefer sequence, with cayley_tree_at
+decoding one index; for binary shapes left subtree size ascends first.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
@@ -54,11 +56,12 @@ __all__ = [
     "hooks",
     "increasing_count",
     "increasing_from_cayley",
-    "increasing_tree_at",
+    "parent_vectors",
     "prufer_decode",
     "prufer_encode",
     "split_at_second_min",
     "subtree_sizes",
+    "subtree_totals",
 ]
 
 
@@ -162,21 +165,31 @@ def increasing_count(n: int) -> int:
     return factorial(n - 1)
 
 
-def increasing_tree_at(labels: Iterable[int], index: int) -> IncreasingTree:
-    """The tree at `index` in enumeration order, 0 <= index < (n-1)!."""
-    labs = _clean_labels(labels)
-    n = len(labs)
-    total = factorial(n - 1)
-    if not 0 <= index < total:
-        raise ValueError(f"index {index} out of range for {total} trees")
-    parent: dict[int, int] = {}
-    rem = index
-    weight = total
-    for i in range(1, n):
-        weight //= i
-        digit, rem = divmod(rem, weight)
-        parent[labs[i]] = labs[digit]
-    return IncreasingTree(labs, parent)
+def parent_vectors(
+    n: int, start: int | None = None, stop: int | None = None
+) -> Iterator[tuple]:
+    """Parent-position vectors of the increasing trees on n labels, in order.
+
+    Entry j-1 is the position, counted from 0 along the sorted labels,
+    of the parent of the label at position j, so it lies in [0, j).
+    Only the vectors of index in [start, stop) come out.
+    """
+    pvs = itertools.product(*(range(j) for j in range(1, n)))
+    return itertools.islice(pvs, start, stop)
+
+
+def subtree_totals(values: Sequence, pv: Sequence[int]) -> list:
+    """Per-vertex values summed with + over each subtree, given parent positions.
+
+    values[j] belongs to the label at position j: values of 1 give the
+    hook sizes, 1-tuples the hooks themselves.  Parents precede their
+    children, so one backward pass adds each subtree into its parent.
+    """
+    out = list(values)
+    for j in range(len(out) - 1, 0, -1):
+        p = pv[j - 1]
+        out[p] = out[p] + out[j]
+    return out
 
 
 def enumerate_increasing(
@@ -188,24 +201,8 @@ def enumerate_increasing(
     [start, stop); disjoint ranges partition the family.
     """
     labs = _clean_labels(labels)
-    n = len(labs)
-    if start is None and stop is None:
-        def walk(i: int, parent: dict[int, int]) -> Iterator[IncreasingTree]:
-            if i == n:
-                yield IncreasingTree(labs, parent)
-                return
-            for p in labs[:i]:
-                parent[labs[i]] = p
-                yield from walk(i + 1, parent)
-            parent.pop(labs[i], None)
-
-        yield from walk(1, {})
-        return
-    total = factorial(n - 1)
-    lo = 0 if start is None else start
-    hi = total if stop is None else min(stop, total)
-    for idx in range(max(lo, 0), hi):
-        yield increasing_tree_at(labs, idx)
+    for pv in parent_vectors(len(labs), start, stop):
+        yield IncreasingTree(labs, {labs[j]: labs[p] for j, p in enumerate(pv, 1)})
 
 
 @dataclass
@@ -220,16 +217,17 @@ class HookTable:
     sizes: dict[int, int]
 
 
+def _parent_positions(t: IncreasingTree) -> tuple:
+    """The parent-position vector of t, as parent_vectors yields it."""
+    pos = {v: i for i, v in enumerate(t.labels)}
+    return tuple(pos[t.parent[v]] for v in t.labels[1:])
+
+
 def hooks(t: IncreasingTree) -> HookTable:
     """Descendant sets and sizes for every vertex of an increasing tree."""
-    sets: dict[int, frozenset[int]] = {}
-    child = t.children()
-    for v in reversed(t.labels):
-        acc = {v}
-        for c in child[v]:
-            acc |= sets[c]
-        sets[v] = frozenset(acc)
-    return HookTable(sets=sets, sizes={v: len(s) for v, s in sets.items()})
+    found = subtree_totals([(v,) for v in t.labels], _parent_positions(t))
+    sets = {v: frozenset(h) for v, h in zip(t.labels, found)}
+    return HookTable(sets=sets, sizes={v: len(h) for v, h in zip(t.labels, found)})
 
 
 def split_at_second_min(t: IncreasingTree) -> tuple[IncreasingTree, IncreasingTree]:

@@ -1,9 +1,12 @@
 """Hook weights and the summation identities they satisfy."""
 
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hooklab.hookformula as hf
 from hooklab.multipoly import MultiPoly, top_homogeneous
@@ -110,6 +113,18 @@ class TestHookWeightSum:
         with pytest.raises(ValueError):
             hf.hook_weight_sum(0)
 
+    @pytest.mark.parametrize("labels", [(1, 1), (0, 1), (1, True), (1, 3), ()])
+    def test_bad_labels_are_refused(self, labels):
+        with pytest.raises(ValueError):
+            hf.tree_weight_sum(labels, 2)
+        with pytest.raises(ValueError):
+            hf.subset_closed_form(labels, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sets(st.integers(1, 7), min_size=1))
+    def test_subset_sums_match_the_subset_closed_form(self, labels):
+        assert hf.tree_weight_sum(labels, 7) == hf.subset_closed_form(labels, 7)
+
 
 class TestUniformSpecialization:
     def test_single_vertex_sides(self):
@@ -172,6 +187,22 @@ class TestLinearExtensions:
                     prod *= h
                 assert lext == quotient
                 assert lext * prod == factorial(r)
+
+    def test_path_and_star_by_hand(self):
+        # a path has one order; a star orders its n-1 leaves freely
+        path = IncreasingTree(range(1, 7), {v: v - 1 for v in range(2, 7)})
+        star = IncreasingTree(range(1, 7), {v: 1 for v in range(2, 7)})
+        assert hf.linear_extension_check(path) == (1, 1)
+        assert hf.linear_extension_check(star) == (120, 120)
+
+    def test_count_matches_filtered_permutations(self):
+        for r in range(1, 7):
+            for t in enumerate_increasing(range(1, r + 1)):
+                brute = 0
+                for order in permutations(t.labels):
+                    at = {v: i for i, v in enumerate(order)}
+                    brute += all(at[p] < at[v] for v, p in t.parent.items())
+                assert hf.linear_extension_check(t)[0] == brute
 
     def test_size_cap(self):
         big = IncreasingTree(range(1, 11), {v: v - 1 for v in range(2, 11)})

@@ -1,6 +1,8 @@
 """The one parallel fold: range cutting, ordering and the worker bound."""
 
+import multiprocessing
 import operator
+from types import SimpleNamespace
 
 import pytest
 
@@ -37,12 +39,14 @@ def test_two_workers_fold_contiguous_ranges_in_order(total, monkeypatch):
 
 @pytest.fixture
 def fake_pool(monkeypatch):
-    """Replaces the process pool; returns the size of every pool started."""
-    sizes = []
+    """Replaces the process pool; records the size and the multiprocessing
+    context of every pool started."""
+    started = SimpleNamespace(sizes=[], contexts=[])
 
     class FakeExecutor:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+        def __init__(self, max_workers, mp_context):
+            started.sizes.append(max_workers)
+            started.contexts.append(mp_context)
 
         def __enter__(self):
             return self
@@ -54,7 +58,7 @@ def fake_pool(monkeypatch):
             return map(fn, jobs)
 
     monkeypatch.setattr(par, "ProcessPoolExecutor", FakeExecutor)
-    return sizes
+    return started
 
 
 @pytest.mark.parametrize(
@@ -70,8 +74,16 @@ def fake_pool(monkeypatch):
 def test_worker_count_is_bounded(fake_pool, monkeypatch, cpus, workers, total, started):
     monkeypatch.setattr(par.os, "cpu_count", lambda: cpus)
     ranges = fold_chunks(_range_of, (), total, workers, operator.add)
-    assert fake_pool == started
+    assert fake_pool.sizes == started
     _assert_covers(ranges, total)
+
+
+@pytest.mark.parametrize("platform, method", [("linux", "fork"), ("darwin", None)])
+def test_start_method_is_fork_on_linux(fake_pool, monkeypatch, platform, method):
+    monkeypatch.setattr(par.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(par.sys, "platform", platform)
+    fold_chunks(_range_of, (), 8, 2, operator.add)
+    assert fake_pool.contexts == [multiprocessing.get_context(method)]
 
 
 def test_small_sweeps_start_no_pool(fake_pool, monkeypatch):
@@ -79,9 +91,9 @@ def test_small_sweeps_start_no_pool(fake_pool, monkeypatch):
     hf.hook_weight_sum(1, threads=4)
     hf.hook_weight_sum(2, threads=4)
     hf.cayley_degree_identity(2, threads=4)
-    assert fake_pool == []
+    assert fake_pool.sizes == []
     lhs, rhs = hf.cayley_degree_identity(4, threads=4)
-    assert fake_pool == [4] and lhs == rhs
+    assert fake_pool.sizes == [4] and lhs == rhs
     mu = kv.IntPartition((3, 2))  # 4! long cycles: under POOL_THRESHOLD
     assert kv.count_factorizations(mu, threads=4) == kv.factorization_count_closed_form(mu)
-    assert fake_pool == [4]
+    assert fake_pool.sizes == [4]

@@ -22,7 +22,6 @@ from hooklab.trees import (
     hooks,
     increasing_count,
     increasing_from_cayley,
-    increasing_tree_at,
     prufer_decode,
     prufer_encode,
     split_at_second_min,
@@ -53,12 +52,6 @@ class TestIncreasing:
         first, second = list(enumerate_increasing([1, 2, 3]))
         assert first.parent == {2: 1, 3: 1}
         assert second.parent == {2: 1, 3: 2}
-
-    def test_index_access_matches_enumeration(self):
-        labels = (1, 2, 3, 4, 5)
-        listed = list(enumerate_increasing(labels))
-        for i, t in enumerate(listed):
-            assert increasing_tree_at(labels, i) == t
 
     def test_ranges_partition_the_family(self):
         labels = (1, 2, 3, 4, 5)
