@@ -17,8 +17,8 @@ keeps the count.
 The top bit of every field is a guard.  Stored keys keep it clear, so a
 field holds at most FIELD_MAX (32767) and the sum of two keys never carries
 from one field into the next.  mul_terms checks the guard bits of its
-output and raises OverflowError where a field overflowed: exponents
-never wrap.
+output (check_fields) and raises OverflowError where a field overflowed:
+exponents never wrap.
 
 Everything here preserves the canonical form: results never carry a zero
 coefficient, and coefficients are produced by exact integer or rational
@@ -66,26 +66,40 @@ def mul_terms(a, b):
     Raises OverflowError when an exponent of the product exceeds
     FIELD_MAX.
     """
+    return check_fields(addmul_terms({}, a, b))
+
+
+def addmul_terms(acc, a, b):
+    """Add the product of term maps a and b into acc in place and return acc.
+
+    Guard bits are not checked here: a caller that accumulates many
+    products checks the finished map once with check_fields, which is
+    sound as long as no field of an unchecked key can reach 2**WIDTH.
+    """
     if len(a) > len(b):
         a, b = b, a
-    out = {}
-    get = out.get
+    get = acc.get
     for ea, ca in a.items():
         for eb, cb in b.items():
             key = ea + eb
             c = get(key)
             if c is None:
-                out[key] = ca * cb
+                acc[key] = ca * cb
             else:
                 c = c + ca * cb
                 if c:
-                    out[key] = c
+                    acc[key] = c
                 else:
-                    del out[key]
-    seen = reduce(or_, out, 0)
+                    del acc[key]
+    return acc
+
+
+def check_fields(terms):
+    """Return terms, or raise OverflowError if a key has a guard bit set."""
+    seen = reduce(or_, terms, 0)
     if seen & _guard_bits(seen):
         raise OverflowError(f"an exponent of the product exceeds {FIELD_MAX}")
-    return out
+    return terms
 
 
 def iadd_terms(acc, b):

@@ -27,8 +27,12 @@ Identity functions return both sides and never assert; callers compare.
 Label ℓ always binds to variable index ℓ-1 of the ambient ring, so
 subtree weights over split label sets multiply without reindexing.
 
-The tree sums are pure folds of per-tree term maps over an index range
-of the family.  The parallel sweeps hand those ranges to
+The sums over increasing trees are not expanded tree by tree: the
+pending-subtree sweep (_pending_sweep) chooses parents from the largest
+label down and adds the partial products of all choice sequences that
+leave the same subtrees pending, so most of the (n-1)! products are
+shared.  Its index space is the parent position of the largest label.
+The parallel sweeps hand ranges of their index space to
 hooklab.parallel.fold_chunks and fold the partial sums; because the
 coefficient arithmetic is exact and addition commutes, the canonical
 result is identical no matter how the fold is sliced.
@@ -41,7 +45,16 @@ from functools import lru_cache
 from math import factorial, prod
 from typing import Iterable, Mapping
 
-from hooklab._kernel_py import FIELD_MAX, iadd_terms, mul_terms, pack, scale_terms, unit
+from hooklab._kernel_py import (
+    FIELD_MAX,
+    addmul_terms,
+    check_fields,
+    iadd_terms,
+    mul_terms,
+    pack,
+    scale_terms,
+    unit,
+)
 from hooklab.multipoly import MultiPoly, Var, falling_factorial, specialize
 from hooklab.parallel import fold_chunks
 from hooklab.trees import (
@@ -54,7 +67,6 @@ from hooklab.trees import (
     enumerate_binary,
     enumerate_cayley,
     increasing_from_cayley,
-    parent_vectors,
     subtree_sizes,
     subtree_totals,
 )
@@ -101,6 +113,18 @@ def _kprod(ambient: int, labels) -> MultiPoly:
     return MultiPoly._raw(ambient, {sum(_label_keys(labels, ambient)): 1})
 
 
+def _linear_factor(keys, top_only: bool = False) -> dict:
+    """Term map of K_S - |S| + 1 for a subtree S given by its variable keys.
+
+    With top_only the constant is dropped, leaving the bare K_S; a
+    single vertex has no constant either way.
+    """
+    lin = dict.fromkeys(keys, 1)
+    if not top_only and len(keys) != 1:
+        lin[0] = 1 - len(keys)
+    return lin
+
+
 def _weight_terms(units, pv, top_only: bool = False) -> dict:
     """Packed term map of the weight of one tree, given parent positions.
 
@@ -112,17 +136,100 @@ def _weight_terms(units, pv, top_only: bool = False) -> dict:
     mono = 0
     for p in pv:
         mono += units[p]
-    factors = []
-    for keys in subtree_totals([(u,) for u in units], pv)[1:]:
-        lin = dict.fromkeys(keys, 1)
-        if not top_only and len(keys) != 1:
-            lin[0] = 1 - len(keys)
-        factors.append(lin)
+    factors = [
+        _linear_factor(keys, top_only)
+        for keys in subtree_totals([(u,) for u in units], pv)[1:]
+    ]
     factors.sort(key=len)
     acc = {mono: 1}
     for f in factors:
         acc = mul_terms(acc, f)
     return acc
+
+
+def _parent_choices(j: int, n: int, lo: int, hi: int) -> range:
+    """Parent positions open to the vertex at position j of n.
+
+    Every smaller position, except for the largest label (j = n - 1):
+    its parent position indexes a sweep, so only [lo, hi) is open.
+    """
+    return range(lo, hi) if j == n - 1 else range(j)
+
+
+def _pending_sweep(shifts, factor, lo: int, hi: int) -> dict:
+    """Sum over increasing trees on n = len(shifts) positions of the
+    product, over every non-root position v with parent position p, of
+    shifts[p] (a key: the monomial k_p, or 0 for none) times
+    factor(S_v), S_v being v's subtree as a bit mask of positions.
+
+    Only the trees whose largest label has its parent in [lo, hi) are
+    summed.  Parents are chosen from the largest label down, and once
+    v's parent is chosen every factor still to come depends only on the
+    pending sets, the positions hanging below each of 0..v-1.  Choice
+    sequences ending in the same pending sets are therefore added
+    before multiplying further: one merged state per pending tuple,
+    holding a partial sum and the count of trees merged into it.  Each
+    level is consumed as the next is built.  Positions 2 and 1 are
+    expanded depth-first from each state, the last factor multiplied
+    straight into the result, so the largest states are never all
+    alive at once.
+
+    Raises RuntimeError unless the states covered exactly the trees in
+    range, and OverflowError when an exponent overflows its key field:
+    between two guard checks no field grows by more than 2, so a field
+    can set its guard bit but never carry into the next one.
+    """
+    n = len(shifts)
+    if n == 1:
+        return {0: 1} if lo < hi else {}
+    acc: dict = {}
+    trees = 0
+
+    def branches(poly: dict, pend: tuple, j: int):
+        """(parent position, pending sets after it, poly times the factor
+        of position j) for each parent open to position j."""
+        sub = pend[j] | 1 << j
+        base = mul_terms(poly, factor(sub))
+        for p in _parent_choices(j, n, lo, hi):
+            yield p, pend[:p] + (pend[p] | sub,) + pend[p + 1 : j], base
+
+    def finish(poly: dict, pend: tuple, j: int, shift: int, count: int) -> None:
+        nonlocal trees
+        if j > 1:
+            for p, moved, base in branches(poly, pend, j):
+                finish(base, moved, j - 1, shift + shifts[p], count)
+            return
+        last = factor(pend[1] | 1 << 1)
+        for p in _parent_choices(1, n, lo, hi):
+            shifted = {e + shift + shifts[p]: c for e, c in last.items()}
+            addmul_terms(acc, poly, shifted)
+            trees += count
+
+    level = {(0,) * n: ({0: 1}, 1)}
+    for j in range(n - 1, 2, -1):
+        merged: dict = {}
+        while level:
+            pend, (poly, count) = level.popitem()
+            for p, moved, base in branches(poly, pend, j):
+                state = merged.get(moved)
+                if state is None:
+                    state = merged[moved] = [{}, 0]
+                addmul_terms(state[0], base, {shifts[p]: 1})
+                state[1] += count
+        level = merged
+    while level:
+        pend, (poly, count) = level.popitem()
+        finish(poly, pend, min(n - 1, 2), 0, count)
+    expected = (hi - lo) * factorial(n - 2)
+    if trees != expected:
+        raise RuntimeError(f"the sweep covered {trees} trees, expected {expected}")
+    return check_fields(acc)
+
+
+def _sweep_total(n: int) -> int:
+    """Size of the index space of a sweep on n labels: the parent
+    positions of the largest label, or the one tree of a single label."""
+    return max(n - 1, 1)
 
 
 def _resolve_ambient(labels: tuple, ambient: int | None) -> int:
@@ -162,17 +269,20 @@ def top_weight(t: IncreasingTree, ambient: int | None = None) -> MultiPoly:
 
 
 def _weight_sum_chunk(args) -> dict:
-    """Summed term maps of the trees [lo, hi) on a label set.
+    """Summed weights of the trees on a label set whose largest label has
+    its parent at a position in [lo, hi), by the pending-subtree sweep.
 
-    Trees are indexed in the order of trees.parent_vectors, which is
-    the order enumerate_increasing yields them in.
+    With top_only the constant of every linear factor is dropped.
     """
     labels, ambient, top_only, lo, hi = args
     units = _label_keys(labels, ambient)
-    acc: dict = {}
-    for pv in parent_vectors(len(labels), lo, hi):
-        iadd_terms(acc, _weight_terms(units, pv, top_only))
-    return acc
+
+    @lru_cache(maxsize=None)
+    def factor(mask: int) -> dict:
+        keys = [u for j, u in enumerate(units) if mask >> j & 1]
+        return _linear_factor(keys, top_only)
+
+    return _pending_sweep(units, factor, lo, hi)
 
 
 @lru_cache(maxsize=None)
@@ -197,7 +307,7 @@ def tree_weight_sum(labels: tuple, ambient: int, threads: int = 1) -> MultiPoly:
     slot = _swept(labels, ambient)
     if not slot:
         acc = fold_chunks(
-            _weight_sum_chunk, (labels, ambient, False), factorial(len(labels) - 1),
+            _weight_sum_chunk, (labels, ambient, False), _sweep_total(len(labels)),
             threads, iadd_terms,
         )
         slot.append(MultiPoly._raw(ambient, acc))
@@ -242,12 +352,12 @@ def increasing_hook_sum(r: int) -> tuple:
     """
     if r < 1:
         raise ValueError("need at least one vertex")
-    acc: dict = {}
-    for pv in parent_vectors(r):
-        term = {0: 1}
-        for h in subtree_totals([1] * r, pv):
-            term = mul_terms(term, {1: h, 0: 1})
-        iadd_terms(acc, term)
+
+    def factor(mask: int) -> dict:
+        return {1: mask.bit_count(), 0: 1}
+
+    acc = _pending_sweep([0] * r, factor, 0, _sweep_total(r))
+    acc = mul_terms(acc, {1: r, 0: 1})
     lhs = MultiPoly._raw(1, acc)
     x = MultiPoly.variable(1, 0)
     rhs = x + 1
@@ -422,4 +532,4 @@ def cayley_degree_identity(r: int, threads: int = 1) -> tuple:
 def top_weight_sum(r: int) -> MultiPoly:
     """Sum of top-degree weights over all increasing trees on {1..r}."""
     labels = _clean_labels(range(1, r + 1))
-    return MultiPoly._raw(r, _weight_sum_chunk((labels, r, True, 0, factorial(r - 1))))
+    return MultiPoly._raw(r, _weight_sum_chunk((labels, r, True, 0, _sweep_total(r))))

@@ -50,9 +50,10 @@ __all__ = [
 
 FACTORIZATION_BOUND = 9
 TREE_BRIDGE_BOUND = 7
-# Testing a long cycle is about 80 times cheaper than expanding a tree
-# weight (5,040 of each: ~20 ms against ~1.5 s on 2 cores), so below this
-# many cycles a process pool costs more to start than it saves.
+# Testing one long cycle takes 3 to 6 us (5,040 in ~15 ms on 2 cores)
+# and starting a two-worker pool ~15 ms, so below this many cycles a
+# process pool costs more to start than it saves: 5,040 cycles took
+# ~28 ms on two workers, 40,320 took ~116 ms against ~207 ms on one.
 POOL_THRESHOLD = 10_000
 
 

@@ -28,7 +28,7 @@ validation, construction and everything that is not a tight loop.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from hashlib import sha256
@@ -182,8 +182,13 @@ class MultiPoly:
 
     def sorted_terms(self) -> list:
         """Terms as (exponents, coeff) pairs in descending lex order."""
+        return list(self._iter_sorted())
+
+    def _iter_sorted(self) -> Iterator[tuple]:
+        """sorted_terms, unpacking one term at a time."""
         n, terms = self._nvars, self._terms
-        return [(unpack(k, n), terms[k]) for k in sorted(terms, reverse=True)]
+        for k in sorted(terms, reverse=True):
+            yield unpack(k, n), terms[k]
 
     def coefficient(self, exps: Sequence[int]) -> Coeff:
         """Coefficient of one monomial; exps is checked like the constructor's."""
@@ -310,14 +315,19 @@ class MultiPoly:
 
     def to_text(self, names: Sequence[str] | None = None) -> str:
         """Deterministic human-readable form, leading term first."""
+        return "".join(self._text_chunks(names))
+
+    def _text_chunks(self, names: Sequence[str] | None = None) -> Iterator[str]:
+        """The canonical text, one term at a time, in to_text's order."""
         if names is None:
             names = [f"k{i + 1}" for i in range(self._nvars)]
         elif len(names) != self._nvars:
             raise ValueError("need one name per variable")
         if not self._terms:
-            return "0"
-        chunks: list[str] = []
-        for exps, c in self.sorted_terms():
+            yield "0"
+            return
+        first = True
+        for exps, c in self._iter_sorted():
             factors = []
             for name, e in zip(names, exps):
                 if e == 1:
@@ -333,16 +343,19 @@ class MultiPoly:
                 body = "*".join(factors)
             else:
                 body = "*".join([coeff_txt] + factors)
-            if not chunks:
-                chunks.append(body if c > 0 else f"-{body}")
+            if first:
+                yield body if c > 0 else f"-{body}"
+                first = False
             else:
-                chunks.append(f" + {body}" if c > 0 else f" - {body}")
-        return "".join(chunks)
+                yield f" + {body}" if c > 0 else f" - {body}"
 
     def canonical_hash(self) -> str:
-        """sha256 hex digest of the canonical text rendering."""
-        payload = f"{self._nvars}|{self.to_text()}"
-        return sha256(payload.encode("utf-8")).hexdigest()
+        """sha256 hex digest of the canonical text rendering, fed to the
+        hash term by term so that the whole text never exists at once."""
+        digest = sha256(f"{self._nvars}|".encode("utf-8"))
+        for chunk in self._text_chunks():
+            digest.update(chunk.encode("utf-8"))
+        return digest.hexdigest()
 
     def to_json_dict(self) -> dict:
         return {

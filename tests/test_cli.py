@@ -159,6 +159,19 @@ class TestVerify:
         assert calls == [1, 2, 3, 4]
         assert all(rep.equal for rep in reports) and len(reports) == 8
 
+    def test_pq_builds_each_split_polynomial_once(self, monkeypatch, capsys):
+        calls = []
+        real = cli.rc.split_polynomial
+
+        def counted(r, summands=None):
+            calls.append(r)
+            return real(r, summands)
+
+        monkeypatch.setattr(cli.rc, "split_polynomial", counted)
+        code, out, _ = run_main(["verify", "pq", "--r", "5", "--json"], capsys)
+        assert code == 0 and json.loads(out)["pass"] is True
+        assert calls == [2, 3, 4, 5]
+
     def test_threads_must_be_positive(self, capsys):
         code, _, err = run_main(["verify", "theorem1", "--r", "2", "--threads", "0"], capsys)
         assert code == 2 and "threads" in err

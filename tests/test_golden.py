@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import hooklab.cli as cli
+import hooklab.hookformula as hf
 
 GOLDEN = Path(__file__).parent / "golden" / "verify_all.json"
 
@@ -15,3 +16,17 @@ def test_verify_all_matches_the_golden_file(tmp_path):
     for record in doc["checks"]:
         del record["elapsed_ms"]
     assert doc == json.loads(GOLDEN.read_text())
+
+
+def test_pooled_sweeps_match_the_golden_file(tmp_path):
+    golden = json.loads(GOLDEN.read_text())["checks"]
+    hf.tree_weight_sum.cache_clear()  # else the pool would read cached sums
+    for check in ("theorem1", "cayley"):
+        out = tmp_path / f"{check}.json"
+        argv = ["verify", check, "--r", "8" if check == "theorem1" else "6"]
+        assert cli.main([*argv, "--threads", "2", "--json", "--out", str(out)]) == 0
+        records = json.loads(out.read_text())["checks"]
+        for record in records:
+            del record["elapsed_ms"]
+        family = [rec for rec in golden if rec["check"].split("/")[0] == check]
+        assert records == family

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hooklab.cli as cli
 import hooklab.hookformula as hf
+from hooklab._kernel_py import iadd_terms
 from hooklab.multipoly import MultiPoly, top_homogeneous
 from hooklab.trees import CayleyTree, IncreasingTree, enumerate_increasing, hooks
 
@@ -124,6 +126,63 @@ class TestHookWeightSum:
     @given(st.sets(st.integers(1, 7), min_size=1))
     def test_subset_sums_match_the_subset_closed_form(self, labels):
         assert hf.tree_weight_sum(labels, 7) == hf.subset_closed_form(labels, 7)
+
+
+class TestPendingSweep:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sets(st.integers(1, 7), min_size=1),
+        st.integers(0, 2),
+        st.booleans(),
+        st.data(),
+    )
+    def test_sweep_matches_the_per_tree_sum(self, labels, pad, top_only, data):
+        labels = tuple(sorted(labels))
+        ambient = labels[-1] + pad
+        weight = hf.top_weight if top_only else hf.tree_weight
+        want = MultiPoly.sum(
+            ambient, (weight(t, ambient) for t in enumerate_increasing(labels))
+        )
+        total = max(len(labels) - 1, 1)
+        cut = data.draw(st.integers(0, total))
+        got = {}
+        for lo, hi in ((0, cut), (cut, total)):
+            iadd_terms(got, hf._weight_sum_chunk((labels, ambient, top_only, lo, hi)))
+        assert MultiPoly._raw(ambient, got) == want
+
+    def test_one_and_two_labels(self):
+        assert hf._weight_sum_chunk(((3,), 4, False, 0, 1)) == {0: 1}
+        assert hf._weight_sum_chunk(((3,), 4, False, 1, 1)) == {}
+        for top_only in (False, True):
+            pair = hf._weight_sum_chunk(((2, 5), 5, top_only, 0, 1))
+            assert MultiPoly._raw(5, pair) == k(5, 2) * k(5, 5)
+        assert hf.top_weight_sum(1) == MultiPoly.const(1, 1)
+        assert hf.top_weight_sum(2) == k(2, 1) * k(2, 2)
+        hf.tree_weight_sum.cache_clear()
+        assert hf.hook_weight_sum(2, threads=2) == k(2, 1) * k(2, 2)
+
+    @pytest.mark.parametrize("defect", ["drop", "double"])
+    @pytest.mark.parametrize("position", [1, 2, 3, 4])
+    def test_a_lost_or_doubled_branch_raises(self, monkeypatch, defect, position):
+        real = hf._parent_choices
+
+        def mutant(j, n, lo, hi):
+            choices = list(real(j, n, lo, hi))
+            if j == position:
+                return choices[:-1] if defect == "drop" else choices + choices[-1:]
+            return choices
+
+        monkeypatch.setattr(hf, "_parent_choices", mutant)
+        hf.tree_weight_sum.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="covered"):
+                hf.hook_weight_sum(5)
+            with pytest.raises(RuntimeError, match="covered"):
+                cli.main(["verify", "theorem1", "--r", "5"])
+            with pytest.raises(RuntimeError, match="covered"):
+                hf.increasing_hook_sum(5)
+        finally:
+            hf.tree_weight_sum.cache_clear()
 
 
 class TestUniformSpecialization:
