@@ -311,9 +311,9 @@ def run_kerov(bound: int, threads: int, trace: bool) -> list:
     for n in range(1, bound + 1):
         t0 = time.perf_counter()
         rows = []
-        for mu in kv.partitions_of(n):
+        mus = list(kv.partitions_of(n))
+        for mu, count in zip(mus, kv.factorization_counts(mus, threads)):
             j = mu.cycle_index
-            count = kv.count_factorizations(mu, threads)
             bg_sum = sum(
                 kv.bedard_goupil(lam, mu)
                 for lam in kv.partitions_of(n)

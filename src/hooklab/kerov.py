@@ -4,8 +4,9 @@ Fix a partition mu of n and the canonical permutation sigma_mu whose
 cycles are the consecutive blocks (1..mu_1)(mu_1+1..mu_1+mu_2)...  The
 objects counted here are the pairs (s1, s2) with s1*s2 = sigma_mu, s2 a
 single n-cycle, and s1 having exactly j-1 cycles, where j = n - l(mu) + 2
-and l is the number of parts.  Brute force iterates the (n-1)! long
-cycles s2 and reads off s1.
+and l is the number of parts.  Brute force makes one sweep per size n: it
+builds each of the (n-1)! long cycles s2 once and reads off s1 for
+every partition of n.
 
 Three closed descriptions of that count are evaluated alongside:
 grouping by the cycle type of s1 (a per-type product formula), the
@@ -40,6 +41,7 @@ __all__ = [
     "closed_rhs_at",
     "count_factorizations",
     "factorization_count_closed_form",
+    "factorization_counts",
     "factorization_counts_by_type",
     "partitions_of",
     "signed_factorization_count",
@@ -50,11 +52,15 @@ __all__ = [
 
 FACTORIZATION_BOUND = 9
 TREE_BRIDGE_BOUND = 7
-# Testing one long cycle takes 3 to 6 us (5,040 in ~15 ms on 2 cores)
-# and starting a two-worker pool ~15 ms, so below this many cycles a
-# process pool costs more to start than it saves: 5,040 cycles took
-# ~28 ms on two workers, 40,320 took ~116 ms against ~207 ms on one.
-POOL_THRESHOLD = 10_000
+# Counted in cycle tests, long cycles times partitions in one sweep.  A
+# test takes ~2.3 us (size 8, all 22 partitions: 250 ms on one worker)
+# and a two-worker pool ~15 ms to start, so below this many tests the
+# pool costs more than it saves.  Medians of 15 runs on 2 cores, one
+# worker against two: 10,800 tests (size 7, all partitions) 28.8 against
+# 30.8 ms, 10,080 (size 8, two partitions) 39.2 against 35.6 ms but the
+# pool won only 4 of 15 runs, 15,120 (size 8, three) 54.1 against 42.2 ms,
+# won 12 of 15; 110,880 (size 8, all) 250 against 185 ms.
+POOL_THRESHOLD = 15_000
 
 
 class Permutation:
@@ -267,43 +273,91 @@ def _cycle_sizes(images: Sequence[int]) -> list:
     return sizes
 
 
-def _first_factors(parts: tuple, lo: int = 0, hi: int | None = None) -> Iterator[list]:
-    """s1 = sigma * s2^(-1), zero-based, for the long cycles s2 of index in
-    [lo, hi): the visiting orders from 1, in lexicographic order."""
-    sig = [x - 1 for x in block_cycle_permutation(IntPartition(parts)).images]
-    n = len(sig)
-    inv2 = [0] * n
+def _inverse_long_cycles(n: int, lo: int = 0, hi: int | None = None) -> Iterator:
+    """s2^(-1) for the long cycles s2 of 0..n-1 of index in [lo, hi), the
+    visiting orders from 0 in lexicographic order, each as a composer:
+    compose(sigma) is the images of sigma * s2^(-1)."""
+    inv = [0] * n
     for tail in itertools.islice(itertools.permutations(range(1, n)), lo, hi):
         order = (0,) + tail
         for i in range(n - 1):
-            inv2[order[i + 1]] = order[i]
-        inv2[0] = order[n - 1]
-        yield [sig[inv2[x]] for x in range(n)]
+            inv[order[i + 1]] = order[i]
+        inv[0] = order[n - 1]
+        # itemgetter of one index returns the item, not a 1-tuple; the
+        # one long cycle of size 1 is the identity
+        yield operator.itemgetter(*inv) if n > 1 else tuple
 
 
-def _long_cycle_count(mu: IntPartition) -> int:
-    """(n-1)!, the number of long cycles s2, refused past the size bound."""
-    if mu.size > FACTORIZATION_BOUND:
+def _long_cycle_count(n: int) -> int:
+    """(n-1)!, the number of long cycles s2 of size n, refused for the
+    empty partition and past the size bound."""
+    if n < 1:
+        raise ValueError("factorizations need a partition of size at least 1, got the empty one")
+    if n > FACTORIZATION_BOUND:
         raise ValueError(f"long-cycle enumeration is capped at size {FACTORIZATION_BOUND}")
-    return factorial(mu.size - 1)
+    return factorial(n - 1)
 
 
-def _count_chunk(args) -> int:
+def _check_coverage(visited: int, n: int) -> None:
+    expected = factorial(n - 1)
+    if visited != expected:
+        raise RuntimeError(f"the sweep covered {visited} long cycles, expected {expected}")
+
+
+def _block_images(mu: IntPartition) -> tuple:
+    return tuple(x - 1 for x in block_cycle_permutation(mu).images)
+
+
+def _sweep_chunk(args) -> tuple:
+    """Counts for each partition over the long cycles of index in [lo, hi),
+    and the number of long cycles visited."""
     parts, lo, hi = args
-    target = IntPartition(parts).cycle_index - 1
-    return sum(len(_cycle_sizes(s1)) == target for s1 in _first_factors(parts, lo, hi))
+    mus = [IntPartition(p) for p in parts]
+    sigmas = [_block_images(mu) for mu in mus]
+    targets = [mu.cycle_index - 1 for mu in mus]
+    counts = [0] * len(mus)
+    visited = 0
+    for compose in _inverse_long_cycles(mus[0].size, lo, hi):
+        visited += 1
+        counts = [
+            c + (len(_cycle_sizes(compose(sig))) == t)
+            for c, sig, t in zip(counts, sigmas, targets)
+        ]
+    return counts, visited
+
+
+def _add_counts(acc: tuple, part: tuple) -> tuple:
+    return [a + b for a, b in zip(acc[0], part[0])], acc[1] + part[1]
+
+
+def factorization_counts(mus: Sequence[IntPartition], threads: int = 1) -> list:
+    """count_factorizations for each of the partitions mus, all of one size n,
+    in one sweep: each of the (n-1)! long cycles s2, a visiting order
+    starting at 1, is built once and s1 = sigma_mu * s2^(-1) tested for
+    every mu.
+
+    Raises RuntimeError unless the sweep visited exactly (n-1)! long cycles.
+    """
+    sizes = {mu.size for mu in mus}
+    if len(sizes) != 1:
+        raise ValueError(f"need partitions of one size, got sizes {sorted(sizes)}")
+    n = sizes.pop()
+    total = _long_cycle_count(n)
+    workers = threads if total * len(mus) >= POOL_THRESHOLD else 1
+    parts = tuple(mu.parts for mu in mus)
+    counts, visited = fold_chunks(_sweep_chunk, (parts,), total, workers, _add_counts)
+    _check_coverage(visited, n)
+    return counts
 
 
 def count_factorizations(mu: IntPartition, threads: int = 1) -> int:
     """Pairs (s1, s2) with s1*s2 the block permutation of mu, s2 an n-cycle,
     and s1 having exactly j-1 cycles.
 
-    Iterates every long cycle s2 as a visiting order starting at 1 and
-    tests s1 = sigma * s2^(-1); (n-1)! of them, hence the size bound.
+    The sweep of factorization_counts on mu alone: every long cycle s2,
+    (n-1)! of them, hence the size bound.
     """
-    total = _long_cycle_count(mu)
-    workers = threads if total >= POOL_THRESHOLD else 1
-    return fold_chunks(_count_chunk, (mu.parts,), total, workers, operator.add)
+    return factorization_counts((mu,), threads)[0]
 
 
 def factorization_counts_by_type(mu: IntPartition) -> Mapping[IntPartition, int]:
@@ -314,11 +368,13 @@ def factorization_counts_by_type(mu: IntPartition) -> Mapping[IntPartition, int]
     per-type closed formula can be checked type by type and the
     filtered total recovered by restricting to types of length j-1.
     """
-    _long_cycle_count(mu)  # refuses sizes past the bound
+    _long_cycle_count(mu.size)  # refuses the empty partition and sizes past the bound
+    sigma = _block_images(mu)
     out: dict = {}
-    for s1 in _first_factors(mu.parts):
-        key = IntPartition(_cycle_sizes(s1))
+    for compose in _inverse_long_cycles(mu.size):
+        key = IntPartition(_cycle_sizes(compose(sigma)))
         out[key] = out.get(key, 0) + 1
+    _check_coverage(sum(out.values()), mu.size)
     return out
 
 

@@ -172,6 +172,19 @@ class TestVerify:
         assert code == 0 and json.loads(out)["pass"] is True
         assert calls == [2, 3, 4, 5]
 
+    def test_kerov_sweeps_each_size_once(self, monkeypatch, capsys):
+        calls = []
+        real = cli.kv.factorization_counts
+
+        def counted(mus, threads=1):
+            calls.append((mus[0].size, len(mus)))
+            return real(mus, threads)
+
+        monkeypatch.setattr(cli.kv, "factorization_counts", counted)
+        code, out, _ = run_main(["verify", "kerov", "--max-size", "5", "--json"], capsys)
+        assert code == 0 and json.loads(out)["pass"] is True
+        assert calls == [(1, 1), (2, 2), (3, 3), (4, 5), (5, 7)]
+
     def test_threads_must_be_positive(self, capsys):
         code, _, err = run_main(["verify", "theorem1", "--r", "2", "--threads", "0"], capsys)
         assert code == 2 and "threads" in err

@@ -21,10 +21,10 @@ def test_verify_all_matches_the_golden_file(tmp_path):
 def test_pooled_sweeps_match_the_golden_file(tmp_path):
     golden = json.loads(GOLDEN.read_text())["checks"]
     hf.tree_weight_sum.cache_clear()  # else the pool would read cached sums
-    for check in ("theorem1", "cayley"):
+    for check, bound in (("theorem1", "--r 8"), ("cayley", "--r 6"), ("kerov", "--max-size 8")):
         out = tmp_path / f"{check}.json"
-        argv = ["verify", check, "--r", "8" if check == "theorem1" else "6"]
-        assert cli.main([*argv, "--threads", "2", "--json", "--out", str(out)]) == 0
+        argv = ["verify", check, *bound.split(), "--threads", "2"]
+        assert cli.main([*argv, "--json", "--out", str(out)]) == 0
         records = json.loads(out.read_text())["checks"]
         for record in records:
             del record["elapsed_ms"]

@@ -4,6 +4,7 @@ from math import comb, factorial, prod
 
 import pytest
 
+import hooklab.cli as cli
 import hooklab.kerov as kv
 from hooklab.kerov import IntPartition, Permutation
 
@@ -124,6 +125,52 @@ class TestFactorizationCounts:
     def test_size_cap(self):
         with pytest.raises(ValueError):
             kv.count_factorizations(IntPartition((5, 5)))
+
+
+class TestFactorizationSweep:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_sweep_equals_the_count_of_each_partition(self, monkeypatch, threads):
+        if threads > 1:  # every sweep below goes through a pool
+            monkeypatch.setattr(kv, "POOL_THRESHOLD", 1)
+        for n in range(1, 8):
+            mus = list(kv.partitions_of(n))
+            want = [kv.count_factorizations(mu, threads) for mu in mus]
+            assert kv.factorization_counts(mus, threads) == want
+
+    def test_partitions_must_share_one_size(self):
+        with pytest.raises(ValueError, match="one size"):
+            kv.factorization_counts([IntPartition((2, 1)), IntPartition((2, 2))])
+        with pytest.raises(ValueError, match="one size"):
+            kv.factorization_counts([])
+
+    def test_empty_partition_is_refused_before_any_work(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the enumeration started")
+
+        monkeypatch.setattr(kv, "_inverse_long_cycles", no_work)
+        empty = IntPartition(())
+        with pytest.raises(ValueError, match="size at least 1"):
+            kv.count_factorizations(empty)
+        with pytest.raises(ValueError, match="size at least 1"):
+            kv.factorization_counts_by_type(empty)
+
+    @pytest.mark.parametrize("defect", ["drop", "double"])
+    def test_a_lost_or_doubled_long_cycle_raises(self, monkeypatch, defect):
+        real = kv._inverse_long_cycles
+
+        def mutant(n, lo=0, hi=None):
+            composers = list(real(n, lo, hi))
+            return composers[:-1] if defect == "drop" else composers + composers[-1:]
+
+        monkeypatch.setattr(kv, "_inverse_long_cycles", mutant)
+        with pytest.raises(RuntimeError, match="covered"):
+            kv.count_factorizations(IntPartition((3, 2)))
+        with pytest.raises(RuntimeError, match="covered"):
+            kv.factorization_counts(list(kv.partitions_of(5)))
+        with pytest.raises(RuntimeError, match="covered"):
+            kv.factorization_counts_by_type(IntPartition((3, 2)))
+        with pytest.raises(RuntimeError, match="covered"):
+            cli.main(["verify", "kerov", "--max-size", "5"])
 
 
 class TestBedardGoupil:
