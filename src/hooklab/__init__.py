@@ -34,8 +34,6 @@ from hooklab.kerov import (
     factorization_counts_by_type,
     partitions_of,
     signed_factorization_count,
-    tree_bridge_check,
-    tree_bridge_values,
 )
 from hooklab.multipoly import (
     MultiPoly,
@@ -46,14 +44,9 @@ from hooklab.multipoly import (
 from hooklab.recurrences import (
     TruncatedSeries,
     closed_polynomial,
-    constant_term_check,
-    finite_difference_check,
     grafting_law_sides,
-    grafting_recurrence_check,
-    lagrange_identity_check,
     lagrange_series_oracle,
     oracle_closed_form,
-    root_degree_recurrence_check,
     set_partitions,
     split_polynomial,
 )
@@ -121,12 +114,7 @@ __all__ = [
     # recurrences
     "split_polynomial",
     "closed_polynomial",
-    "constant_term_check",
-    "finite_difference_check",
     "grafting_law_sides",
-    "grafting_recurrence_check",
-    "root_degree_recurrence_check",
-    "lagrange_identity_check",
     "lagrange_series_oracle",
     "oracle_closed_form",
     "set_partitions",
@@ -143,8 +131,6 @@ __all__ = [
     "bedard_goupil",
     "binomial_simplification_check",
     "signed_factorization_count",
-    "tree_bridge_check",
-    "tree_bridge_values",
     # reporting
     "VerdictReport",
     "compare_sides",

@@ -6,13 +6,19 @@ JSON records (one per line) or DOT graphs (blank-line separated).
 exiting 0 only if every comparison held; `verify all` runs the whole
 battery.
 
-Every family of checks has a default sweep bound and a hard ceiling.
-Bounds can be raised per run with --r/--n/--max-size or a numeric
---budget, but never past the ceiling: factorial and Catalan growth make
-accidental huge runs too easy, so over-ceiling requests are refused
-outright rather than truncated.  The environment variable
-HOOKLAB_BUDGET_CEILING replaces the ceilings for people who know what
-they are asking for.
+Each family of checks is declared once, in FAMILIES: the size flag
+that sets its bound (--n for binary-hooks, --max-size for kerov, --r
+for the rest), its first size (2 for cayley, pq, grafting,
+root-recurrence and mvl, 1 for the rest), a default bound, a hard
+ceiling and the sweep that yields its comparisons.  Bounds can be
+raised per run with the size flag or a numeric --budget, but never past
+the ceiling: factorial and Catalan growth make accidental huge runs too
+easy, so over-ceiling requests are refused outright rather than
+truncated.  The environment variable HOOKLAB_BUDGET_CEILING replaces
+the ceilings for people who know what they are asking for.  A bound
+below a family's first size, which would compare nothing, is refused,
+and so is a size flag that no selected family reads (`verify all` reads
+all three).  The sweep caches of hookformula last for one verify run.
 
 Reports are deterministic: running the same command twice gives the
 same output except for elapsed_ms, and --threads (worker processes,
@@ -28,6 +34,7 @@ import os
 import random
 import sys
 import time
+from typing import Callable, NamedTuple
 
 from hooklab import hookformula as hf
 from hooklab import kerov as kv
@@ -36,32 +43,13 @@ from hooklab import trees as tr
 from hooklab.multipoly import top_homogeneous
 from hooklab.reports import VerdictReport, compare_sides
 
-__all__ = ["main"]
+__all__ = ["FAMILIES", "main", "run_family"]
 
 ORACLE_SEED = 1729
 ORACLE_INSTANCES = 50
 ORACLE_MAX_R = 6
 
-# check name -> (default sweep bound, hard ceiling)
-VERIFY_BUDGETS = {
-    "theorem1": (8, 10),
-    "postnikov": (8, 10),
-    "binary-hooks": (8, 10),
-    "cayley": (6, 7),
-    "fibers": (6, 7),
-    "pq": (7, 9),
-    "grafting": (7, 9),
-    "root-recurrence": (7, 9),
-    "mvl": (7, 9),
-    "kerov": (8, 9),
-}
-# the exhaustive relabelling part of binary-hooks grows much faster
-# than the shape sums, so it keeps its own cap within the sweep
-LABELLING_CEILING = 9
-
 ENUMERATE_BUDGETS = {"increasing": 10, "cayley": 7, "binary": 12}
-
-CHECK_ORDER = list(VERIFY_BUDGETS)
 
 
 class UsageError(Exception):
@@ -80,15 +68,14 @@ def _env_ceiling(base: int) -> int:
         ) from None
 
 
+def _option(flag: str) -> str:
+    return "--" + flag.replace("_", "-")
+
+
 def _verify_bound(check: str, args) -> int:
-    default, ceiling = VERIFY_BUDGETS[check]
-    ceiling = _env_ceiling(ceiling)
-    if check == "kerov":
-        explicit = args.max_size
-    elif check == "binary-hooks":
-        explicit = args.n
-    else:
-        explicit = args.r
+    family = FAMILIES[check]
+    ceiling = _env_ceiling(family.ceiling)
+    explicit = getattr(args, family.flag)
     if explicit is None and args.budget != "default":
         try:
             explicit = int(args.budget)
@@ -96,9 +83,11 @@ def _verify_bound(check: str, args) -> int:
             raise UsageError(
                 f"--budget wants an integer or 'default', got {args.budget!r}"
             ) from None
-    bound = default if explicit is None else explicit
-    if bound < 1:
-        raise UsageError(f"{check} needs a bound of at least 1, got {bound}")
+    bound = family.default if explicit is None else explicit
+    if bound < family.first:
+        raise UsageError(
+            f"{check} needs a bound of at least {family.first}, got {bound}"
+        )
     if bound > ceiling:
         raise UsageError(
             f"{check} is capped at {ceiling} (asked for {bound}); "
@@ -107,68 +96,53 @@ def _verify_bound(check: str, args) -> int:
     return bound
 
 
-def _timed(fn):
-    t0 = time.perf_counter()
-    value = fn()
-    return value, round((time.perf_counter() - t0) * 1000.0, 3)
+def _agreement(pairs) -> tuple[int, int]:
+    """(number of pairs, number of equal pairs) of an iterable of (lhs, rhs)."""
+    total = agreed = 0
+    for lhs, rhs in pairs:
+        total += 1
+        agreed += lhs == rhs
+    return total, agreed
 
 
-def run_theorem1(bound: int, threads: int, trace: bool) -> list:
-    out = []
-    for r in range(1, bound + 1):
-        (lhs, rhs), ms = _timed(
-            lambda r=r: (hf.hook_weight_sum(r, threads), hf.hook_weight_closed_form(r))
+def _theorem1(sizes: range, threads: int, trace: bool):
+    for r in sizes:
+        lhs = hf.hook_weight_sum(r, threads)
+        yield "theorem1", {"r": r}, lhs, hf.hook_weight_closed_form(r), None
+
+
+def _postnikov(sizes: range, threads: int, trace: bool):
+    for r in sizes:
+        lhs_uni, rhs = hf.increasing_hook_sum(r)
+        yield "postnikov", {"r": r}, lhs_uni, rhs, None
+        lhs, rhs = hf.uniform_chain_sides(r, lhs_uni)
+        yield "postnikov/chain", {"r": r}, lhs, rhs, None
+
+
+def _binary_hooks(sizes: range, threads: int, trace: bool):
+    for n in sizes:
+        lhs, rhs = hf.binary_hook_sum(n)
+        yield "binary-hooks/shape-identity", {"n": n}, lhs, rhs, None
+        total = hf.binary_reciprocal_hook_sum(n)
+        yield "binary-hooks/reciprocal-sum", {"n": n}, total, 1, None
+    # the exhaustive relabelling grows much faster than the shape sums,
+    # so it stops at n = 9 whatever the bound
+    for n in range(sizes.start, min(sizes.stop, 10)):
+        trees, agreed = _agreement(
+            hf.linear_extension_check(t) for t in tr.enumerate_increasing(range(1, n + 1))
         )
-        out.append(compare_sides("theorem1", {"r": r}, lhs, rhs, ms))
-    return out
+        yield "binary-hooks/labelling-count", {"n": n}, trees, agreed, None
 
 
-def run_postnikov(bound: int, threads: int, trace: bool) -> list:
-    out = []
-    for r in range(1, bound + 1):
-        (lhs_uni, rhs), ms = _timed(lambda r=r: hf.increasing_hook_sum(r))
-        out.append(compare_sides("postnikov", {"r": r}, lhs_uni, rhs, ms))
-        (lhs, rhs), ms = _timed(lambda r=r: hf.uniform_chain_sides(r, lhs_uni))
-        out.append(compare_sides("postnikov/chain", {"r": r}, lhs, rhs, ms))
-    return out
+def _cayley(sizes: range, threads: int, trace: bool):
+    for r in sizes:
+        lhs, rhs = hf.cayley_degree_identity(r, threads)
+        yield "cayley", {"r": r}, lhs, rhs, None
+        yield "cayley/top-weight-sum", {"r": r}, hf.top_weight_sum(r), rhs, None
 
 
-def run_binary_hooks(bound: int, threads: int, trace: bool) -> list:
-    out = []
-    for n in range(1, bound + 1):
-        (lhs, rhs), ms = _timed(lambda n=n: hf.binary_hook_sum(n))
-        out.append(compare_sides("binary-hooks/shape-identity", {"n": n}, lhs, rhs, ms))
-        total, ms = _timed(lambda n=n: hf.binary_reciprocal_hook_sum(n))
-        out.append(compare_sides("binary-hooks/reciprocal-sum", {"n": n}, total, 1, ms))
-    for n in range(1, min(bound, LABELLING_CEILING) + 1):
-        t0 = time.perf_counter()
-        trees = agreed = 0
-        for t in tr.enumerate_increasing(range(1, n + 1)):
-            lext, quotient = hf.linear_extension_check(t)
-            trees += 1
-            if lext == quotient:
-                agreed += 1
-        ms = round((time.perf_counter() - t0) * 1000.0, 3)
-        out.append(
-            compare_sides("binary-hooks/labelling-count", {"n": n}, trees, agreed, ms)
-        )
-    return out
-
-
-def run_cayley(bound: int, threads: int, trace: bool) -> list:
-    out = []
-    for r in range(2, bound + 1):
-        (lhs, rhs), ms = _timed(lambda r=r: hf.cayley_degree_identity(r, threads))
-        out.append(compare_sides("cayley", {"r": r}, lhs, rhs, ms))
-        top, ms = _timed(lambda r=r: hf.top_weight_sum(r))
-        out.append(compare_sides("cayley/top-weight-sum", {"r": r}, top, rhs, ms))
-    return out
-
-
-def run_fibers(bound: int, threads: int, trace: bool) -> list:
-    out = []
-    for r in range(1, bound + 1):
-        t0 = time.perf_counter()
+def _fibers(sizes: range, threads: int, trace: bool):
+    for r in sizes:
         sums = hf.cayley_fiber_sums(r)
         trees = fiber_eq = top_eq = 0
         for t in tr.enumerate_increasing(range(1, r + 1)):
@@ -181,14 +155,10 @@ def run_fibers(bound: int, threads: int, trace: bool) -> list:
         preimages = sum(
             int(c) for poly in sums.values() for c in poly.terms.values()
         )
-        ms = round((time.perf_counter() - t0) * 1000.0, 3)
-        out.append(compare_sides("fibers/degree-sum", {"r": r}, trees, fiber_eq, ms))
-        out.append(compare_sides("fibers/top-of-weight", {"r": r}, trees, top_eq, 0.0))
-        out.append(compare_sides("fibers/surjective", {"r": r}, trees, len(sums), 0.0))
-        out.append(
-            compare_sides("fibers/partition", {"r": r}, tr.cayley_count(r), preimages, 0.0)
-        )
-    return out
+        yield "fibers/degree-sum", {"r": r}, trees, fiber_eq, None
+        yield "fibers/top-of-weight", {"r": r}, trees, top_eq, None
+        yield "fibers/surjective", {"r": r}, trees, len(sums), None
+        yield "fibers/partition", {"r": r}, tr.cayley_count(r), preimages, None
 
 
 def _split_entry(x1, x2, p) -> dict:
@@ -214,102 +184,63 @@ def _traced(trace: bool, summands, entry) -> tuple:
     return payload, stream()
 
 
-def run_pq(bound: int, threads: int, trace: bool) -> list:
-    out = []
+def _pq(sizes: range, threads: int, trace: bool):
     # split_polynomial(r), built once by the pq comparison and read back
     # by the split family's checks at r and, through the finite
     # difference, at r + 1
     splits: dict = {}
-    for r in range(2, bound + 1):
+    for r in sizes:
         payload, summands = _traced(trace, rc.split_summands(r), _split_entry)
-        (lhs, rhs), ms = _timed(
-            lambda r=r: (rc.split_polynomial(r, summands), rc.closed_polynomial(r))
-        )
-        splits[r] = lhs
-        out.append(compare_sides("pq", {"r": r}, lhs, rhs, ms, trace=payload))
+        splits[r] = rc.split_polynomial(r, summands)
+        yield "pq", {"r": r}, splits[r], rc.closed_polynomial(r), payload
         for name, family in (
             ("split", splits.__getitem__),
             ("closed", rc.closed_polynomial),
         ):
-            (lhs, rhs), ms = _timed(
-                lambda r=r, f=family: rc.constant_term_sides(r, f)
-            )
-            out.append(
-                compare_sides("pq/constant-term", {"r": r, "family": name}, lhs, rhs, ms)
-            )
-            (lhs, rhs), ms = _timed(
-                lambda r=r, f=family: rc.finite_difference_sides(r, f)
-            )
-            out.append(
-                compare_sides(
-                    "pq/finite-difference", {"r": r, "family": name}, lhs, rhs, ms
-                )
-            )
+            params = {"r": r, "family": name}
+            lhs, rhs = rc.constant_term_sides(r, family)
+            yield "pq/constant-term", params, lhs, rhs, None
+            lhs, rhs = rc.finite_difference_sides(r, family)
+            yield "pq/finite-difference", params, lhs, rhs, None
         splits.pop(r - 1, None)
-    return out
 
 
-def run_grafting(bound: int, threads: int, trace: bool) -> list:
-    out = []
-    for r in range(2, bound + 1):
-        t0 = time.perf_counter()
-        trees = agreed = 0
-        for t in tr.enumerate_increasing(range(1, r + 1)):
-            lhs, rhs = rc.grafting_law_sides(t, r)
-            trees += 1
-            if lhs == rhs:
-                agreed += 1
-        ms = round((time.perf_counter() - t0) * 1000.0, 3)
-        out.append(compare_sides("grafting/law", {"r": r}, trees, agreed, ms))
-        payload, summands = _traced(trace, rc.grafting_split_summands(r), _split_entry)
-        (lhs, rhs), ms = _timed(lambda r=r: rc.grafting_split_sides(r, summands))
-        out.append(compare_sides("grafting/split", {"r": r}, lhs, rhs, ms, trace=payload))
-    return out
-
-
-def run_root_recurrence(bound: int, threads: int, trace: bool) -> list:
-    out = []
-    for r in range(2, bound + 1):
-        payload, summands = _traced(trace, rc.root_degree_summands(r), _partition_entry)
-        (lhs, rhs), ms = _timed(lambda r=r: rc.root_degree_sides(r, summands))
-        out.append(
-            compare_sides("root-recurrence", {"r": r}, lhs, rhs, ms, trace=payload)
+def _grafting(sizes: range, threads: int, trace: bool):
+    for r in sizes:
+        trees, agreed = _agreement(
+            rc.grafting_law_sides(t, r) for t in tr.enumerate_increasing(range(1, r + 1))
         )
-    return out
+        yield "grafting/law", {"r": r}, trees, agreed, None
+        payload, summands = _traced(trace, rc.grafting_split_summands(r), _split_entry)
+        lhs, rhs = rc.grafting_split_sides(r, summands)
+        yield "grafting/split", {"r": r}, lhs, rhs, payload
 
 
-def run_mvl(bound: int, threads: int, trace: bool) -> list:
-    out = []
-    for r in range(2, bound + 1):
+def _root_recurrence(sizes: range, threads: int, trace: bool):
+    for r in sizes:
+        payload, summands = _traced(trace, rc.root_degree_summands(r), _partition_entry)
+        lhs, rhs = rc.root_degree_sides(r, summands)
+        yield "root-recurrence", {"r": r}, lhs, rhs, payload
+
+
+def _mvl(sizes: range, threads: int, trace: bool):
+    for r in sizes:
         payload, summands = _traced(trace, rc.lagrange_summands(r), _partition_entry)
-        (lhs, rhs), ms = _timed(lambda r=r: rc.lagrange_identity_sides(r, summands))
-        out.append(compare_sides("mvl", {"r": r}, lhs, rhs, ms, trace=payload))
+        lhs, rhs = rc.lagrange_identity_sides(r, summands)
+        yield "mvl", {"r": r}, lhs, rhs, payload
     rng = random.Random(ORACLE_SEED)
-    max_r = min(bound, ORACLE_MAX_R)
-    t0 = time.perf_counter()
+    max_r = min(sizes[-1], ORACLE_MAX_R)
     agreed = 0
     for _ in range(ORACLE_INSTANCES):
         r = rng.randint(2, max_r)
         kvals = [rng.randint(1, 10) for _ in range(r)]
-        if rc.lagrange_series_oracle(r, kvals) == rc.oracle_closed_form(r, kvals):
-            agreed += 1
-    ms = round((time.perf_counter() - t0) * 1000.0, 3)
-    out.append(
-        compare_sides(
-            "mvl/oracle",
-            {"instances": ORACLE_INSTANCES, "max_r": max_r, "seed": ORACLE_SEED},
-            ORACLE_INSTANCES,
-            agreed,
-            ms,
-        )
-    )
-    return out
+        agreed += rc.lagrange_series_oracle(r, kvals) == rc.oracle_closed_form(r, kvals)
+    params = {"instances": ORACLE_INSTANCES, "max_r": max_r, "seed": ORACLE_SEED}
+    yield "mvl/oracle", params, ORACLE_INSTANCES, agreed, None
 
 
-def run_kerov(bound: int, threads: int, trace: bool) -> list:
-    out = []
-    for n in range(1, bound + 1):
-        t0 = time.perf_counter()
+def _kerov(sizes: range, threads: int, trace: bool):
+    for n in sizes:
         rows = []
         mus = list(kv.partitions_of(n))
         for mu, count in zip(mus, kv.factorization_counts(mus, threads)):
@@ -338,26 +269,61 @@ def run_kerov(bound: int, threads: int, trace: bool) -> list:
                     "pass": ok,
                 }
             )
-        ms = round((time.perf_counter() - t0) * 1000.0, 3)
         passed = sum(1 for row in rows if row["pass"])
-        out.append(
-            compare_sides("kerov", {"size": n}, len(rows), passed, ms, trace=rows)
-        )
-    return out
+        yield "kerov", {"size": n}, len(rows), passed, rows
 
 
-RUNNERS = {
-    "theorem1": run_theorem1,
-    "postnikov": run_postnikov,
-    "binary-hooks": run_binary_hooks,
-    "cayley": run_cayley,
-    "fibers": run_fibers,
-    "pq": run_pq,
-    "grafting": run_grafting,
-    "root-recurrence": run_root_recurrence,
-    "mvl": run_mvl,
-    "kerov": run_kerov,
+class Family(NamedTuple):
+    """How one verify family is swept.
+
+    flag is the option that sets its bound (r, n or max_size), first the
+    smallest size it compares, default and ceiling its bounds.
+    sweep(sizes, threads, trace) yields (check, params, lhs, rhs, trace)
+    for every comparison over the sizes in order.
+    """
+
+    flag: str
+    first: int
+    default: int
+    ceiling: int
+    sweep: Callable
+
+
+# in `verify all` order
+FAMILIES = {
+    "theorem1": Family("r", 1, 8, 10, _theorem1),
+    "postnikov": Family("r", 1, 8, 10, _postnikov),
+    "binary-hooks": Family("n", 1, 8, 10, _binary_hooks),
+    "cayley": Family("r", 2, 6, 7, _cayley),
+    "fibers": Family("r", 1, 6, 7, _fibers),
+    "pq": Family("r", 2, 7, 9, _pq),
+    "grafting": Family("r", 2, 7, 9, _grafting),
+    "root-recurrence": Family("r", 2, 7, 9, _root_recurrence),
+    "mvl": Family("r", 2, 7, 9, _mvl),
+    "kerov": Family("max_size", 1, 8, 9, _kerov),
 }
+
+
+def run_family(name: str, bound: int, threads: int = 1, trace: bool = False) -> list:
+    """The verdicts of one family swept from its first size to bound.
+
+    Each comparison's elapsed_ms is the time the sweep took to produce
+    its two sides; summarizing them is not counted.  A bound below the
+    first size, which would compare nothing, raises ValueError.
+    """
+    family = FAMILIES[name]
+    if bound < family.first:
+        raise ValueError(f"{name} starts at size {family.first}, got bound {bound}")
+    sweep = family.sweep(range(family.first, bound + 1), threads, trace)
+    out = []
+    while True:
+        t0 = time.perf_counter()
+        item = next(sweep, None)
+        if item is None:
+            return out
+        ms = round((time.perf_counter() - t0) * 1000.0, 3)
+        check, params, lhs, rhs, payload = item
+        out.append(compare_sides(check, params, lhs, rhs, ms, trace=payload))
 
 
 def _kerov_table_lines(reports: list) -> list:
@@ -381,11 +347,23 @@ def _kerov_table_lines(reports: list) -> list:
 def cmd_verify(args) -> tuple[str, int]:
     if args.threads < 1:
         raise UsageError("--threads must be at least 1")
-    checks = CHECK_ORDER if args.check == "all" else [args.check]
+    checks = list(FAMILIES) if args.check == "all" else [args.check]
+    read = {FAMILIES[c].flag for c in checks}
+    for flag in ("r", "n", "max_size"):
+        if getattr(args, flag) is not None and flag not in read:
+            raise UsageError(
+                f"{args.check} takes {_option(FAMILIES[args.check].flag)}, "
+                f"not {_option(flag)}"
+            )
     bounds = {c: _verify_bound(c, args) for c in checks}
     reports: list[VerdictReport] = []
-    for c in checks:
-        reports.extend(RUNNERS[c](bounds[c], args.threads, args.trace))
+    try:
+        for c in checks:
+            reports.extend(run_family(c, bounds[c], args.threads, args.trace))
+    finally:
+        # the sweep caches serve one run: a second run redoes its work
+        hf.tree_weight_sum.cache_clear()
+        hf.cayley_fiber_sums.cache_clear()
     all_pass = all(v.equal for v in reports)
     if args.json:
         doc = {
@@ -486,7 +464,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify", help="run identity checks and report verdicts"
     )
     verify_p.add_argument(
-        "check", choices=CHECK_ORDER + ["all"], help="which identity family to verify"
+        "check", choices=[*FAMILIES, "all"], help="which identity family to verify"
     )
     verify_p.add_argument(
         "--r", type=int, default=None, help="largest size for size-swept checks"

@@ -13,9 +13,10 @@ grouping by the cycle type of s1 (a per-type product formula), the
 all-types total prod(mu_i) * (n-1)!/(n-l+1)!, and a binomial identity
 that the per-type sum collapses to.  The same total, carrying the sign
 (-1)^(l-1), is the top coefficient of a character polynomial; here it
-is certified purely through the counting.  tree_bridge_values ties the
-count to the tree weight sum: the expanded sum over trees and its
-closed form, each specialized to k_i = mu_i, must reproduce it.
+is certified purely through the counting.  tree_sum_at and closed_rhs_at
+tie the count to the tree weight sum: the expanded sum over trees and
+its closed form, each specialized to k_i = mu_i, must reproduce it for
+partitions of at most TREE_BRIDGE_BOUND parts.
 
 Check functions compare and return; they never assert.
 """
@@ -45,8 +46,6 @@ __all__ = [
     "factorization_counts_by_type",
     "partitions_of",
     "signed_factorization_count",
-    "tree_bridge_check",
-    "tree_bridge_values",
     "tree_sum_at",
 ]
 
@@ -464,34 +463,9 @@ def tree_sum_at(mu: IntPartition) -> int:
     """Hook weight sum over increasing trees on {1..l(mu)}, at k_i = mu_i.
 
     The expanded sum over the (l(mu)-1)! trees is specialized; that sum
-    is the expensive side, hence the length bound enforced by the bridge
-    functions that call it.
+    is the expensive side, hence TREE_BRIDGE_BOUND on the lengths its
+    callers pass.
     """
     at_mu = dict(enumerate(mu))
     return specialize(hook_weight_sum(mu.length), at_mu).coefficient(())
 
-
-def tree_bridge_values(mu: IntPartition) -> Mapping[str, int]:
-    """The factorization count next to its tree-side counterparts.
-
-    Returns the brute-force count, the closed form, the absolute signed
-    value, the hook-identity right side at k_i = mu_i, and the tree
-    weight sum at the same values.  All five agree; tree_bridge_check
-    compares them.  The tree side runs over (l(mu)-1)! trees, hence the
-    length bound.
-    """
-    if mu.length > TREE_BRIDGE_BOUND:
-        raise ValueError(f"tree side is capped at {TREE_BRIDGE_BOUND} parts")
-    return {
-        "count": count_factorizations(mu),
-        "closed_form": factorization_count_closed_form(mu),
-        "signed_magnitude": abs(signed_factorization_count(mu)),
-        "identity_rhs_at_mu": closed_rhs_at(mu),
-        "tree_sum_at_mu": tree_sum_at(mu),
-    }
-
-
-def tree_bridge_check(mu: IntPartition) -> bool:
-    """All five quantities of tree_bridge_values agree."""
-    values = list(tree_bridge_values(mu).values())
-    return all(v == values[0] for v in values)

@@ -21,10 +21,11 @@ w_i = t_i (1 + w_1 + ... + w_r)^{k_i} predicts for the coefficient of
 t_1...t_r in w_1.  A truncated-series solver plays that inversion back
 numerically as an independent oracle.
 
-Side-returning functions never assert; each has a *_check companion
-that just compares.  Where a right side sums the output of a *_summands
-generator, the caller may pass that output as `summands`, so that a
-traced run renders and sums the same summands, each built once.
+Side-returning functions never assert; comparing is the caller's job
+(hooklab.cli sweeps each family).  Where a right side sums the output
+of a *_summands generator, the caller may pass that output as
+`summands`, so that a traced run renders and sums the same summands,
+each built once.
 All polynomial arithmetic is exact.
 """
 
@@ -44,25 +45,20 @@ from hooklab.hookformula import (
     tree_weight,
     tree_weight_sum,
 )
-from hooklab.trees import IncreasingTree, enumerate_increasing, split_at_second_min
+from hooklab.trees import IncreasingTree, split_at_second_min
 
 __all__ = [
     "TruncatedSeries",
     "closed_polynomial",
-    "constant_term_check",
     "constant_term_sides",
-    "finite_difference_check",
     "finite_difference_sides",
     "grafting_law_sides",
-    "grafting_recurrence_check",
     "grafting_split_sides",
     "grafting_split_summands",
-    "lagrange_identity_check",
     "lagrange_identity_sides",
     "lagrange_series_oracle",
     "lagrange_summands",
     "oracle_closed_form",
-    "root_degree_recurrence_check",
     "root_degree_sides",
     "root_degree_summands",
     "set_partitions",
@@ -165,17 +161,6 @@ def constant_term_sides(
     return at_zero, target
 
 
-def constant_term_check(r: int) -> bool:
-    """Constant-term property for both the split and the closed quotient."""
-    return all(
-        lhs == rhs
-        for lhs, rhs in (
-            constant_term_sides(r, split_polynomial),
-            constant_term_sides(r, closed_polynomial),
-        )
-    )
-
-
 def finite_difference_sides(
     r: int, family: Callable[[int], MultiPoly] = closed_polynomial
 ) -> tuple[MultiPoly, MultiPoly]:
@@ -201,17 +186,6 @@ def finite_difference_sides(
             images = [k1 + _var(r, i), _var(r, 2)] + [_var(r, l) for l in rest]
             rhs = rhs + f_small.substitute(images, r)
     return lhs, rhs
-
-
-def finite_difference_check(r: int) -> bool:
-    """Finite-difference property for both the split and the closed quotient."""
-    return all(
-        lhs == rhs
-        for lhs, rhs in (
-            finite_difference_sides(r, split_polynomial),
-            finite_difference_sides(r, closed_polynomial),
-        )
-    )
 
 
 def grafting_law_sides(
@@ -270,16 +244,6 @@ def grafting_split_summands(r: int) -> Iterator[tuple[tuple, tuple, MultiPoly]]:
         yield x1, x2, edge * host_sum * shoot_sum
 
 
-def grafting_recurrence_check(r: int) -> bool:
-    """Per-tree grafting law on every tree of size r, plus the full split."""
-    for t in enumerate_increasing(range(1, r + 1)):
-        lhs, rhs = grafting_law_sides(t, r)
-        if lhs != rhs:
-            return False
-    lhs, rhs = grafting_split_sides(r)
-    return lhs == rhs
-
-
 def root_degree_sides(
     r: int, summands: Iterable | None = None
 ) -> tuple[MultiPoly, MultiPoly]:
@@ -310,12 +274,6 @@ def root_degree_summands(r: int) -> Iterator[tuple[tuple, MultiPoly]]:
             edge = _ksum(r, block) - (len(block) - 1)
             term = term * edge * tree_weight_sum(tuple(block), r)
         yield part, term
-
-
-def root_degree_recurrence_check(r: int) -> bool:
-    """Root-subtree partition recurrence as an exact polynomial identity."""
-    lhs, rhs = root_degree_sides(r)
-    return lhs == rhs
 
 
 def lagrange_identity_sides(
@@ -351,12 +309,6 @@ def lagrange_summands(r: int) -> Iterator[tuple[tuple, MultiPoly]]:
             term = term * _kprod(r, block)
             term = term * falling_factorial(_ksum(r, block) - 1, len(block) - 1)
         yield part, term
-
-
-def lagrange_identity_check(r: int) -> bool:
-    """Partition form of the closed product, as an exact identity."""
-    lhs, rhs = lagrange_identity_sides(r)
-    return lhs == rhs
 
 
 class TruncatedSeries:

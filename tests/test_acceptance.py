@@ -7,6 +7,7 @@ contract and fail honestly on a machine that cannot meet them.
 
 import json
 import random
+from collections import Counter
 from math import comb, factorial
 from time import perf_counter
 
@@ -97,16 +98,26 @@ def test_criterion_06_splitting_recurrences(acceptance):
     with acceptance(6, "splitting recurrences agree with closed forms, r<=7"):
         for r in range(2, 8):
             assert rc.split_polynomial(r) == rc.closed_polynomial(r)
-            assert rc.constant_term_check(r)
-            assert rc.finite_difference_check(r)
-            assert rc.grafting_recurrence_check(r)
+        reports = cli.run_family("pq", 7) + cli.run_family("grafting", 7)
+        assert Counter(v.check for v in reports) == {
+            "pq": 6,
+            "pq/constant-term": 12,
+            "pq/finite-difference": 12,
+            "grafting/law": 6,
+            "grafting/split": 6,
+        }
+        assert all(v.equal for v in reports)
 
 
 def test_criterion_07_partition_recurrences(acceptance):
     with acceptance(7, "partition recurrences and the series oracle agree"):
-        for r in range(2, 8):
-            assert rc.root_degree_recurrence_check(r)
-            assert rc.lagrange_identity_check(r)
+        reports = cli.run_family("root-recurrence", 7) + cli.run_family("mvl", 7)
+        assert Counter(v.check for v in reports) == {
+            "root-recurrence": 6,
+            "mvl": 6,
+            "mvl/oracle": 1,
+        }
+        assert all(v.equal for v in reports)
         rng = random.Random(20139)
         for _ in range(50):
             r = rng.randint(2, 6)
@@ -117,6 +128,7 @@ def test_criterion_07_partition_recurrences(acceptance):
 def test_criterion_08_factorization_bridge(acceptance):
     with acceptance(8, "factorization counts match all closed forms, size<=8, <30s"):
         t0 = perf_counter()
+        rows = {tuple(row["mu"]): row for v in cli.run_family("kerov", 8) for row in v.trace}
         for n in range(1, 9):
             for mu in kv.partitions_of(n):
                 count = kv.count_factorizations(mu)
@@ -130,8 +142,9 @@ def test_criterion_08_factorization_bridge(acceptance):
                 )
                 assert bg == count
                 assert kv.binomial_simplification_check(mu)
+                assert rows[mu.parts]["pass"]
                 if mu.length <= kv.TREE_BRIDGE_BOUND:
-                    assert kv.tree_bridge_check(mu)
+                    assert rows[mu.parts]["tree_sum"] == count == kv.closed_rhs_at(mu)
         assert perf_counter() - t0 < 30.0
 
 

@@ -1,14 +1,17 @@
 """Command line behaviour: formats, budgets, exit codes, determinism."""
 
+import ast
 import json
 import subprocess
 import sys
 from argparse import Namespace
+from pathlib import Path
 
 import pytest
 
 import hooklab.cli as cli
-from hooklab.reports import VerdictReport
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_main(argv, capsys):
@@ -127,22 +130,11 @@ class TestVerify:
         assert "all passed" in out
 
     def test_failing_check_exits_one(self, capsys, monkeypatch):
-        def broken(bound, threads, trace):
-            return [
-                VerdictReport(
-                    check="theorem1",
-                    params={"r": 2},
-                    equal=False,
-                    lhs_terms=1,
-                    rhs_terms=1,
-                    lhs_hash="a",
-                    rhs_hash="b",
-                    elapsed_ms=0.0,
-                )
-            ]
-
-        monkeypatch.setitem(cli.RUNNERS, "theorem1", broken)
-        code, out, _ = run_main(["verify", "theorem1"], capsys)
+        real = cli.hf.hook_weight_closed_form
+        monkeypatch.setattr(
+            cli.hf, "hook_weight_closed_form", lambda r: real(r) + 1 if r == 2 else real(r)
+        )
+        code, out, _ = run_main(["verify", "theorem1", "--r", "3"], capsys)
         assert code == 1
         assert "FAIL" in out and "1 FAILED" in out
 
@@ -155,7 +147,7 @@ class TestVerify:
         calls = []
         real = cli.hf.increasing_hook_sum
         monkeypatch.setattr(cli.hf, "increasing_hook_sum", lambda r: calls.append(r) or real(r))
-        reports = cli.run_postnikov(4, 1, False)
+        reports = cli.run_family("postnikov", 4)
         assert calls == [1, 2, 3, 4]
         assert all(rep.equal for rep in reports) and len(reports) == 8
 
@@ -233,7 +225,7 @@ class TestVerify:
     def test_all_runs_every_family_cheaply(self, capsys):
         code, out, _ = run_main(["verify", "all", "--budget", "2"], capsys)
         assert code == 0
-        for name in cli.CHECK_ORDER:
+        for name in cli.FAMILIES:
             assert name in out
 
     def test_json_output_is_deterministic(self, capsys):
@@ -245,6 +237,85 @@ class TestVerify:
                 record.pop("elapsed_ms")
             runs.append(json.dumps(doc, sort_keys=True))
         assert runs[0] == runs[1]
+
+
+def size_flag(flag: str) -> str:
+    return "--" + flag.replace("_", "-")
+
+
+class TestFamilies:
+    @pytest.mark.parametrize("name", list(cli.FAMILIES))
+    def test_first_size_compares_and_passes(self, name, capsys):
+        family = cli.FAMILIES[name]
+        argv = ["verify", name, size_flag(family.flag), str(family.first), "--json"]
+        code, out, _ = run_main(argv, capsys)
+        records = json.loads(out)["checks"]
+        assert code == 0 and records
+        assert all(rec["equal"] for rec in records)
+
+    @pytest.mark.parametrize("name", list(cli.FAMILIES))
+    def test_below_first_size_is_a_usage_error(self, name, capsys):
+        family = cli.FAMILIES[name]
+        argv = ["verify", name, size_flag(family.flag), str(family.first - 1)]
+        code, out, err = run_main(argv, capsys)
+        assert code == 2 and out == ""
+        assert name in err and f"at least {family.first}" in err
+        with pytest.raises(ValueError):
+            cli.run_family(name, family.first - 1)
+
+    @pytest.mark.parametrize("name", list(cli.FAMILIES))
+    def test_unread_size_flag_is_a_usage_error(self, name, capsys):
+        family = cli.FAMILIES[name]
+        for flag in {"r", "n", "max_size"} - {family.flag}:
+            code, out, err = run_main(["verify", name, size_flag(flag), "3"], capsys)
+            assert code == 2 and out == ""
+            assert size_flag(flag) in err and size_flag(family.flag) in err
+
+    def test_all_reads_every_size_flag(self, capsys):
+        argv = ["verify", "all", "--r", "2", "--n", "2", "--max-size", "2"]
+        assert run_main(argv, capsys)[0] == 0
+
+    def test_all_refuses_a_budget_below_a_first_size(self, capsys):
+        code, _, err = run_main(["verify", "all", "--budget", "1"], capsys)
+        assert code == 2 and "cayley needs a bound of at least 2" in err
+
+    def test_two_runs_do_the_same_work(self, monkeypatch, capsys):
+        calls = []
+        real = cli.hf._weight_sum_chunk
+        monkeypatch.setattr(
+            cli.hf, "_weight_sum_chunk", lambda args: calls.append(args) or real(args)
+        )
+        cli.hf.tree_weight_sum.cache_clear()
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            assert run_main(["verify", "theorem1", "--r", "5"], capsys)[0] == 0
+            counts.append(len(calls))
+        assert counts == [5, 5]
+
+    def test_no_sweep_cache_outlives_a_run(self, monkeypatch, capsys):
+        assert run_main(["verify", "all", "--budget", "2"], capsys)[0] == 0
+        assert cli.hf.tree_weight_sum.cache_info().currsize == 0
+        assert cli.hf.cayley_fiber_sums.cache_info().currsize == 0
+
+        def broken(r):
+            raise RuntimeError("closed form unavailable")
+
+        monkeypatch.setattr(cli.hf, "hook_weight_closed_form", broken)
+        with pytest.raises(RuntimeError):
+            cli.main(["verify", "theorem1", "--r", "3"])
+        assert cli.hf.tree_weight_sum.cache_info().currsize == 0
+
+    def test_benchmark_names_the_declared_families(self):
+        tree = ast.parse((ROOT / "perfbench" / "run.py").read_text(encoding="utf-8"))
+        declared = [
+            node.value
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "CHECK_FAMILIES" for t in node.targets)
+        ]
+        assert len(declared) == 1
+        assert ast.literal_eval(declared[0]) == tuple(cli.FAMILIES)
 
 
 class TestConsoleScript:

@@ -226,21 +226,35 @@ class TestSignedCount:
             assert signed == (-1) ** (mu.length - 1) * abs(signed)
 
 
+@pytest.fixture(scope="module")
+def kerov_rows():
+    """The per-partition rows of `verify kerov --max-size 8`."""
+    return [row for v in cli.run_family("kerov", 8) for row in v.trace]
+
+
 class TestTreeBridge:
-    def test_values_all_agree(self):
-        values = kv.tree_bridge_values(IntPartition((3, 2)))
-        assert set(values.values()) == {6}
+    def test_values_all_agree(self, kerov_rows):
+        mu = IntPartition((3, 2))
+        row = next(row for row in kerov_rows if row["mu"] == [3, 2])
+        values = {
+            row["count"],
+            row["bg_sum"],
+            abs(row["signed"]),
+            row["tree_sum"],
+            kv.factorization_count_closed_form(mu),
+            kv.closed_rhs_at(mu),
+        }
+        assert values == {6}
 
-    def test_check_sweep(self):
-        for n in range(2, 9):
-            for mu in kv.partitions_of(n):
-                if mu.length > kv.TREE_BRIDGE_BOUND:
-                    continue
-                assert kv.tree_bridge_check(mu)
+    def test_check_sweep(self, kerov_rows):
+        for row in kerov_rows:
+            assert row["pass"]
+            if len(row["mu"]) <= kv.TREE_BRIDGE_BOUND:
+                assert row["tree_sum"] == row["count"]
 
-    def test_length_cap(self):
-        with pytest.raises(ValueError):
-            kv.tree_bridge_values(IntPartition((1,) * 8))
+    def test_length_cap(self, kerov_rows):
+        capped = [row["mu"] for row in kerov_rows if row["tree_sum"] is None]
+        assert capped == [[1] * 8]
 
     def test_evaluation_helpers_match_the_count(self):
         mu = IntPartition((2, 2, 1))

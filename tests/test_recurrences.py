@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+import hooklab.cli as cli
 import hooklab.recurrences as rc
 from hooklab.hookformula import hook_weight_closed_form, hook_weight_sum, tree_weight
 from hooklab.multipoly import MultiPoly, falling_factorial
@@ -18,6 +19,11 @@ def K(r):
 
 def k(r, label):
     return MultiPoly.variable(r, label - 1)
+
+
+def swept(family, check, r_max):
+    """The verdicts named check of one verify family swept to r_max."""
+    return [v for v in cli.run_family(family, r_max) if v.check == check]
 
 
 class TestSetPartitions:
@@ -62,8 +68,12 @@ class TestConstantTerm:
         assert lhs == rhs == k(3, 2) + k(3, 3) - 1
 
     def test_sweep_both_families(self):
+        reports = swept("pq", "pq/constant-term", 6)
+        assert [(v.params["r"], v.params["family"]) for v in reports] == [
+            (r, family) for r in range(2, 7) for family in ("split", "closed")
+        ]
+        assert all(v.equal for v in reports)
         for r in range(2, 7):
-            assert rc.constant_term_check(r)
             for family in (rc.split_polynomial, rc.closed_polynomial):
                 lhs, rhs = rc.constant_term_sides(r, family)
                 assert lhs == rhs
@@ -79,8 +89,12 @@ class TestFiniteDifference:
         assert lhs == rhs == MultiPoly.const(3, 1)
 
     def test_sweep_both_families(self):
+        reports = swept("pq", "pq/finite-difference", 6)
+        assert [(v.params["r"], v.params["family"]) for v in reports] == [
+            (r, family) for r in range(2, 7) for family in ("split", "closed")
+        ]
+        assert all(v.equal for v in reports)
         for r in range(2, 7):
-            assert rc.finite_difference_check(r)
             for family in (rc.split_polynomial, rc.closed_polynomial):
                 lhs, rhs = rc.finite_difference_sides(r, family)
                 assert lhs == rhs
@@ -107,8 +121,11 @@ class TestGrafting:
         assert lhs == rhs == hook_weight_sum(3)
 
     def test_check_runs_both_parts(self):
-        for r in range(2, 7):
-            assert rc.grafting_recurrence_check(r)
+        reports = cli.run_family("grafting", 6)
+        assert [(v.check, v.params["r"]) for v in reports] == [
+            (check, r) for r in range(2, 7) for check in ("grafting/law", "grafting/split")
+        ]
+        assert all(v.equal for v in reports)
 
 
 class TestSubsetClosedForm:
@@ -139,8 +156,9 @@ class TestRootDegree:
         assert lhs == rhs == v1 * v2 * v3 * (v2 + v3 - 1) + v1**2 * v2 * v3
 
     def test_sweep(self):
-        for r in range(2, 7):
-            assert rc.root_degree_recurrence_check(r)
+        reports = swept("root-recurrence", "root-recurrence", 6)
+        assert [v.params["r"] for v in reports] == list(range(2, 7))
+        assert all(v.equal for v in reports)
 
     def test_one_summand_per_partition(self):
         parts = list(rc.root_degree_summands(5))
@@ -175,8 +193,9 @@ class TestLagrangeIdentity:
         assert lhs == rhs == k(2, 1) * k(2, 2)
 
     def test_sweep(self):
-        for r in range(2, 7):
-            assert rc.lagrange_identity_check(r)
+        reports = swept("mvl", "mvl", 6)
+        assert [v.params["r"] for v in reports] == list(range(2, 7))
+        assert all(v.equal for v in reports)
 
 
 class TestTruncatedSeries:
