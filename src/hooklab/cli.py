@@ -125,12 +125,20 @@ def _binary_hooks(sizes: range, threads: int, trace: bool):
         yield "binary-hooks/shape-identity", {"n": n}, lhs, rhs, None
         total = hf.binary_reciprocal_hook_sum(n)
         yield "binary-hooks/reciprocal-sum", {"n": n}, total, 1, None
-    # the exhaustive relabelling grows much faster than the shape sums,
-    # so it stops at n = 9 whatever the bound
+    # the labelling count is checked once per unordered shape, but the
+    # shapes come from a pass over all (n-1)! increasing trees, which
+    # grows much faster than the shape sums: it stops at n = 9 whatever
+    # the bound.  A shape passes when its extension count, its hook
+    # quotient and its multiplicity times |Aut| agree, and counts for
+    # every tree it stands for.
     for n in range(sizes.start, min(sizes.stop, 10)):
-        trees, agreed = _agreement(
-            hf.linear_extension_check(t) for t in tr.enumerate_increasing(range(1, n + 1))
-        )
+        trees = agreed = 0
+        labels = range(1, n + 1)
+        for key, (pv, mult) in tr.shape_classes(n).items():
+            rep = tr.IncreasingTree(labels, {j + 1: p + 1 for j, p in enumerate(pv, 1)})
+            lext, quotient = hf.linear_extension_check(rep)
+            trees += mult
+            agreed += mult * (lext == quotient == mult * tr.automorphisms(key))
         yield "binary-hooks/labelling-count", {"n": n}, trees, agreed, None
 
 
@@ -364,6 +372,7 @@ def cmd_verify(args) -> tuple[str, int]:
         # the sweep caches serve one run: a second run redoes its work
         hf.tree_weight_sum.cache_clear()
         hf.cayley_fiber_sums.cache_clear()
+        tr._binary_shapes.cache_clear()
     all_pass = all(v.equal for v in reports)
     if args.json:
         doc = {

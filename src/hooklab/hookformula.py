@@ -16,8 +16,10 @@ or companion of that identity:
 * setting every k_i to x+1 turns the weight sum into the univariate
   hook-product identity over increasing trees;
 * the analogous univariate identity over binary shapes, with each shape
-  weighted by its count of increasing labellings (itself certified
-  against exhaustive linear-extension counting);
+  weighted by its count of increasing labellings, n!/prod(h); for
+  unordered trees that count is certified shape by shape against a
+  linear-extension count (linear_extension_check), with the shapes
+  grouped by hooklab.trees.shape_classes;
 * dropping each factor's constant gives the top-degree weight, whose
   sum over trees reproduces the degree-refined count of labelled
   unrooted trees, with the collapse map from unrooted trees providing
@@ -454,12 +456,13 @@ def _lext_count(pv) -> int:
 
 
 def linear_extension_check(t: IncreasingTree) -> tuple:
-    """Exhaustive labelling count against the per-tree hook quotient.
+    """Labelling count of one tree against its hook quotient.
 
     Returns (extension count, |T|!/prod of hook sizes); the classical
     formula says they match.  The quotient is checked to divide
-    exactly.  Exhaustive enumeration grows factorially, hence the size
-    bound.
+    exactly.  The count places the vertices one at a time, memoised on
+    the set of vertices ready to place, so its cost follows the number
+    of such frontiers (at most 2^|T|); the size bound keeps that small.
     """
     n = len(t)
     if n > LINEAR_EXTENSION_BOUND:

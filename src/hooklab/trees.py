@@ -6,7 +6,7 @@ Three shapes of object live here.
   labels in which every non-root vertex has a parent with a smaller
   label.  The root is forced to be the minimum label, and the whole
   tree is determined by the parent map.  There are (n-1)! of them on
-  any n labels.
+  any n labels; shape_classes groups them by unordered shape.
 
 * CayleyTree: an unrooted labelled tree on vertices {1..r}, stored as a
   sorted edge list.  There are r^(r-2) of them, and the Pruefer code
@@ -33,7 +33,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -42,6 +42,7 @@ __all__ = [
     "CayleyTree",
     "HookTable",
     "IncreasingTree",
+    "automorphisms",
     "binary_count",
     "binary_from_json_dict",
     "binary_to_dot",
@@ -59,6 +60,7 @@ __all__ = [
     "parent_vectors",
     "prufer_decode",
     "prufer_encode",
+    "shape_classes",
     "split_at_second_min",
     "subtree_sizes",
     "subtree_totals",
@@ -190,6 +192,46 @@ def subtree_totals(values: Sequence, pv: Sequence[int]) -> list:
         p = pv[j - 1]
         out[p] = out[p] + out[j]
     return out
+
+
+def shape_classes(n: int) -> dict:
+    """The increasing trees on n labels grouped by unordered shape.
+
+    Maps each shape's AHU key (Aho, Hopcroft and Ullman, 1974: a vertex's
+    key is the sorted tuple of its children's keys, a leaf's is ()) to
+    (first parent vector of that shape, number of trees of that shape),
+    in order of first appearance along parent_vectors.  Parents precede
+    their children, so one backward pass finishes each key before its
+    parent needs it.
+    """
+    if n < 1:
+        raise ValueError("need at least one vertex")
+    out: dict = {}
+    for pv in parent_vectors(n):
+        kids: list = [[] for _ in range(n)]
+        for j in range(n - 1, 0, -1):
+            kids[pv[j - 1]].append(tuple(sorted(kids[j])))
+        key = tuple(sorted(kids[0]))
+        first, mult = out.get(key, (pv, 0))
+        out[key] = (first, mult + 1)
+    return out
+
+
+def automorphisms(key: tuple) -> int:
+    """Order of the automorphism group of the rooted shape with AHU key key.
+
+    At each vertex, every group of m identical children can be permuted
+    in m! ways, on top of each child's own automorphisms.
+    """
+    memo: dict = {}
+
+    def aut(k: tuple) -> int:
+        if k not in memo:
+            group_perms = prod(factorial(len(list(g))) for _, g in itertools.groupby(k))
+            memo[k] = group_perms * prod(aut(c) for c in k)
+        return memo[k]
+
+    return aut(key)
 
 
 def enumerate_increasing(

@@ -1,6 +1,7 @@
 """Command line behaviour: formats, budgets, exit codes, determinism."""
 
 import ast
+import functools
 import json
 import subprocess
 import sys
@@ -239,6 +240,74 @@ class TestVerify:
         assert runs[0] == runs[1]
 
 
+def labelling_counts(bound):
+    """(trees, agreed) of binary-hooks/labelling-count at each n up to bound."""
+    sweep = cli.FAMILIES["binary-hooks"].sweep(range(1, bound + 1), 1, False)
+    return {
+        params["n"]: (trees, agreed)
+        for check, params, trees, agreed, _ in sweep
+        if check == "binary-hooks/labelling-count"
+    }
+
+
+def per_tree_counts(n):
+    """(trees, agreed) of the labelling count checked on every tree."""
+    trees = cli.tr.enumerate_increasing(range(1, n + 1))
+    return cli._agreement(cli.hf.linear_extension_check(t) for t in trees)
+
+
+def failed_checks(out):
+    return [
+        (c["check"], c["params"]) for c in json.loads(out)["checks"] if not c["equal"]
+    ]
+
+
+class TestLabellingCount:
+    """The count is checked once per shape but reported per tree, so its
+    numbers are those of the per-tree check even when shapes fail."""
+
+    def test_grouped_counts_equal_the_per_tree_counts(self):
+        assert labelling_counts(7) == {n: per_tree_counts(n) for n in range(1, 8)}
+
+    def test_a_wrong_extension_count_fails_as_it_would_per_tree(self, monkeypatch, capsys):
+        real = cli.hf._lext_count
+        # one too many extensions for every tree whose root has two children
+        monkeypatch.setattr(cli.hf, "_lext_count", lambda pv: real(pv) + (pv.count(0) == 2))
+        code, out, _ = run_main(["verify", "binary-hooks", "--n", "6", "--json"], capsys)
+        assert code == 1
+        assert failed_checks(out) == [
+            ("binary-hooks/labelling-count", {"n": n}) for n in range(3, 7)
+        ]
+        counts = labelling_counts(6)
+        assert counts == {n: per_tree_counts(n) for n in range(1, 7)}
+        assert counts[6][1] < counts[6][0]
+
+    def test_a_dropped_tree_fails_the_multiplicity_check(self, monkeypatch, capsys):
+        real = cli.tr.parent_vectors
+
+        def dropping(n, start=None, stop=None):
+            pvs = list(real(n, start, stop))
+            if n == 5:
+                # (0, 0, 0, 1): label 5 under label 2, one of 6 trees of its shape
+                pvs.remove((0, 0, 0, 1))
+            return iter(pvs)
+
+        monkeypatch.setattr(cli.tr, "parent_vectors", dropping)
+        code, out, _ = run_main(["verify", "binary-hooks", "--n", "6", "--json"], capsys)
+        assert code == 1
+        assert failed_checks(out) == [("binary-hooks/labelling-count", {"n": 5})]
+        # the extension count still matches the hook quotient on every shape
+        assert labelling_counts(5)[5] == (23, 18) and per_tree_counts(5) == (23, 23)
+
+    def test_trivial_automorphism_groups_fail_from_three_vertices(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli.tr, "automorphisms", lambda key: 1)
+        code, out, _ = run_main(["verify", "binary-hooks", "--n", "5", "--json"], capsys)
+        assert code == 1
+        assert failed_checks(out) == [
+            ("binary-hooks/labelling-count", {"n": n}) for n in range(3, 6)
+        ]
+
+
 def size_flag(flag: str) -> str:
     return "--" + flag.replace("_", "-")
 
@@ -297,6 +366,7 @@ class TestFamilies:
         assert run_main(["verify", "all", "--budget", "2"], capsys)[0] == 0
         assert cli.hf.tree_weight_sum.cache_info().currsize == 0
         assert cli.hf.cayley_fiber_sums.cache_info().currsize == 0
+        assert cli.tr._binary_shapes.cache_info().currsize == 0
 
         def broken(r):
             raise RuntimeError("closed form unavailable")
@@ -305,6 +375,23 @@ class TestFamilies:
         with pytest.raises(RuntimeError):
             cli.main(["verify", "theorem1", "--r", "3"])
         assert cli.hf.tree_weight_sum.cache_info().currsize == 0
+
+    def test_no_module_level_cache_outlives_a_run(self, capsys):
+        assert run_main(["verify", "all", "--budget", "2"], capsys)[0] == 0
+        lru_wrapper = type(functools.lru_cache(maxsize=None)(len))
+        sizes = {
+            f"{name}.{attr}": value.cache_info().currsize
+            for name, module in list(sys.modules.items())
+            if name == "hooklab" or name.startswith("hooklab.")
+            for attr, value in vars(module).items()
+            if isinstance(value, lru_wrapper)
+        }
+        assert {
+            "hooklab.hookformula._swept",
+            "hooklab.hookformula.cayley_fiber_sums",
+            "hooklab.trees._binary_shapes",
+        } <= set(sizes)
+        assert {cache: size for cache, size in sizes.items() if size} == {}
 
     def test_benchmark_names_the_declared_families(self):
         tree = ast.parse((ROOT / "perfbench" / "run.py").read_text(encoding="utf-8"))

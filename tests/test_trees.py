@@ -1,5 +1,6 @@
 """Tree families: enumeration, counting, hooks, grafting, encodings."""
 
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -8,6 +9,7 @@ from hooklab.trees import (
     BinaryTree,
     CayleyTree,
     IncreasingTree,
+    automorphisms,
     binary_count,
     binary_from_json_dict,
     binary_to_dot,
@@ -24,6 +26,7 @@ from hooklab.trees import (
     increasing_from_cayley,
     prufer_decode,
     prufer_encode,
+    shape_classes,
     split_at_second_min,
     subtree_sizes,
 )
@@ -86,6 +89,63 @@ class TestIncreasing:
             "  1;\n  2;\n  3;\n"
             "  1 -> 2;\n  1 -> 3;\n}"
         )
+
+
+def shape_string(t):
+    """Canonical form of t's unordered shape, built from children() alone."""
+    kids = t.children()
+
+    def walk(v):
+        return "(" + "".join(sorted(walk(c) for c in kids[v])) + ")"
+
+    return walk(t.root)
+
+
+def key_string(key):
+    return "(" + "".join(sorted(key_string(c) for c in key)) + ")"
+
+
+class TestShapes:
+    def test_class_counts_are_rooted_tree_counts(self):
+        # OEIS A000081: unlabelled rooted trees on n vertices
+        counts = [len(shape_classes(n)) for n in range(1, 10)]
+        assert counts == [1, 1, 2, 4, 9, 20, 48, 115, 286]
+
+    def test_multiplicities_sum_to_the_tree_count(self):
+        for n in range(1, 10):
+            assert sum(mult for _, mult in shape_classes(n).values()) == factorial(n - 1)
+
+    def test_classes_match_an_independent_grouping(self):
+        for n in range(1, 7):
+            trees = list(enumerate_increasing(range(1, n + 1)))
+            want = Counter(shape_string(t) for t in trees)
+            classes = shape_classes(n)
+            assert {key_string(k): mult for k, (_, mult) in classes.items()} == want
+            for key, (pv, _) in classes.items():
+                rep = IncreasingTree(
+                    range(1, n + 1), {j + 1: p + 1 for j, p in enumerate(pv, 1)}
+                )
+                assert shape_string(rep) == key_string(key)
+                # the representative is the first tree of its shape
+                assert next(t for t in trees if shape_string(t) == key_string(key)) == rep
+
+    def test_automorphisms_of_path_and_star(self):
+        for n in range(1, 9):
+            path = ()
+            for _ in range(n - 1):
+                path = (path,)
+            assert automorphisms(path) == 1
+            assert automorphisms(((),) * (n - 1)) == factorial(n - 1)
+
+    def test_automorphisms_by_hand(self):
+        cherry = ((), ())
+        assert automorphisms((cherry, cherry)) == 2 * 2 * 2
+        assert automorphisms((cherry, ((),))) == 2
+        assert automorphisms((cherry, cherry, (), ())) == 2 * 2 * 2 * 2
+
+    def test_no_vertices_is_refused(self):
+        with pytest.raises(ValueError):
+            shape_classes(0)
 
 
 class TestHooks:
