@@ -21,9 +21,9 @@ and so is a size flag that no selected family reads (`verify all` reads
 all three).  The sweep caches of hookformula last for one verify run.
 
 Reports are deterministic: running the same command twice gives the
-same output except for elapsed_ms, and --threads (worker processes,
-at most the CPU count) only changes how enumeration work is chunked,
-never a verdict or a hash.
+same output except for elapsed_ms, and --threads (worker processes for
+the cayley and kerov sweeps, at most the CPU count) only changes how
+their work is chunked, never a verdict or a hash.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ def _agreement(pairs) -> tuple[int, int]:
 
 def _theorem1(sizes: range, threads: int, trace: bool):
     for r in sizes:
-        lhs = hf.hook_weight_sum(r, threads)
+        lhs = hf.hook_weight_sum(r)
         yield "theorem1", {"r": r}, lhs, hf.hook_weight_closed_form(r), None
 
 
@@ -127,19 +127,19 @@ def _binary_hooks(sizes: range, threads: int, trace: bool):
         yield "binary-hooks/reciprocal-sum", {"n": n}, total, 1, None
     # the labelling count is checked once per unordered shape, but the
     # shapes come from a pass over all (n-1)! increasing trees, which
-    # grows much faster than the shape sums: it stops at n = 9 whatever
-    # the bound.  A shape passes when its extension count, its hook
-    # quotient and its multiplicity times |Aut| agree, and counts for
-    # every tree it stands for.
-    for n in range(sizes.start, min(sizes.stop, 10)):
-        trees = agreed = 0
+    # grows much faster than the shape sums: it stops at
+    # LINEAR_EXTENSION_BOUND whatever the bound.  A shape passes when its
+    # extension count, its hook quotient and its multiplicity times |Aut|
+    # agree, and counts for every tree it stands for; the passing trees
+    # are compared with all (n-1)! of them, so a lost shape fails too.
+    for n in range(sizes.start, min(sizes.stop, hf.LINEAR_EXTENSION_BOUND + 1)):
+        agreed = 0
         labels = range(1, n + 1)
         for key, (pv, mult) in tr.shape_classes(n).items():
             rep = tr.IncreasingTree(labels, {j + 1: p + 1 for j, p in enumerate(pv, 1)})
             lext, quotient = hf.linear_extension_check(rep)
-            trees += mult
             agreed += mult * (lext == quotient == mult * tr.automorphisms(key))
-        yield "binary-hooks/labelling-count", {"n": n}, trees, agreed, None
+        yield "binary-hooks/labelling-count", {"n": n}, tr.increasing_count(n), agreed, None
 
 
 def _cayley(sizes: range, threads: int, trace: bool):
@@ -503,7 +503,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="worker processes (at most the CPU count) for the big sweeps",
+        help="worker processes (at most the CPU count) for the cayley and kerov sweeps",
     )
     verify_p.add_argument("--out", default=None, help="write to a file instead of stdout")
     return parser

@@ -33,9 +33,9 @@ The sums over increasing trees are not expanded tree by tree: the
 pending-subtree sweep (_pending_sweep) chooses parents from the largest
 label down and adds the partial products of all choice sequences that
 leave the same subtrees pending, so most of the (n-1)! products are
-shared.  Its index space is the parent position of the largest label.
-The parallel sweeps hand ranges of their index space to
-hooklab.parallel.fold_chunks and fold the partial sums; because the
+shared.  That sharing spans the whole sweep, which therefore runs in
+one process.  The Cayley degree sum hands ranges of Prüfer indices to
+hooklab.parallel.fold_chunks and folds the partial sums; because the
 coefficient arithmetic is exact and addition commutes, the canonical
 result is identical no matter how the fold is sliced.
 """
@@ -149,41 +149,38 @@ def _weight_terms(units, pv, top_only: bool = False) -> dict:
     return acc
 
 
-def _parent_choices(j: int, n: int, lo: int, hi: int) -> range:
-    """Parent positions open to the vertex at position j of n.
+def _parent_choices(j: int) -> range:
+    """Parent positions open to the vertex at position j: every smaller one.
 
-    Every smaller position, except for the largest label (j = n - 1):
-    its parent position indexes a sweep, so only [lo, hi) is open.
+    A function of its own so that a test can drop or double a branch.
     """
-    return range(lo, hi) if j == n - 1 else range(j)
+    return range(j)
 
 
-def _pending_sweep(shifts, factor, lo: int, hi: int) -> dict:
+def _pending_sweep(shifts, factor) -> dict:
     """Sum over increasing trees on n = len(shifts) positions of the
     product, over every non-root position v with parent position p, of
     shifts[p] (a key: the monomial k_p, or 0 for none) times
     factor(S_v), S_v being v's subtree as a bit mask of positions.
 
-    Only the trees whose largest label has its parent in [lo, hi) are
-    summed.  Parents are chosen from the largest label down, and once
-    v's parent is chosen every factor still to come depends only on the
-    pending sets, the positions hanging below each of 0..v-1.  Choice
-    sequences ending in the same pending sets are therefore added
-    before multiplying further: one merged state per pending tuple,
-    holding a partial sum and the count of trees merged into it.  Each
-    level is consumed as the next is built.  Positions 2 and 1 are
-    expanded depth-first from each state, the last factor multiplied
-    straight into the result, so the largest states are never all
-    alive at once.
+    Parents are chosen from the largest label down, and once v's parent
+    is chosen every factor still to come depends only on the pending
+    sets, the positions hanging below each of 0..v-1.  Choice sequences
+    ending in the same pending sets are therefore added before
+    multiplying further: one merged state per pending tuple, holding a
+    partial sum and the count of trees merged into it.  Each level is
+    consumed as the next is built.  Positions 2 and 1 are expanded
+    depth-first from each state, the last factor multiplied straight
+    into the result, so the largest states are never all alive at once.
 
-    Raises RuntimeError unless the states covered exactly the trees in
-    range, and OverflowError when an exponent overflows its key field:
+    Raises RuntimeError unless the states covered exactly the (n-1)!
+    trees, and OverflowError when an exponent overflows its key field:
     between two guard checks no field grows by more than 2, so a field
     can set its guard bit but never carry into the next one.
     """
     n = len(shifts)
     if n == 1:
-        return {0: 1} if lo < hi else {}
+        return {0: 1}
     acc: dict = {}
     trees = 0
 
@@ -192,7 +189,7 @@ def _pending_sweep(shifts, factor, lo: int, hi: int) -> dict:
         of position j) for each parent open to position j."""
         sub = pend[j] | 1 << j
         base = mul_terms(poly, factor(sub))
-        for p in _parent_choices(j, n, lo, hi):
+        for p in _parent_choices(j):
             yield p, pend[:p] + (pend[p] | sub,) + pend[p + 1 : j], base
 
     def finish(poly: dict, pend: tuple, j: int, shift: int, count: int) -> None:
@@ -202,7 +199,7 @@ def _pending_sweep(shifts, factor, lo: int, hi: int) -> dict:
                 finish(base, moved, j - 1, shift + shifts[p], count)
             return
         last = factor(pend[1] | 1 << 1)
-        for p in _parent_choices(1, n, lo, hi):
+        for p in _parent_choices(1):
             shifted = {e + shift + shifts[p]: c for e, c in last.items()}
             addmul_terms(acc, poly, shifted)
             trees += count
@@ -222,16 +219,10 @@ def _pending_sweep(shifts, factor, lo: int, hi: int) -> dict:
     while level:
         pend, (poly, count) = level.popitem()
         finish(poly, pend, min(n - 1, 2), 0, count)
-    expected = (hi - lo) * factorial(n - 2)
+    expected = factorial(n - 1)
     if trees != expected:
         raise RuntimeError(f"the sweep covered {trees} trees, expected {expected}")
     return check_fields(acc)
-
-
-def _sweep_total(n: int) -> int:
-    """Size of the index space of a sweep on n labels: the parent
-    positions of the largest label, or the one tree of a single label."""
-    return max(n - 1, 1)
 
 
 def _resolve_ambient(labels: tuple, ambient: int | None) -> int:
@@ -270,13 +261,11 @@ def top_weight(t: IncreasingTree, ambient: int | None = None) -> MultiPoly:
     return MultiPoly._raw(ambient, _weight_terms(units, _parent_positions(t), top_only=True))
 
 
-def _weight_sum_chunk(args) -> dict:
-    """Summed weights of the trees on a label set whose largest label has
-    its parent at a position in [lo, hi), by the pending-subtree sweep.
+def _weight_sum(labels: tuple, ambient: int, top_only: bool) -> dict:
+    """Summed weights of the trees on a label set, by the pending-subtree sweep.
 
     With top_only the constant of every linear factor is dropped.
     """
-    labels, ambient, top_only, lo, hi = args
     units = _label_keys(labels, ambient)
 
     @lru_cache(maxsize=None)
@@ -284,45 +273,33 @@ def _weight_sum_chunk(args) -> dict:
         keys = [u for j, u in enumerate(units) if mask >> j & 1]
         return _linear_factor(keys, top_only)
 
-    return _pending_sweep(units, factor, lo, hi)
+    return _pending_sweep(units, factor)
 
 
 @lru_cache(maxsize=None)
-def _swept(labels: tuple, ambient: int) -> list:
-    """Cache slot of one weight sum: empty until its first sweep fills it.
-
-    The slot is keyed without the worker count, so a sum swept in a
-    pool is found by every later call.
-    """
-    return []
+def _swept(labels: tuple, ambient: int) -> MultiPoly:
+    """The weight sum of tree_weight_sum, on labels it has checked."""
+    return MultiPoly._raw(ambient, _weight_sum(labels, ambient, False))
 
 
-def tree_weight_sum(labels: tuple, ambient: int, threads: int = 1) -> MultiPoly:
+def tree_weight_sum(labels: tuple, ambient: int) -> MultiPoly:
     """Sum of hook weights over all increasing trees on a label set.
 
     Cached: the splitting recurrences evaluate it on many overlapping
-    subsets.  labels must be distinct positive ints, at most ambient.  A
-    sweep not yet cached runs on `threads` worker processes.
+    subsets.  labels must be distinct positive ints, at most ambient.
     """
     labels = _clean_labels(labels)
     _resolve_ambient(labels, ambient)
-    slot = _swept(labels, ambient)
-    if not slot:
-        acc = fold_chunks(
-            _weight_sum_chunk, (labels, ambient, False), _sweep_total(len(labels)),
-            threads, iadd_terms,
-        )
-        slot.append(MultiPoly._raw(ambient, acc))
-    return slot[0]
+    return _swept(labels, ambient)
 
 
 tree_weight_sum.cache_info = _swept.cache_info
 tree_weight_sum.cache_clear = _swept.cache_clear
 
 
-def hook_weight_sum(r: int, threads: int = 1) -> MultiPoly:
+def hook_weight_sum(r: int) -> MultiPoly:
     """Left side of the main identity: sum of weights over all trees on {1..r}."""
-    return tree_weight_sum(tuple(range(1, r + 1)), r, threads)
+    return tree_weight_sum(tuple(range(1, r + 1)), r)
 
 
 def subset_closed_form(labels: Iterable[int], ambient: int) -> MultiPoly:
@@ -358,7 +335,7 @@ def increasing_hook_sum(r: int) -> tuple:
     def factor(mask: int) -> dict:
         return {1: mask.bit_count(), 0: 1}
 
-    acc = _pending_sweep([0] * r, factor, 0, _sweep_total(r))
+    acc = _pending_sweep([0] * r, factor)
     acc = mul_terms(acc, {1: r, 0: 1})
     lhs = MultiPoly._raw(1, acc)
     x = MultiPoly.variable(1, 0)
@@ -535,4 +512,4 @@ def cayley_degree_identity(r: int, threads: int = 1) -> tuple:
 def top_weight_sum(r: int) -> MultiPoly:
     """Sum of top-degree weights over all increasing trees on {1..r}."""
     labels = _clean_labels(range(1, r + 1))
-    return MultiPoly._raw(r, _weight_sum_chunk((labels, r, True, 0, _sweep_total(r))))
+    return MultiPoly._raw(r, _weight_sum(labels, r, True))

@@ -47,7 +47,6 @@ from hooklab._kernel_py import (
 
 Rational = Fraction
 Coeff = Union[int, Fraction]
-Exponents = "tuple[int, ...]"
 
 __all__ = [
     "Coeff",

@@ -41,7 +41,6 @@ from hooklab.hookformula import (
     _ksum,
     hook_weight_closed_form,
     hook_weight_sum,
-    subset_closed_form,
     tree_weight,
     tree_weight_sum,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "set_partitions",
     "split_polynomial",
     "split_summands",
-    "subset_closed_form",
 ]
 
 

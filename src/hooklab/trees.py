@@ -85,7 +85,6 @@ class IncreasingTree:
 
     def __init__(self, labels: Iterable[int], parent: Mapping[int, int]):
         self._labels = _clean_labels(labels)
-        root = self._labels[0]
         expected = set(self._labels[1:])
         if set(parent) != expected:
             raise ValueError(
@@ -99,7 +98,6 @@ class IncreasingTree:
             if p >= v:
                 raise ValueError(f"parent {p} of {v} must carry a smaller label")
         self._parent = {v: parent[v] for v in self._labels[1:]}
-        del root
 
     @property
     def labels(self) -> tuple[int, ...]:

@@ -263,8 +263,9 @@ def failed_checks(out):
 
 
 class TestLabellingCount:
-    """The count is checked once per shape but reported per tree, so its
-    numbers are those of the per-tree check even when shapes fail."""
+    """The count is checked once per shape but reported per tree: (n-1)!
+    against the trees of the passing shapes, so a shape that fails or is
+    lost from the enumeration makes the check fail."""
 
     def test_grouped_counts_equal_the_per_tree_counts(self):
         assert labelling_counts(7) == {n: per_tree_counts(n) for n in range(1, 8)}
@@ -297,7 +298,23 @@ class TestLabellingCount:
         assert code == 1
         assert failed_checks(out) == [("binary-hooks/labelling-count", {"n": 5})]
         # the extension count still matches the hook quotient on every shape
-        assert labelling_counts(5)[5] == (23, 18) and per_tree_counts(5) == (23, 23)
+        assert labelling_counts(5)[5] == (24, 18) and per_tree_counts(5) == (23, 23)
+
+    def test_a_dropped_star_fails_the_tree_count(self, monkeypatch, capsys):
+        real = cli.tr.parent_vectors
+
+        def dropping(n, start=None, stop=None):
+            pvs = list(real(n, start, stop))
+            if n == 5:
+                # the star is the only tree of its shape: the shape is lost
+                pvs.remove((0, 0, 0, 0))
+            return iter(pvs)
+
+        monkeypatch.setattr(cli.tr, "parent_vectors", dropping)
+        code, out, _ = run_main(["verify", "binary-hooks", "--n", "6", "--json"], capsys)
+        assert code == 1
+        assert failed_checks(out) == [("binary-hooks/labelling-count", {"n": 5})]
+        assert labelling_counts(5)[5] == (24, 23)
 
     def test_trivial_automorphism_groups_fail_from_three_vertices(self, monkeypatch, capsys):
         monkeypatch.setattr(cli.tr, "automorphisms", lambda key: 1)
@@ -350,9 +367,9 @@ class TestFamilies:
 
     def test_two_runs_do_the_same_work(self, monkeypatch, capsys):
         calls = []
-        real = cli.hf._weight_sum_chunk
+        real = cli.hf._weight_sum
         monkeypatch.setattr(
-            cli.hf, "_weight_sum_chunk", lambda args: calls.append(args) or real(args)
+            cli.hf, "_weight_sum", lambda *args: calls.append(args) or real(*args)
         )
         cli.hf.tree_weight_sum.cache_clear()
         counts = []

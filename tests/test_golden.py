@@ -4,7 +4,6 @@ import json
 from pathlib import Path
 
 import hooklab.cli as cli
-import hooklab.hookformula as hf
 
 GOLDEN = Path(__file__).parent / "golden" / "verify_all.json"
 
@@ -20,7 +19,6 @@ def test_verify_all_matches_the_golden_file(tmp_path):
 
 def test_pooled_sweeps_match_the_golden_file(tmp_path):
     golden = json.loads(GOLDEN.read_text())["checks"]
-    hf.tree_weight_sum.cache_clear()  # else the pool would read cached sums
     for check, bound in (("theorem1", "--r 8"), ("cayley", "--r 6"), ("kerov", "--max-size 8")):
         out = tmp_path / f"{check}.json"
         argv = ["verify", check, *bound.split(), "--threads", "2"]

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import hooklab.cli as cli
 import hooklab.hookformula as hf
-from hooklab._kernel_py import iadd_terms
 from hooklab.multipoly import MultiPoly, top_homogeneous
 from hooklab.trees import CayleyTree, IncreasingTree, enumerate_increasing, hooks
 
@@ -84,33 +83,6 @@ class TestHookWeightSum:
         for r in range(1, 7):
             assert hf.hook_weight_sum(r) == hf.hook_weight_closed_form(r)
 
-    def test_threads_do_not_change_the_sum(self):
-        hf.tree_weight_sum.cache_clear()
-        pooled = hf.hook_weight_sum(6, threads=3)
-        hf.tree_weight_sum.cache_clear()
-        assert pooled == hf.hook_weight_sum(6)
-
-    def test_pooled_sum_is_cached_for_tree_weight_sum(self, monkeypatch):
-        workers, chunks = [], []
-        real_chunk = hf._weight_sum_chunk
-
-        def counted_chunk(args):
-            chunks.append(args)
-            return real_chunk(args)
-
-        def in_process_fold(chunk, args, total, n, add):
-            workers.append(n)
-            return chunk((*args, 0, total))
-
-        monkeypatch.setattr(hf, "_weight_sum_chunk", counted_chunk)
-        monkeypatch.setattr(hf, "fold_chunks", in_process_fold)
-        hf.tree_weight_sum.cache_clear()
-        pooled = hf.hook_weight_sum(5, threads=2)
-        assert hf.tree_weight_sum((1, 2, 3, 4, 5), 5) is pooled
-        assert workers == [2] and len(chunks) == 1
-        assert hf.tree_weight_sum.cache_info().hits == 1
-        assert pooled == hf.hook_weight_closed_form(5)
-
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             hf.hook_weight_sum(0)
@@ -134,40 +106,34 @@ class TestPendingSweep:
         st.sets(st.integers(1, 7), min_size=1),
         st.integers(0, 2),
         st.booleans(),
-        st.data(),
     )
-    def test_sweep_matches_the_per_tree_sum(self, labels, pad, top_only, data):
+    def test_sweep_matches_the_per_tree_sum(self, labels, pad, top_only):
         labels = tuple(sorted(labels))
         ambient = labels[-1] + pad
         weight = hf.top_weight if top_only else hf.tree_weight
         want = MultiPoly.sum(
             ambient, (weight(t, ambient) for t in enumerate_increasing(labels))
         )
-        total = max(len(labels) - 1, 1)
-        cut = data.draw(st.integers(0, total))
-        got = {}
-        for lo, hi in ((0, cut), (cut, total)):
-            iadd_terms(got, hf._weight_sum_chunk((labels, ambient, top_only, lo, hi)))
+        got = hf._weight_sum(labels, ambient, top_only)
         assert MultiPoly._raw(ambient, got) == want
 
     def test_one_and_two_labels(self):
-        assert hf._weight_sum_chunk(((3,), 4, False, 0, 1)) == {0: 1}
-        assert hf._weight_sum_chunk(((3,), 4, False, 1, 1)) == {}
         for top_only in (False, True):
-            pair = hf._weight_sum_chunk(((2, 5), 5, top_only, 0, 1))
+            assert hf._weight_sum((3,), 4, top_only) == {0: 1}
+            pair = hf._weight_sum((2, 5), 5, top_only)
             assert MultiPoly._raw(5, pair) == k(5, 2) * k(5, 5)
         assert hf.top_weight_sum(1) == MultiPoly.const(1, 1)
         assert hf.top_weight_sum(2) == k(2, 1) * k(2, 2)
         hf.tree_weight_sum.cache_clear()
-        assert hf.hook_weight_sum(2, threads=2) == k(2, 1) * k(2, 2)
+        assert hf.hook_weight_sum(2) == k(2, 1) * k(2, 2)
 
     @pytest.mark.parametrize("defect", ["drop", "double"])
     @pytest.mark.parametrize("position", [1, 2, 3, 4])
     def test_a_lost_or_doubled_branch_raises(self, monkeypatch, defect, position):
         real = hf._parent_choices
 
-        def mutant(j, n, lo, hi):
-            choices = list(real(j, n, lo, hi))
+        def mutant(j):
+            choices = list(real(j))
             if j == position:
                 return choices[:-1] if defect == "drop" else choices + choices[-1:]
             return choices

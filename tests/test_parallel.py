@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import hooklab.cli as cli
 import hooklab.hookformula as hf
 import hooklab.kerov as kv
 import hooklab.parallel as par
@@ -88,8 +89,6 @@ def test_start_method_is_fork_on_linux(fake_pool, monkeypatch, platform, method)
 
 def test_small_sweeps_start_no_pool(fake_pool, monkeypatch):
     monkeypatch.setattr(par.os, "cpu_count", lambda: 4)
-    hf.hook_weight_sum(1, threads=4)
-    hf.hook_weight_sum(2, threads=4)
     hf.cayley_degree_identity(2, threads=4)
     assert fake_pool.sizes == []
     lhs, rhs = hf.cayley_degree_identity(4, threads=4)
@@ -97,3 +96,12 @@ def test_small_sweeps_start_no_pool(fake_pool, monkeypatch):
     mu = kv.IntPartition((3, 2))  # 4! long cycles: under POOL_THRESHOLD
     assert kv.count_factorizations(mu, threads=4) == kv.factorization_count_closed_form(mu)
     assert fake_pool.sizes == [4]
+
+
+def test_theorem1_starts_no_pool_but_cayley_does(fake_pool, monkeypatch):
+    monkeypatch.setattr(par.os, "cpu_count", lambda: 2)
+    assert cli.main(["verify", "theorem1", "--r", "8", "--threads", "2"]) == 0
+    assert fake_pool.sizes == []
+    # cayley_count is 1, 3 and 16 at r = 2, 3, 4: one range cannot be split
+    assert cli.main(["verify", "cayley", "--r", "4", "--threads", "2"]) == 0
+    assert fake_pool.sizes == [2, 2]

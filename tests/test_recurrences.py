@@ -8,7 +8,12 @@ import pytest
 
 import hooklab.cli as cli
 import hooklab.recurrences as rc
-from hooklab.hookformula import hook_weight_closed_form, hook_weight_sum, tree_weight
+from hooklab.hookformula import (
+    hook_weight_closed_form,
+    hook_weight_sum,
+    subset_closed_form,
+    tree_weight,
+)
 from hooklab.multipoly import MultiPoly, falling_factorial
 from hooklab.trees import IncreasingTree, enumerate_increasing
 
@@ -130,21 +135,21 @@ class TestGrafting:
 
 class TestSubsetClosedForm:
     def test_singleton_is_one(self):
-        assert rc.subset_closed_form([4], 5) == MultiPoly.const(5, 1)
+        assert subset_closed_form([4], 5) == MultiPoly.const(5, 1)
 
     def test_pair(self):
-        assert rc.subset_closed_form([2, 3], 3) == k(3, 2) * k(3, 3)
+        assert subset_closed_form([2, 3], 3) == k(3, 2) * k(3, 3)
 
     def test_full_set_matches_the_main_closed_form(self):
         for r in range(1, 6):
-            assert rc.subset_closed_form(range(1, r + 1), r) == hook_weight_closed_form(r)
+            assert subset_closed_form(range(1, r + 1), r) == hook_weight_closed_form(r)
 
     def test_matches_the_tree_sum_on_sublabels(self):
         for labels in combinations(range(1, 6), 3):
             total = MultiPoly.sum(
                 5, (tree_weight(t, 5) for t in enumerate_increasing(labels))
             )
-            assert rc.subset_closed_form(labels, 5) == total
+            assert subset_closed_form(labels, 5) == total
 
 
 class TestRootDegree:
@@ -174,7 +179,7 @@ class TestBlockBridge:
                 prod = MultiPoly.const(5, 1)
                 for b in block:
                     prod = prod * k(5, b)
-                lhs = (kb - (size - 1)) * rc.subset_closed_form(block, 5)
+                lhs = (kb - (size - 1)) * subset_closed_form(block, 5)
                 rhs = prod * falling_factorial(kb - 1, size - 1)
                 assert lhs == rhs
 
