@@ -21,9 +21,10 @@ and so is a size flag that no selected family reads (`verify all` reads
 all three).  The sweep caches of hookformula last for one verify run.
 
 Reports are deterministic: running the same command twice gives the
-same output except for elapsed_ms, and --threads (worker processes for
-the cayley and kerov sweeps, at most the CPU count) only changes how
-their work is chunked, never a verdict or a hash.
+same output except for elapsed_ms.  Every sweep runs in this one
+process.  --threads is still accepted, and a value below 1 still
+refused, so that existing command lines keep running; it changes
+nothing.
 """
 
 from __future__ import annotations
@@ -96,22 +97,13 @@ def _verify_bound(check: str, args) -> int:
     return bound
 
 
-def _agreement(pairs) -> tuple[int, int]:
-    """(number of pairs, number of equal pairs) of an iterable of (lhs, rhs)."""
-    total = agreed = 0
-    for lhs, rhs in pairs:
-        total += 1
-        agreed += lhs == rhs
-    return total, agreed
-
-
-def _theorem1(sizes: range, threads: int, trace: bool):
+def _theorem1(sizes: range, trace: bool):
     for r in sizes:
         lhs = hf.hook_weight_sum(r)
         yield "theorem1", {"r": r}, lhs, hf.hook_weight_closed_form(r), None
 
 
-def _postnikov(sizes: range, threads: int, trace: bool):
+def _postnikov(sizes: range, trace: bool):
     for r in sizes:
         lhs_uni, rhs = hf.increasing_hook_sum(r)
         yield "postnikov", {"r": r}, lhs_uni, rhs, None
@@ -119,7 +111,7 @@ def _postnikov(sizes: range, threads: int, trace: bool):
         yield "postnikov/chain", {"r": r}, lhs, rhs, None
 
 
-def _binary_hooks(sizes: range, threads: int, trace: bool):
+def _binary_hooks(sizes: range, trace: bool):
     for n in sizes:
         lhs, rhs = hf.binary_hook_sum(n)
         yield "binary-hooks/shape-identity", {"n": n}, lhs, rhs, None
@@ -142,19 +134,18 @@ def _binary_hooks(sizes: range, threads: int, trace: bool):
         yield "binary-hooks/labelling-count", {"n": n}, tr.increasing_count(n), agreed, None
 
 
-def _cayley(sizes: range, threads: int, trace: bool):
+def _cayley(sizes: range, trace: bool):
     for r in sizes:
-        lhs, rhs = hf.cayley_degree_identity(r, threads)
+        lhs, rhs = hf.cayley_degree_identity(r)
         yield "cayley", {"r": r}, lhs, rhs, None
         yield "cayley/top-weight-sum", {"r": r}, hf.top_weight_sum(r), rhs, None
 
 
-def _fibers(sizes: range, threads: int, trace: bool):
+def _fibers(sizes: range, trace: bool):
     for r in sizes:
         sums = hf.cayley_fiber_sums(r)
-        trees = fiber_eq = top_eq = 0
+        fiber_eq = top_eq = 0
         for t in tr.enumerate_increasing(range(1, r + 1)):
-            trees += 1
             top = hf.top_weight(t, r)
             if sums.get(t) == top:
                 fiber_eq += 1
@@ -163,6 +154,9 @@ def _fibers(sizes: range, threads: int, trace: bool):
         preimages = sum(
             int(c) for poly in sums.values() for c in poly.terms.values()
         )
+        # the agreeing trees are compared with all (r-1)! of them, not
+        # with the trees enumerated, so a lost tree fails
+        trees = tr.increasing_count(r)
         yield "fibers/degree-sum", {"r": r}, trees, fiber_eq, None
         yield "fibers/top-of-weight", {"r": r}, trees, top_eq, None
         yield "fibers/surjective", {"r": r}, trees, len(sums), None
@@ -192,7 +186,7 @@ def _traced(trace: bool, summands, entry) -> tuple:
     return payload, stream()
 
 
-def _pq(sizes: range, threads: int, trace: bool):
+def _pq(sizes: range, trace: bool):
     # split_polynomial(r), built once by the pq comparison and read back
     # by the split family's checks at r and, through the finite
     # difference, at r + 1
@@ -213,25 +207,26 @@ def _pq(sizes: range, threads: int, trace: bool):
         splits.pop(r - 1, None)
 
 
-def _grafting(sizes: range, threads: int, trace: bool):
+def _grafting(sizes: range, trace: bool):
     for r in sizes:
-        trees, agreed = _agreement(
-            rc.grafting_law_sides(t, r) for t in tr.enumerate_increasing(range(1, r + 1))
-        )
-        yield "grafting/law", {"r": r}, trees, agreed, None
+        agreed = 0
+        for t in tr.enumerate_increasing(range(1, r + 1)):
+            lhs, rhs = rc.grafting_law_sides(t, r)
+            agreed += lhs == rhs
+        yield "grafting/law", {"r": r}, tr.increasing_count(r), agreed, None
         payload, summands = _traced(trace, rc.grafting_split_summands(r), _split_entry)
         lhs, rhs = rc.grafting_split_sides(r, summands)
         yield "grafting/split", {"r": r}, lhs, rhs, payload
 
 
-def _root_recurrence(sizes: range, threads: int, trace: bool):
+def _root_recurrence(sizes: range, trace: bool):
     for r in sizes:
         payload, summands = _traced(trace, rc.root_degree_summands(r), _partition_entry)
         lhs, rhs = rc.root_degree_sides(r, summands)
         yield "root-recurrence", {"r": r}, lhs, rhs, payload
 
 
-def _mvl(sizes: range, threads: int, trace: bool):
+def _mvl(sizes: range, trace: bool):
     for r in sizes:
         payload, summands = _traced(trace, rc.lagrange_summands(r), _partition_entry)
         lhs, rhs = rc.lagrange_identity_sides(r, summands)
@@ -247,11 +242,11 @@ def _mvl(sizes: range, threads: int, trace: bool):
     yield "mvl/oracle", params, ORACLE_INSTANCES, agreed, None
 
 
-def _kerov(sizes: range, threads: int, trace: bool):
+def _kerov(sizes: range, trace: bool):
     for n in sizes:
         rows = []
         mus = list(kv.partitions_of(n))
-        for mu, count in zip(mus, kv.factorization_counts(mus, threads)):
+        for mu, count in zip(mus, kv.factorization_counts(mus)):
             j = mu.cycle_index
             bg_sum = sum(
                 kv.bedard_goupil(lam, mu)
@@ -286,7 +281,7 @@ class Family(NamedTuple):
 
     flag is the option that sets its bound (r, n or max_size), first the
     smallest size it compares, default and ceiling its bounds.
-    sweep(sizes, threads, trace) yields (check, params, lhs, rhs, trace)
+    sweep(sizes, trace) yields (check, params, lhs, rhs, trace)
     for every comparison over the sizes in order.
     """
 
@@ -312,7 +307,7 @@ FAMILIES = {
 }
 
 
-def run_family(name: str, bound: int, threads: int = 1, trace: bool = False) -> list:
+def run_family(name: str, bound: int, trace: bool = False) -> list:
     """The verdicts of one family swept from its first size to bound.
 
     Each comparison's elapsed_ms is the time the sweep took to produce
@@ -322,7 +317,7 @@ def run_family(name: str, bound: int, threads: int = 1, trace: bool = False) -> 
     family = FAMILIES[name]
     if bound < family.first:
         raise ValueError(f"{name} starts at size {family.first}, got bound {bound}")
-    sweep = family.sweep(range(family.first, bound + 1), threads, trace)
+    sweep = family.sweep(range(family.first, bound + 1), trace)
     out = []
     while True:
         t0 = time.perf_counter()
@@ -367,7 +362,7 @@ def cmd_verify(args) -> tuple[str, int]:
     reports: list[VerdictReport] = []
     try:
         for c in checks:
-            reports.extend(run_family(c, bounds[c], args.threads, args.trace))
+            reports.extend(run_family(c, bounds[c], args.trace))
     finally:
         # the sweep caches serve one run: a second run redoes its work
         hf.tree_weight_sum.cache_clear()
@@ -503,7 +498,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="worker processes (at most the CPU count) for the cayley and kerov sweeps",
+        help="accepted so that existing command lines still run; it changes "
+        "nothing, as every sweep runs in one process",
     )
     verify_p.add_argument("--out", default=None, help="write to a file instead of stdout")
     return parser

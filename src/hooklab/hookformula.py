@@ -33,11 +33,8 @@ The sums over increasing trees are not expanded tree by tree: the
 pending-subtree sweep (_pending_sweep) chooses parents from the largest
 label down and adds the partial products of all choice sequences that
 leave the same subtrees pending, so most of the (n-1)! products are
-shared.  That sharing spans the whole sweep, which therefore runs in
-one process.  The Cayley degree sum hands ranges of Prüfer indices to
-hooklab.parallel.fold_chunks and folds the partial sums; because the
-coefficient arithmetic is exact and addition commutes, the canonical
-result is identical no matter how the fold is sliced.
+shared.  Every sweep here runs in one process, the Cayley degree sum
+included: one pass over the Prüfer indices in order.
 """
 
 from __future__ import annotations
@@ -58,13 +55,10 @@ from hooklab._kernel_py import (
     unit,
 )
 from hooklab.multipoly import MultiPoly, Var, falling_factorial, specialize
-from hooklab.parallel import fold_chunks
 from hooklab.trees import (
     IncreasingTree,
     _clean_labels,
     _parent_positions,
-    cayley_count,
-    cayley_tree_at,
     degree_vector,
     enumerate_binary,
     enumerate_cayley,
@@ -484,17 +478,7 @@ def fiber_sum(t: IncreasingTree, r: int) -> MultiPoly:
         raise ValueError(f"{t!r} is not an increasing tree on 1..{r}") from None
 
 
-def _cayley_chunk(args) -> dict:
-    r, lo, hi = args
-    acc: dict = {}
-    for idx in range(lo, hi):
-        key = pack(degree_vector(cayley_tree_at(r, idx)))
-        c = acc.get(key)
-        acc[key] = 1 if c is None else c + 1
-    return acc
-
-
-def cayley_degree_identity(r: int, threads: int = 1) -> tuple:
+def cayley_degree_identity(r: int) -> tuple:
     """Both sides of the degree-refined count of labelled unrooted trees.
 
     lhs: sum of prod k_v^(deg v) over all r^(r-2) trees.  rhs:
@@ -503,7 +487,10 @@ def cayley_degree_identity(r: int, threads: int = 1) -> tuple:
     """
     if r < 2:
         raise ValueError("need at least two vertices")
-    acc = fold_chunks(_cayley_chunk, (r,), cayley_count(r), threads, iadd_terms)
+    acc: dict = {}
+    for u in enumerate_cayley(r):
+        key = pack(degree_vector(u))
+        acc[key] = acc.get(key, 0) + 1
     lhs = MultiPoly._raw(r, acc)
     rhs = _kprod(r, range(1, r + 1)) * _ksum(r, range(1, r + 1)) ** (r - 2)
     return lhs, rhs

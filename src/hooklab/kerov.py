@@ -4,9 +4,16 @@ Fix a partition mu of n and the canonical permutation sigma_mu whose
 cycles are the consecutive blocks (1..mu_1)(mu_1+1..mu_1+mu_2)...  The
 objects counted here are the pairs (s1, s2) with s1*s2 = sigma_mu, s2 a
 single n-cycle, and s1 having exactly j-1 cycles, where j = n - l(mu) + 2
-and l is the number of parts.  Brute force makes one sweep per size n: it
-builds each of the (n-1)! long cycles s2 once and reads off s1 for
-every partition of n.
+and l is the number of parts.  The count is a pruned depth-first walk
+over the long cycles s2, built as visiting orders one position at a
+time: each position fixes one arc of s1, and a branch whose s1 has
+already closed too many cycles, or can no longer close enough, is cut
+and credited with all the long cycles below it, so the walk still
+accounts for exactly (n-1)! of them.  The cycle count of s1 = sigma *
+s2^(-1) is the genus statistic of unicellular maps (Goupil and
+Schaeffer, 1998).  The distribution over the cycle types of s1 is
+swept by brute force, every long cycle built in full, which keeps it an
+independent cross-check of the walk.
 
 Three closed descriptions of that count are evaluated alongside:
 grouping by the cycle type of s1 (a per-type product formula), the
@@ -31,7 +38,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from hooklab.hookformula import hook_weight_closed_form, hook_weight_sum
 from hooklab.multipoly import specialize
-from hooklab.parallel import fold_chunks
 
 __all__ = [
     "IntPartition",
@@ -51,16 +57,6 @@ __all__ = [
 
 FACTORIZATION_BOUND = 9
 TREE_BRIDGE_BOUND = 7
-# Counted in cycle tests, long cycles times partitions in one sweep.  A
-# test takes ~2.3 us (size 8, all 22 partitions: 250 ms on one worker)
-# and a two-worker pool ~15 ms to start, so below this many tests the
-# pool costs more than it saves.  Medians of 15 runs on 2 cores, one
-# worker against two: 10,800 tests (size 7, all partitions) 28.8 against
-# 30.8 ms, 10,080 (size 8, two partitions) 39.2 against 35.6 ms but the
-# pool won only 4 of 15 runs, 15,120 (size 8, three) 54.1 against 42.2 ms,
-# won 12 of 15; 110,880 (size 8, all) 250 against 185 ms.
-POOL_THRESHOLD = 15_000
-
 
 class Permutation:
     """Bijection of {1..n}, stored as the tuple of images of 1, 2, ..., n."""
@@ -272,12 +268,12 @@ def _cycle_sizes(images: Sequence[int]) -> list:
     return sizes
 
 
-def _inverse_long_cycles(n: int, lo: int = 0, hi: int | None = None) -> Iterator:
-    """s2^(-1) for the long cycles s2 of 0..n-1 of index in [lo, hi), the
-    visiting orders from 0 in lexicographic order, each as a composer:
-    compose(sigma) is the images of sigma * s2^(-1)."""
+def _inverse_long_cycles(n: int) -> Iterator:
+    """s2^(-1) for the long cycles s2 of 0..n-1, the visiting orders from 0
+    in lexicographic order, each as a composer: compose(sigma) is the
+    images of sigma * s2^(-1)."""
     inv = [0] * n
-    for tail in itertools.islice(itertools.permutations(range(1, n)), lo, hi):
+    for tail in itertools.permutations(range(1, n)):
         order = (0,) + tail
         for i in range(n - 1):
             inv[order[i + 1]] = order[i]
@@ -287,14 +283,13 @@ def _inverse_long_cycles(n: int, lo: int = 0, hi: int | None = None) -> Iterator
         yield operator.itemgetter(*inv) if n > 1 else tuple
 
 
-def _long_cycle_count(n: int) -> int:
-    """(n-1)!, the number of long cycles s2 of size n, refused for the
-    empty partition and past the size bound."""
+def _check_size(n: int) -> None:
+    """Refuse the empty partition and sizes past the bound, before any
+    long cycle is built."""
     if n < 1:
         raise ValueError("factorizations need a partition of size at least 1, got the empty one")
     if n > FACTORIZATION_BOUND:
         raise ValueError(f"long-cycle enumeration is capped at size {FACTORIZATION_BOUND}")
-    return factorial(n - 1)
 
 
 def _check_coverage(visited: int, n: int) -> None:
@@ -307,56 +302,81 @@ def _block_images(mu: IntPartition) -> tuple:
     return tuple(x - 1 for x in block_cycle_permutation(mu).images)
 
 
-def _sweep_chunk(args) -> tuple:
-    """Counts for each partition over the long cycles of index in [lo, hi),
-    and the number of long cycles visited."""
-    parts, lo, hi = args
-    mus = [IntPartition(p) for p in parts]
-    sigmas = [_block_images(mu) for mu in mus]
-    targets = [mu.cycle_index - 1 for mu in mus]
-    counts = [0] * len(mus)
-    visited = 0
-    for compose in _inverse_long_cycles(mus[0].size, lo, hi):
-        visited += 1
-        counts = [
-            c + (len(_cycle_sizes(compose(sig))) == t)
-            for c, sig, t in zip(counts, sigmas, targets)
-        ]
-    return counts, visited
+def _walk(sigma: Sequence[int], target: int) -> tuple:
+    """(long cycles s2 of 0..n-1 whose s1 = sigma * s2^(-1) has target
+    cycles, long cycles accounted for).
+
+    s2 is built as a visiting order from 0.  Placing order[k] after
+    order[k-1] fixes the arc s1(order[k]) = sigma(order[k-1]); the last
+    arc, s1(0) = sigma(order[n-1]), always closes the one path left.
+    After k arcs the open paths of s1 number n - k, and each arc closes
+    at most one cycle, so a branch with c closed cycles ends with
+    between c + 1 and c + n - k of them; once target is outside that
+    range the branch is cut and its (n-1-k)! long cycles are accounted
+    for without being built.
+    """
+    n = len(sigma)
+    head = list(range(n))  # head[x]: first point of the open path ending at x
+    tail = list(range(n))  # tail[x]: last point of the open path starting at x
+    free = [True] * n  # points not yet placed; 0, placed first, is never read
+    below = [factorial(m) for m in range(n)]  # long cycles under a branch
+    hits = covered = 0
+
+    def place(prev: int, k: int, closed: int) -> None:
+        nonlocal hits, covered
+        if not closed < target <= closed + n - k:
+            covered += below[n - 1 - k]
+            return
+        if k == n - 1:  # the range above is the single value closed + 1
+            hits += 1
+            covered += 1
+            return
+        b = sigma[prev]
+        for a in range(1, n):
+            if not free[a]:
+                continue
+            free[a] = False
+            h = head[a]
+            if h == b:  # the arc a -> b closes the path b..a
+                place(a, k + 1, closed + 1)
+            else:
+                t = tail[b]
+                tail[h], head[t] = t, h
+                place(a, k + 1, closed)
+                tail[h], head[t] = a, b
+            free[a] = True
+
+    place(0, 0, 0)
+    return hits, covered
 
 
-def _add_counts(acc: tuple, part: tuple) -> tuple:
-    return [a + b for a, b in zip(acc[0], part[0])], acc[1] + part[1]
+def factorization_counts(mus: Sequence[IntPartition]) -> list:
+    """count_factorizations for each of the partitions mus, all of one size n.
 
-
-def factorization_counts(mus: Sequence[IntPartition], threads: int = 1) -> list:
-    """count_factorizations for each of the partitions mus, all of one size n,
-    in one sweep: each of the (n-1)! long cycles s2, a visiting order
-    starting at 1, is built once and s1 = sigma_mu * s2^(-1) tested for
-    every mu.
-
-    Raises RuntimeError unless the sweep visited exactly (n-1)! long cycles.
+    Raises RuntimeError unless each walk accounted for exactly (n-1)!
+    long cycles.
     """
     sizes = {mu.size for mu in mus}
     if len(sizes) != 1:
         raise ValueError(f"need partitions of one size, got sizes {sorted(sizes)}")
     n = sizes.pop()
-    total = _long_cycle_count(n)
-    workers = threads if total * len(mus) >= POOL_THRESHOLD else 1
-    parts = tuple(mu.parts for mu in mus)
-    counts, visited = fold_chunks(_sweep_chunk, (parts,), total, workers, _add_counts)
-    _check_coverage(visited, n)
+    _check_size(n)
+    counts = []
+    for mu in mus:
+        hits, covered = _walk(_block_images(mu), mu.cycle_index - 1)
+        _check_coverage(covered, n)
+        counts.append(hits)
     return counts
 
 
-def count_factorizations(mu: IntPartition, threads: int = 1) -> int:
+def count_factorizations(mu: IntPartition) -> int:
     """Pairs (s1, s2) with s1*s2 the block permutation of mu, s2 an n-cycle,
     and s1 having exactly j-1 cycles.
 
-    The sweep of factorization_counts on mu alone: every long cycle s2,
-    (n-1)! of them, hence the size bound.
+    The walk of factorization_counts on mu alone: it accounts for every
+    long cycle s2, (n-1)! of them, hence the size bound.
     """
-    return factorization_counts((mu,), threads)[0]
+    return factorization_counts((mu,))[0]
 
 
 def factorization_counts_by_type(mu: IntPartition) -> Mapping[IntPartition, int]:
@@ -367,7 +387,7 @@ def factorization_counts_by_type(mu: IntPartition) -> Mapping[IntPartition, int]
     per-type closed formula can be checked type by type and the
     filtered total recovered by restricting to types of length j-1.
     """
-    _long_cycle_count(mu.size)  # refuses the empty partition and sizes past the bound
+    _check_size(mu.size)
     sigma = _block_images(mu)
     out: dict = {}
     for compose in _inverse_long_cycles(mu.size):

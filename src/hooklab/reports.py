@@ -8,8 +8,8 @@ polynomials).  Integer-valued checks summarize the integer the same
 way.
 
 Serialization is deterministic: dict keys are emitted sorted and the
-canonical hashes are stable across runs and worker counts.  The one
-field outside that contract is elapsed_ms.
+canonical hashes are stable across runs.  The one field outside that
+contract is elapsed_ms.
 """
 
 from __future__ import annotations

@@ -471,14 +471,9 @@ def cayley_tree_at(r: int, index: int) -> CayleyTree:
     return prufer_decode(seq)
 
 
-def enumerate_cayley(
-    r: int, start: int | None = None, stop: int | None = None
-) -> Iterator[CayleyTree]:
+def enumerate_cayley(r: int) -> Iterator[CayleyTree]:
     """Yield all labelled trees on {1..r} in Pruefer-lexicographic order."""
-    total = cayley_count(r)
-    lo = 0 if start is None else max(start, 0)
-    hi = total if stop is None else min(stop, total)
-    for idx in range(lo, hi):
+    for idx in range(cayley_count(r)):
         yield cayley_tree_at(r, idx)
 
 

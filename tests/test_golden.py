@@ -18,6 +18,8 @@ def test_verify_all_matches_the_golden_file(tmp_path):
 
 
 def test_pooled_sweeps_match_the_golden_file(tmp_path):
+    """theorem1, cayley and kerov at --threads 2: the flag is accepted and
+    changes no report."""
     golden = json.loads(GOLDEN.read_text())["checks"]
     for check, bound in (("theorem1", "--r 8"), ("cayley", "--r 6"), ("kerov", "--max-size 8")):
         out = tmp_path / f"{check}.json"

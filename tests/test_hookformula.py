@@ -1,5 +1,6 @@
 """Hook weights and the summation identities they satisfy."""
 
+import json
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -263,10 +264,16 @@ class TestCayleyIdentity:
             lhs, rhs = hf.cayley_degree_identity(r)
             assert lhs == rhs
 
-    def test_threads_do_not_change_the_sum(self):
-        a = hf.cayley_degree_identity(5, threads=3)
-        b = hf.cayley_degree_identity(5)
-        assert a == b
+    def test_threads_do_not_change_the_sum(self, tmp_path):
+        # --threads is accepted and changes nothing: the sum runs in one process
+        docs = []
+        for threads in ("1", "3"):
+            out = tmp_path / f"t{threads}.json"
+            argv = ["verify", "cayley", "--r", "5", "--threads", threads, "--json"]
+            assert cli.main([*argv, "--out", str(out)]) == 0
+            records = json.loads(out.read_text())["checks"]
+            docs.append([{**rec, "elapsed_ms": None} for rec in records])
+        assert docs[0] == docs[1]
 
     def test_rejects_single_vertex(self):
         with pytest.raises(ValueError):

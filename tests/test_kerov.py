@@ -1,5 +1,6 @@
 """Counting long-cycle factorizations and tying them to the tree sum."""
 
+import json
 from math import comb, factorial, prod
 
 import pytest
@@ -113,14 +114,16 @@ class TestFactorizationCounts:
         relevant = {lam: c for lam, c in by_type.items() if lam.length == j - 1}
         assert sum(relevant.values()) == kv.count_factorizations(mu)
 
-    def test_threads_do_not_change_the_count(self):
-        mu = IntPartition((3, 2, 2))
-        assert kv.count_factorizations(mu, threads=3) == kv.count_factorizations(mu)
-        # 8! long cycles: past POOL_THRESHOLD, so this one goes through a pool
-        mu = IntPartition((4, 3, 2))
-        assert factorial(mu.size - 1) >= kv.POOL_THRESHOLD
-        closed = kv.factorization_count_closed_form(mu)
-        assert kv.count_factorizations(mu, threads=2) == closed == 192
+    def test_threads_do_not_change_the_count(self, tmp_path):
+        # --threads is accepted and changes nothing: the walk runs in one process
+        docs = []
+        for threads in ("1", "3"):
+            out = tmp_path / f"t{threads}.json"
+            argv = ["verify", "kerov", "--max-size", "6", "--threads", threads, "--json"]
+            assert cli.main([*argv, "--out", str(out)]) == 0
+            records = json.loads(out.read_text())["checks"]
+            docs.append([{**rec, "elapsed_ms": None} for rec in records])
+        assert docs[0] == docs[1]
 
     def test_size_cap(self):
         with pytest.raises(ValueError):
@@ -128,14 +131,35 @@ class TestFactorizationCounts:
 
 
 class TestFactorizationSweep:
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_sweep_equals_the_count_of_each_partition(self, monkeypatch, threads):
-        if threads > 1:  # every sweep below goes through a pool
-            monkeypatch.setattr(kv, "POOL_THRESHOLD", 1)
+    def test_walk_equals_the_brute_force_sweep(self):
+        # the by-type distribution builds every long cycle in full; past
+        # size 7 that gets slow, and the closed form stands in for it
+        for n in range(1, 10):
+            mus = list(kv.partitions_of(n))
+            if n <= 7:
+                want = [
+                    sum(
+                        c
+                        for lam, c in kv.factorization_counts_by_type(mu).items()
+                        if lam.length == mu.cycle_index - 1
+                    )
+                    for mu in mus
+                ]
+            else:
+                want = [kv.factorization_count_closed_form(mu) for mu in mus]
+            assert kv.factorization_counts(mus) == want
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_sweep_equals_the_count_of_each_partition(self, batch):
+        # the counts do not depend on how the partitions are grouped into calls
         for n in range(1, 8):
             mus = list(kv.partitions_of(n))
-            want = [kv.count_factorizations(mu, threads) for mu in mus]
-            assert kv.factorization_counts(mus, threads) == want
+            want = [kv.count_factorizations(mu) for mu in mus]
+            got = []
+            for i in range(0, len(mus), batch):
+                got += kv.factorization_counts(mus[i : i + batch])
+            assert got == want
+            assert kv.factorization_counts(mus) == want
 
     def test_partitions_must_share_one_size(self):
         with pytest.raises(ValueError, match="one size"):
@@ -148,6 +172,7 @@ class TestFactorizationSweep:
             raise AssertionError("the enumeration started")
 
         monkeypatch.setattr(kv, "_inverse_long_cycles", no_work)
+        monkeypatch.setattr(kv, "_walk", no_work)
         empty = IntPartition(())
         with pytest.raises(ValueError, match="size at least 1"):
             kv.count_factorizations(empty)
@@ -156,19 +181,24 @@ class TestFactorizationSweep:
 
     @pytest.mark.parametrize("defect", ["drop", "double"])
     def test_a_lost_or_doubled_long_cycle_raises(self, monkeypatch, defect):
-        real = kv._inverse_long_cycles
+        real_sweep, real_walk = kv._inverse_long_cycles, kv._walk
 
-        def mutant(n, lo=0, hi=None):
-            composers = list(real(n, lo, hi))
+        def sweep(n):
+            composers = list(real_sweep(n))
             return composers[:-1] if defect == "drop" else composers + composers[-1:]
 
-        monkeypatch.setattr(kv, "_inverse_long_cycles", mutant)
+        def walk(sigma, target):
+            hits, covered = real_walk(sigma, target)
+            return hits, covered - 1 if defect == "drop" else covered + 1
+
+        monkeypatch.setattr(kv, "_inverse_long_cycles", sweep)
+        with pytest.raises(RuntimeError, match="covered"):
+            kv.factorization_counts_by_type(IntPartition((3, 2)))
+        monkeypatch.setattr(kv, "_walk", walk)
         with pytest.raises(RuntimeError, match="covered"):
             kv.count_factorizations(IntPartition((3, 2)))
         with pytest.raises(RuntimeError, match="covered"):
             kv.factorization_counts(list(kv.partitions_of(5)))
-        with pytest.raises(RuntimeError, match="covered"):
-            kv.factorization_counts_by_type(IntPartition((3, 2)))
         with pytest.raises(RuntimeError, match="covered"):
             cli.main(["verify", "kerov", "--max-size", "5"])
 
