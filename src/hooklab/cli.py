@@ -15,10 +15,14 @@ raised per run with the size flag or a numeric --budget, but never past
 the ceiling: factorial and Catalan growth make accidental huge runs too
 easy, so over-ceiling requests are refused outright rather than
 truncated.  The environment variable HOOKLAB_BUDGET_CEILING replaces
-the ceilings for people who know what they are asking for.  A bound
-below a family's first size, which would compare nothing, is refused,
-and so is a size flag that no selected family reads (`verify all` reads
-all three).  The sweep caches of hookformula last for one verify run.
+the ceilings for people who know what they are asking for, except
+kerov's: its ceiling is kerov.FACTORIZATION_BOUND, the largest size the
+long-cycle walk takes, which the variable can lower but not raise.  A
+bound below a family's first size, which would compare nothing, is
+refused, and so is a size flag that no selected family reads (`verify
+all` reads all three).  The two module-level caches, hookformula's
+tree weight sums and the binary shapes of trees, last for one verify
+run.
 
 Reports are deterministic: running the same command twice gives the
 same output except for elapsed_ms.  Every sweep runs in this one
@@ -76,6 +80,8 @@ def _option(flag: str) -> str:
 def _verify_bound(check: str, args) -> int:
     family = FAMILIES[check]
     ceiling = _env_ceiling(family.ceiling)
+    if family.fixed:
+        ceiling = min(ceiling, family.ceiling)
     explicit = getattr(args, family.flag)
     if explicit is None and args.budget != "default":
         try:
@@ -90,10 +96,12 @@ def _verify_bound(check: str, args) -> int:
             f"{check} needs a bound of at least {family.first}, got {bound}"
         )
     if bound > ceiling:
-        raise UsageError(
-            f"{check} is capped at {ceiling} (asked for {bound}); "
-            "set HOOKLAB_BUDGET_CEILING to raise the cap"
+        hint = (
+            "HOOKLAB_BUDGET_CEILING cannot raise this cap"
+            if family.fixed and ceiling == family.ceiling
+            else "set HOOKLAB_BUDGET_CEILING to raise the cap"
         )
+        raise UsageError(f"{check} is capped at {ceiling} (asked for {bound}); {hint}")
     return bound
 
 
@@ -245,8 +253,8 @@ def _mvl(sizes: range, trace: bool):
 def _kerov(sizes: range, trace: bool):
     for n in sizes:
         rows = []
-        mus = list(kv.partitions_of(n))
-        for mu, count in zip(mus, kv.factorization_counts(mus)):
+        for mu in kv.partitions_of(n):
+            count = kv.count_factorizations(mu)
             j = mu.cycle_index
             bg_sum = sum(
                 kv.bedard_goupil(lam, mu)
@@ -282,7 +290,9 @@ class Family(NamedTuple):
     flag is the option that sets its bound (r, n or max_size), first the
     smallest size it compares, default and ceiling its bounds.
     sweep(sizes, trace) yields (check, params, lhs, rhs, trace)
-    for every comparison over the sizes in order.
+    for every comparison over the sizes in order.  A fixed ceiling is
+    the largest size the sweep can take at all: HOOKLAB_BUDGET_CEILING
+    lowers it but never raises it.
     """
 
     flag: str
@@ -290,6 +300,7 @@ class Family(NamedTuple):
     default: int
     ceiling: int
     sweep: Callable
+    fixed: bool = False
 
 
 # in `verify all` order
@@ -303,7 +314,7 @@ FAMILIES = {
     "grafting": Family("r", 2, 7, 9, _grafting),
     "root-recurrence": Family("r", 2, 7, 9, _root_recurrence),
     "mvl": Family("r", 2, 7, 9, _mvl),
-    "kerov": Family("max_size", 1, 8, 9, _kerov),
+    "kerov": Family("max_size", 1, 8, kv.FACTORIZATION_BOUND, _kerov, fixed=True),
 }
 
 
@@ -366,7 +377,6 @@ def cmd_verify(args) -> tuple[str, int]:
     finally:
         # the sweep caches serve one run: a second run redoes its work
         hf.tree_weight_sum.cache_clear()
-        hf.cayley_fiber_sums.cache_clear()
         tr._binary_shapes.cache_clear()
     all_pass = all(v.equal for v in reports)
     if args.json:

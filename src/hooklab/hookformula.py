@@ -34,7 +34,7 @@ pending-subtree sweep (_pending_sweep) chooses parents from the largest
 label down and adds the partial products of all choice sequences that
 leave the same subtrees pending, so most of the (n-1)! products are
 shared.  Every sweep here runs in one process, the Cayley degree sum
-included: one pass over the Prüfer indices in order.
+included: one pass over the Prüfer sequences in order.
 """
 
 from __future__ import annotations
@@ -449,7 +449,6 @@ def linear_extension_check(t: IncreasingTree) -> tuple:
     return lext, quotient
 
 
-@lru_cache(maxsize=None)
 def cayley_fiber_sums(r: int) -> Mapping:
     """Degree-monomial sums of every fiber of the collapse map on {1..r}.
 
@@ -470,7 +469,11 @@ def cayley_fiber_sums(r: int) -> Mapping:
 
 
 def fiber_sum(t: IncreasingTree, r: int) -> MultiPoly:
-    """Degree-monomial sum over the unrooted trees collapsing to t."""
+    """Degree-monomial sum over the unrooted trees collapsing to t.
+
+    Each call sweeps all r^(r-2) unrooted trees; for many fibers of one
+    r, call cayley_fiber_sums once.
+    """
     sums = cayley_fiber_sums(r)
     try:
         return sums[t]

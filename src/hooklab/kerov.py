@@ -48,7 +48,6 @@ __all__ = [
     "closed_rhs_at",
     "count_factorizations",
     "factorization_count_closed_form",
-    "factorization_counts",
     "factorization_counts_by_type",
     "partitions_of",
     "signed_factorization_count",
@@ -350,33 +349,18 @@ def _walk(sigma: Sequence[int], target: int) -> tuple:
     return hits, covered
 
 
-def factorization_counts(mus: Sequence[IntPartition]) -> list:
-    """count_factorizations for each of the partitions mus, all of one size n.
-
-    Raises RuntimeError unless each walk accounted for exactly (n-1)!
-    long cycles.
-    """
-    sizes = {mu.size for mu in mus}
-    if len(sizes) != 1:
-        raise ValueError(f"need partitions of one size, got sizes {sorted(sizes)}")
-    n = sizes.pop()
-    _check_size(n)
-    counts = []
-    for mu in mus:
-        hits, covered = _walk(_block_images(mu), mu.cycle_index - 1)
-        _check_coverage(covered, n)
-        counts.append(hits)
-    return counts
-
-
 def count_factorizations(mu: IntPartition) -> int:
     """Pairs (s1, s2) with s1*s2 the block permutation of mu, s2 an n-cycle,
     and s1 having exactly j-1 cycles.
 
-    The walk of factorization_counts on mu alone: it accounts for every
-    long cycle s2, (n-1)! of them, hence the size bound.
+    The walk accounts for every long cycle s2, (n-1)! of them, hence the
+    size bound; it raises RuntimeError unless it accounted for exactly
+    that many.
     """
-    return factorization_counts((mu,))[0]
+    _check_size(mu.size)
+    hits, covered = _walk(_block_images(mu), mu.cycle_index - 1)
+    _check_coverage(covered, mu.size)
+    return hits
 
 
 def factorization_counts_by_type(mu: IntPartition) -> Mapping[IntPartition, int]:

@@ -74,8 +74,7 @@ def _var(r: int, label: int) -> MultiPoly:
 def _ordered_splits(rest: Sequence[int]) -> Iterator[tuple[tuple, tuple]]:
     """All ordered pairs (X1, X2) with X1 and X2 disjoint covering rest.
 
-    Bitmask order on X1 membership, so the stream is deterministic and
-    an index range selects a chunk.
+    Bitmask order on X1 membership, so the stream is deterministic.
     """
     m = len(rest)
     for mask in range(1 << m):

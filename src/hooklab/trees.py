@@ -10,21 +10,20 @@ Three shapes of object live here.
 
 * CayleyTree: an unrooted labelled tree on vertices {1..r}, stored as a
   sorted edge list.  There are r^(r-2) of them, and the Pruefer code
-  gives the explicit bijection with sequences that the enumerator and
-  the index decoder share.
+  gives the explicit bijection with sequences that the enumerator
+  decodes.
 
 * BinaryTree: an unlabelled rooted binary shape (each vertex has an
   optional left and right child).  The empty shape is represented by
   None throughout; the module-level helpers all accept it.
 
 Enumeration order is part of the contract: callers rely on it being
-deterministic, and an index range [start, stop) of a generator selects
-that slice of the order, so disjoint ranges partition the family.  For
-increasing trees the order is lexicographic in the parent-position
-vector (non-root labels ascending, the choice for the largest label
-varying fastest), and parent_vectors is the one sweep of it; for Cayley
-trees it is lexicographic in the Pruefer sequence, with cayley_tree_at
-decoding one index; for binary shapes left subtree size ascends first.
+deterministic, and each family is one in-order pass.  For increasing
+trees the order is lexicographic in the parent-position vector
+(non-root labels ascending, the choice for the largest label varying
+fastest), and parent_vectors is the one sweep of it; for Cayley trees
+it is lexicographic in the Pruefer sequence; for binary shapes left
+subtree size ascends first.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ __all__ = [
     "binary_to_dot",
     "binary_to_json_dict",
     "cayley_count",
-    "cayley_tree_at",
     "degree_vector",
     "enumerate_binary",
     "enumerate_cayley",
@@ -165,17 +163,13 @@ def increasing_count(n: int) -> int:
     return factorial(n - 1)
 
 
-def parent_vectors(
-    n: int, start: int | None = None, stop: int | None = None
-) -> Iterator[tuple]:
+def parent_vectors(n: int) -> Iterator[tuple]:
     """Parent-position vectors of the increasing trees on n labels, in order.
 
     Entry j-1 is the position, counted from 0 along the sorted labels,
     of the parent of the label at position j, so it lies in [0, j).
-    Only the vectors of index in [start, stop) come out.
     """
-    pvs = itertools.product(*(range(j) for j in range(1, n)))
-    return itertools.islice(pvs, start, stop)
+    return itertools.product(*(range(j) for j in range(1, n)))
 
 
 def subtree_totals(values: Sequence, pv: Sequence[int]) -> list:
@@ -232,16 +226,10 @@ def automorphisms(key: tuple) -> int:
     return aut(key)
 
 
-def enumerate_increasing(
-    labels: Iterable[int], start: int | None = None, stop: int | None = None
-) -> Iterator[IncreasingTree]:
-    """Yield increasing trees on the given labels in enumeration order.
-
-    With start/stop, yields exactly the trees whose indices lie in
-    [start, stop); disjoint ranges partition the family.
-    """
+def enumerate_increasing(labels: Iterable[int]) -> Iterator[IncreasingTree]:
+    """Yield increasing trees on the given labels in enumeration order."""
     labs = _clean_labels(labels)
-    for pv in parent_vectors(len(labs), start, stop):
+    for pv in parent_vectors(len(labs)):
         yield IncreasingTree(labs, {labs[j]: labs[p] for j, p in enumerate(pv, 1)})
 
 
@@ -455,26 +443,15 @@ def prufer_decode(seq: Sequence[int]) -> CayleyTree:
     return CayleyTree(range(1, r + 1), edges)
 
 
-def cayley_tree_at(r: int, index: int) -> CayleyTree:
-    """The tree at `index` in Pruefer-lexicographic order."""
-    total = cayley_count(r)
-    if not 0 <= index < total:
-        raise ValueError(f"index {index} out of range for {total} trees")
-    if r == 1:
-        return CayleyTree([1], [])
-    seq = []
-    rem = index
-    for _ in range(r - 2):
-        rem, d = divmod(rem, r)
-        seq.append(d + 1)
-    seq.reverse()
-    return prufer_decode(seq)
-
-
 def enumerate_cayley(r: int) -> Iterator[CayleyTree]:
     """Yield all labelled trees on {1..r} in Pruefer-lexicographic order."""
-    for idx in range(cayley_count(r)):
-        yield cayley_tree_at(r, idx)
+    if r < 1:
+        raise ValueError("need at least one vertex")
+    if r == 1:
+        yield CayleyTree([1], [])
+        return
+    for seq in itertools.product(range(1, r + 1), repeat=r - 2):
+        yield prufer_decode(seq)
 
 
 class BinaryTree:

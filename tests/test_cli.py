@@ -118,6 +118,25 @@ class TestBoundResolution:
         monkeypatch.setenv("HOOKLAB_BUDGET_CEILING", "12")
         assert cli._verify_bound("cayley", verify_args(r=12)) == 12
 
+    def test_kerov_ceiling_is_the_walk_bound(self, monkeypatch):
+        assert cli.FAMILIES["kerov"].ceiling == cli.kv.FACTORIZATION_BOUND
+        monkeypatch.setenv("HOOKLAB_BUDGET_CEILING", "5")
+        with pytest.raises(cli.UsageError, match="capped at 5"):
+            cli._verify_bound("kerov", verify_args(max_size=6))
+
+    @pytest.mark.parametrize("check", ["kerov", "all"])
+    def test_env_cannot_lift_kerov_past_the_walk_bound(self, monkeypatch, capsys, check):
+        def no_work(*args):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(cli.kv, "count_factorizations", no_work)
+        monkeypatch.setattr(cli.hf, "hook_weight_sum", no_work)
+        monkeypatch.setenv("HOOKLAB_BUDGET_CEILING", "12")
+        bound = str(cli.kv.FACTORIZATION_BOUND + 1)
+        code, out, err = run_main(["verify", check, "--max-size", bound], capsys)
+        assert code == 2 and out == ""
+        assert f"kerov is capped at {cli.kv.FACTORIZATION_BOUND}" in err
+
     def test_bad_budget_string(self):
         with pytest.raises(cli.UsageError):
             cli._verify_bound("theorem1", verify_args(budget="soon"))
@@ -167,16 +186,17 @@ class TestVerify:
 
     def test_kerov_sweeps_each_size_once(self, monkeypatch, capsys):
         calls = []
-        real = cli.kv.factorization_counts
+        real = cli.kv.count_factorizations
 
-        def counted(mus):
-            calls.append((mus[0].size, len(mus)))
-            return real(mus)
+        def counted(mu):
+            calls.append(mu)
+            return real(mu)
 
-        monkeypatch.setattr(cli.kv, "factorization_counts", counted)
+        monkeypatch.setattr(cli.kv, "count_factorizations", counted)
         code, out, _ = run_main(["verify", "kerov", "--max-size", "5", "--json"], capsys)
         assert code == 0 and json.loads(out)["pass"] is True
-        assert calls == [(1, 1), (2, 2), (3, 3), (4, 5), (5, 7)]
+        # one walk per partition, sizes in order
+        assert calls == [mu for n in range(1, 6) for mu in cli.kv.partitions_of(n)]
 
     def test_threads_must_be_positive(self, capsys):
         code, _, err = run_main(["verify", "theorem1", "--r", "2", "--threads", "0"], capsys)
@@ -287,8 +307,8 @@ class TestLabellingCount:
     def test_a_dropped_tree_fails_the_multiplicity_check(self, monkeypatch, capsys):
         real = cli.tr.parent_vectors
 
-        def dropping(n, start=None, stop=None):
-            pvs = list(real(n, start, stop))
+        def dropping(n):
+            pvs = list(real(n))
             if n == 5:
                 # (0, 0, 0, 1): label 5 under label 2, one of 6 trees of its shape
                 pvs.remove((0, 0, 0, 1))
@@ -304,8 +324,8 @@ class TestLabellingCount:
     def test_a_dropped_star_fails_the_tree_count(self, monkeypatch, capsys):
         real = cli.tr.parent_vectors
 
-        def dropping(n, start=None, stop=None):
-            pvs = list(real(n, start, stop))
+        def dropping(n):
+            pvs = list(real(n))
             if n == 5:
                 # the star is the only tree of its shape: the shape is lost
                 pvs.remove((0, 0, 0, 0))
@@ -407,7 +427,6 @@ class TestFamilies:
     def test_no_sweep_cache_outlives_a_run(self, monkeypatch, capsys):
         assert run_main(["verify", "all", "--budget", "2"], capsys)[0] == 0
         assert cli.hf.tree_weight_sum.cache_info().currsize == 0
-        assert cli.hf.cayley_fiber_sums.cache_info().currsize == 0
         assert cli.tr._binary_shapes.cache_info().currsize == 0
 
         def broken(r):
@@ -428,11 +447,8 @@ class TestFamilies:
             for attr, value in vars(module).items()
             if isinstance(value, lru_wrapper)
         }
-        assert {
-            "hooklab.hookformula._swept",
-            "hooklab.hookformula.cayley_fiber_sums",
-            "hooklab.trees._binary_shapes",
-        } <= set(sizes)
+        # a new module-level cache must be named here and cleared by the run
+        assert set(sizes) == {"hooklab.hookformula._swept", "hooklab.trees._binary_shapes"}
         assert {cache: size for cache, size in sizes.items() if size} == {}
 
     def test_benchmark_names_the_declared_families(self):

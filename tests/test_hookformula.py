@@ -296,6 +296,14 @@ class TestFibers:
             for t in enumerate_increasing(range(1, r + 1)):
                 assert sums[t] == hf.top_weight(t, r)
 
+    def test_a_changed_mapping_does_not_reach_the_next_call(self):
+        sums = hf.cayley_fiber_sums(4)
+        t = next(iter(sums))
+        want = sums.pop(t)
+        sums.clear()
+        assert hf.cayley_fiber_sums(4)[t] == want
+        assert hf.fiber_sum(t, 4) == want
+
     def test_totals_cross_check(self):
         for r in range(2, 6):
             lhs, _ = hf.cayley_degree_identity(r)

@@ -147,25 +147,7 @@ class TestFactorizationSweep:
                 ]
             else:
                 want = [kv.factorization_count_closed_form(mu) for mu in mus]
-            assert kv.factorization_counts(mus) == want
-
-    @pytest.mark.parametrize("batch", [1, 2])
-    def test_sweep_equals_the_count_of_each_partition(self, batch):
-        # the counts do not depend on how the partitions are grouped into calls
-        for n in range(1, 8):
-            mus = list(kv.partitions_of(n))
-            want = [kv.count_factorizations(mu) for mu in mus]
-            got = []
-            for i in range(0, len(mus), batch):
-                got += kv.factorization_counts(mus[i : i + batch])
-            assert got == want
-            assert kv.factorization_counts(mus) == want
-
-    def test_partitions_must_share_one_size(self):
-        with pytest.raises(ValueError, match="one size"):
-            kv.factorization_counts([IntPartition((2, 1)), IntPartition((2, 2))])
-        with pytest.raises(ValueError, match="one size"):
-            kv.factorization_counts([])
+            assert [kv.count_factorizations(mu) for mu in mus] == want
 
     def test_empty_partition_is_refused_before_any_work(self, monkeypatch):
         def no_work(*args):
@@ -197,8 +179,6 @@ class TestFactorizationSweep:
         monkeypatch.setattr(kv, "_walk", walk)
         with pytest.raises(RuntimeError, match="covered"):
             kv.count_factorizations(IntPartition((3, 2)))
-        with pytest.raises(RuntimeError, match="covered"):
-            kv.factorization_counts(list(kv.partitions_of(5)))
         with pytest.raises(RuntimeError, match="covered"):
             cli.main(["verify", "kerov", "--max-size", "5"])
 

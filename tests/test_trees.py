@@ -1,5 +1,6 @@
 """Tree families: enumeration, counting, hooks, grafting, encodings."""
 
+import itertools
 from collections import Counter
 from math import factorial
 
@@ -15,7 +16,6 @@ from hooklab.trees import (
     binary_to_dot,
     binary_to_json_dict,
     cayley_count,
-    cayley_tree_at,
     degree_vector,
     enumerate_binary,
     enumerate_cayley,
@@ -55,14 +55,6 @@ class TestIncreasing:
         first, second = list(enumerate_increasing([1, 2, 3]))
         assert first.parent == {2: 1, 3: 1}
         assert second.parent == {2: 1, 3: 2}
-
-    def test_ranges_partition_the_family(self):
-        labels = (1, 2, 3, 4, 5)
-        total = increasing_count(5)
-        pieces = []
-        for lo in range(0, total, 7):
-            pieces.extend(enumerate_increasing(labels, lo, lo + 7))
-        assert pieces == list(enumerate_increasing(labels))
 
     def test_arbitrary_label_sets(self):
         ts = list(enumerate_increasing([2, 5, 9]))
@@ -214,10 +206,12 @@ class TestCayley:
         assert prufer_encode(path) == (2,)
 
     def test_enumeration_follows_code_order(self):
-        assert prufer_encode(cayley_tree_at(4, 0)) == (1, 1)
-        assert prufer_encode(cayley_tree_at(4, 15)) == (4, 4)
-        codes = [prufer_encode(u) for u in enumerate_cayley(5)]
-        assert codes == sorted(codes)
+        for r in range(2, 7):
+            codes = [prufer_encode(u) for u in enumerate_cayley(r)]
+            assert codes == list(itertools.product(range(1, r + 1), repeat=r - 2))
+        assert list(enumerate_cayley(1)) == [CayleyTree([1], [])]
+        with pytest.raises(ValueError):
+            next(enumerate_cayley(0))
 
     def test_degree_vector(self):
         star = CayleyTree([1, 2, 3, 4], [(1, 2), (1, 3), (1, 4)])
