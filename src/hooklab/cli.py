@@ -323,11 +323,14 @@ def run_family(name: str, bound: int, trace: bool = False) -> list:
 
     Each comparison's elapsed_ms is the time the sweep took to produce
     its two sides; summarizing them is not counted.  A bound below the
-    first size, which would compare nothing, raises ValueError.
+    first size, which would compare nothing, or past a fixed ceiling,
+    which the sweep cannot reach, raises ValueError before any work.
     """
     family = FAMILIES[name]
     if bound < family.first:
         raise ValueError(f"{name} starts at size {family.first}, got bound {bound}")
+    if family.fixed and bound > family.ceiling:
+        raise ValueError(f"{name} is capped at {family.ceiling}, got bound {bound}")
     sweep = family.sweep(range(family.first, bound + 1), trace)
     out = []
     while True:

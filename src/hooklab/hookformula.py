@@ -162,57 +162,69 @@ def _pending_sweep(shifts, factor) -> dict:
     sets, the positions hanging below each of 0..v-1.  Choice sequences
     ending in the same pending sets are therefore added before
     multiplying further: one merged state per pending tuple, holding a
-    partial sum and the count of trees merged into it.  Each level is
-    consumed as the next is built.  Positions 2 and 1 are expanded
-    depth-first from each state, the last factor multiplied straight
-    into the result, so the largest states are never all alive at once.
+    partial sum and the count of trees merged into it.  Merging goes on
+    down to position 2; the last factor then depends on the set below
+    position 1 alone, and multiplies each state of that last level once.
+
+    A level is built one state at a time, each from every state that
+    reaches it, and a state of the level before is dropped after its
+    last use; the states of the last level are finished as they are
+    built.  The states handed from one level to the next share their
+    keys, one int per distinct monomial: at n = 9 the 75,996 terms of
+    the level before the last have 4,081 distinct keys.  So the peak
+    memory stays below that of the level before the last built alone.
 
     Raises RuntimeError unless the states covered exactly the (n-1)!
-    trees, and OverflowError when an exponent overflows its key field:
-    between two guard checks no field grows by more than 2, so a field
-    can set its guard bit but never carry into the next one.
+    trees, and OverflowError when an exponent overflows its key field.
+    Every state is checked before it is multiplied, and so is the
+    result: between two guard checks no field grows by more than 2, one
+    shift and one factor, so a field can set its guard bit but never
+    carry into the next one.
     """
     n = len(shifts)
     if n == 1:
         return {0: 1}
+
+    def merged(level: dict, j: int):
+        """The states left once position j has its parent, each yielded
+        as soon as it is built; consumes level."""
+        feeds: dict = {}  # new pending tuple -> [(old pending tuple, parent)]
+        uses: dict = {}
+        for pend, (poly, _) in level.items():
+            check_fields(poly)
+            sub = pend[j] | 1 << j
+            for p in _parent_choices(j):
+                moved = pend[:p] + (pend[p] | sub,) + pend[p + 1 : j]
+                feeds.setdefault(moved, []).append((pend, p))
+                uses[pend] = uses.get(pend, 0) + 1
+        for moved, sources in feeds.items():
+            poly, count = {}, 0
+            for pend, p in sources:
+                part, part_count = level[pend]
+                lin = factor(pend[j] | 1 << j)
+                addmul_terms(poly, part, {e + shifts[p]: c for e, c in lin.items()})
+                count += part_count
+                uses[pend] -= 1
+                if not uses[pend]:
+                    del level[pend]
+            yield moved, (poly, count)
+
+    keep = {}.setdefault  # the one key object of each monomial
     acc: dict = {}
     trees = 0
-
-    def branches(poly: dict, pend: tuple, j: int):
-        """(parent position, pending sets after it, poly times the factor
-        of position j) for each parent open to position j."""
-        sub = pend[j] | 1 << j
-        base = mul_terms(poly, factor(sub))
-        for p in _parent_choices(j):
-            yield p, pend[:p] + (pend[p] | sub,) + pend[p + 1 : j], base
-
-    def finish(poly: dict, pend: tuple, j: int, shift: int, count: int) -> None:
-        nonlocal trees
-        if j > 1:
-            for p, moved, base in branches(poly, pend, j):
-                finish(base, moved, j - 1, shift + shifts[p], count)
-            return
+    states = [((0,) * n, ({0: 1}, 1))]
+    for j in range(n - 1, 1, -1):
+        level = {
+            pend: ({keep(e, e): c for e, c in poly.items()}, count)
+            for pend, (poly, count) in states
+        }
+        states = merged(level, j)
+    for pend, (poly, count) in states:
+        check_fields(poly)
         last = factor(pend[1] | 1 << 1)
         for p in _parent_choices(1):
-            shifted = {e + shift + shifts[p]: c for e, c in last.items()}
-            addmul_terms(acc, poly, shifted)
+            addmul_terms(acc, poly, {e + shifts[p]: c for e, c in last.items()})
             trees += count
-
-    level = {(0,) * n: ({0: 1}, 1)}
-    for j in range(n - 1, 2, -1):
-        merged: dict = {}
-        while level:
-            pend, (poly, count) = level.popitem()
-            for p, moved, base in branches(poly, pend, j):
-                state = merged.get(moved)
-                if state is None:
-                    state = merged[moved] = [{}, 0]
-                addmul_terms(state[0], base, {shifts[p]: 1})
-                state[1] += count
-        level = merged
-    while level:
-        pend, (poly, count) = level.popitem()
-        finish(poly, pend, min(n - 1, 2), 0, count)
     expected = factorial(n - 1)
     if trees != expected:
         raise RuntimeError(f"the sweep covered {trees} trees, expected {expected}")

@@ -88,13 +88,17 @@ def compare_sides(
     elapsed_ms: float,
     trace: Any = None,
 ) -> VerdictReport:
-    """Build the report for one comparison; equality is exact, no tolerances."""
+    """Build the report for one comparison; equality is exact, no tolerances.
+
+    Equal sides of one type have one canonical text, so it is hashed once.
+    """
+    equal = lhs == rhs
     lt, lh = side_summary(lhs)
-    rt, rh = side_summary(rhs)
+    rt, rh = (lt, lh) if equal and type(lhs) is type(rhs) else side_summary(rhs)
     return VerdictReport(
         check=check,
         params=params,
-        equal=(lhs == rhs),
+        equal=equal,
         lhs_terms=lt,
         rhs_terms=rt,
         lhs_hash=lh,

@@ -394,6 +394,19 @@ class TestFamilies:
         with pytest.raises(ValueError):
             cli.run_family(name, family.first - 1)
 
+    def test_a_bound_past_a_fixed_ceiling_is_refused_before_any_work(self, monkeypatch):
+        calls = []
+        real = cli.kv.count_factorizations
+        monkeypatch.setattr(
+            cli.kv, "count_factorizations", lambda mu: calls.append(mu) or real(mu)
+        )
+        family = cli.FAMILIES["kerov"]
+        assert family.fixed
+        with pytest.raises(ValueError, match="capped"):
+            cli.run_family("kerov", family.ceiling + 1)
+        assert calls == []
+        assert cli.run_family("kerov", 2) and calls
+
     @pytest.mark.parametrize("name", list(cli.FAMILIES))
     def test_unread_size_flag_is_a_usage_error(self, name, capsys):
         family = cli.FAMILIES[name]

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import hooklab.cli as cli
 import hooklab.hookformula as hf
+from hooklab._kernel_py import pack
 from hooklab.multipoly import MultiPoly, top_homogeneous
 from hooklab.trees import CayleyTree, IncreasingTree, enumerate_increasing, hooks
 
@@ -127,6 +128,47 @@ class TestPendingSweep:
         assert hf.top_weight_sum(2) == k(2, 1) * k(2, 2)
         hf.tree_weight_sum.cache_clear()
         assert hf.hook_weight_sum(2) == k(2, 1) * k(2, 2)
+
+    @pytest.mark.parametrize("top_only", [False, True])
+    @pytest.mark.parametrize("pad", [0, 1])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_size_matches_the_per_tree_sum(self, n, pad, top_only):
+        labels = tuple(range(1, n + 1))
+        ambient = n + pad
+        weight = hf.top_weight if top_only else hf.tree_weight
+        want = MultiPoly.sum(
+            ambient, (weight(t, ambient) for t in enumerate_increasing(labels))
+        )
+        got = hf._weight_sum(labels, ambient, top_only)
+        assert MultiPoly._raw(ambient, got) == want
+
+    def test_the_guard_fires_through_the_finish(self):
+        # five positions, four shifts per tree: 4 * 8192 sets the guard bit
+        with pytest.raises(OverflowError):
+            hf._pending_sweep([pack((8192,))] * 5, lambda mask: {0: 1})
+        assert hf._pending_sweep([pack((8191,))] * 5, lambda mask: {0: 1}) == {32764: 24}
+
+    def test_the_r8_sum_stays_under_its_product_budget(self, monkeypatch):
+        products = []
+        real_addmul, real_mul = hf.addmul_terms, hf.mul_terms
+
+        def addmul(acc, a, b):
+            products.append(len(a) * len(b))
+            return real_addmul(acc, a, b)
+
+        def mul(a, b):
+            products.append(len(a) * len(b))
+            return real_mul(a, b)
+
+        monkeypatch.setattr(hf, "addmul_terms", addmul)
+        monkeypatch.setattr(hf, "mul_terms", mul)
+        hf.tree_weight_sum.cache_clear()
+        try:
+            assert hf.hook_weight_sum(8) == hf.hook_weight_closed_form(8)
+        finally:
+            hf.tree_weight_sum.cache_clear()
+        # expanding the last two positions per state took 221,678
+        assert sum(products) < 170_000
 
     @pytest.mark.parametrize("defect", ["drop", "double"])
     @pytest.mark.parametrize("position", [1, 2, 3, 4])
