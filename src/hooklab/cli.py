@@ -45,7 +45,7 @@ from hooklab import hookformula as hf
 from hooklab import kerov as kv
 from hooklab import recurrences as rc
 from hooklab import trees as tr
-from hooklab.multipoly import top_homogeneous
+from hooklab.multipoly import MonomialTable, top_homogeneous
 from hooklab.reports import VerdictReport, compare_sides
 
 __all__ = ["FAMILIES", "main", "run_family"]
@@ -171,24 +171,28 @@ def _fibers(sizes: range, trace: bool):
         yield "fibers/partition", {"r": r}, tr.cayley_count(r), preimages, None
 
 
-def _split_entry(x1, x2, p) -> dict:
-    return {"x1": list(x1), "x2": list(x2), "terms": len(p), "text": p.to_text()}
+def _split_entry(table, x1, x2, p) -> dict:
+    return {"x1": list(x1), "x2": list(x2), "terms": len(p), "text": p.to_text(table=table)}
 
 
-def _partition_entry(part, p) -> dict:
-    return {"blocks": [list(b) for b in part], "terms": len(p), "text": p.to_text()}
+def _partition_entry(table, part, p) -> dict:
+    text = p.to_text(table=table)
+    return {"blocks": [list(b) for b in part], "terms": len(p), "text": text}
 
 
-def _traced(trace: bool, summands, entry) -> tuple:
+def _traced(trace: bool, r: int, summands, entry) -> tuple:
     """(payload, summands) for a side that sums them: under --trace the
-    stream renders each summand into the payload as the sum consumes it."""
+    stream renders each summand into the payload as the sum consumes it.
+    The summands of one stream share one monomial table, which goes
+    with the stream."""
     if not trace:
         return None, None
     payload: list = []
+    table = MonomialTable(r)
 
     def stream():
         for s in summands:
-            payload.append(entry(*s))
+            payload.append(entry(table, *s))
             yield s
 
     return payload, stream()
@@ -200,7 +204,7 @@ def _pq(sizes: range, trace: bool):
     # difference, at r + 1
     splits: dict = {}
     for r in sizes:
-        payload, summands = _traced(trace, rc.split_summands(r), _split_entry)
+        payload, summands = _traced(trace, r, rc.split_summands(r), _split_entry)
         splits[r] = rc.split_polynomial(r, summands)
         yield "pq", {"r": r}, splits[r], rc.closed_polynomial(r), payload
         for name, family in (
@@ -222,21 +226,21 @@ def _grafting(sizes: range, trace: bool):
             lhs, rhs = rc.grafting_law_sides(t, r)
             agreed += lhs == rhs
         yield "grafting/law", {"r": r}, tr.increasing_count(r), agreed, None
-        payload, summands = _traced(trace, rc.grafting_split_summands(r), _split_entry)
+        payload, summands = _traced(trace, r, rc.grafting_split_summands(r), _split_entry)
         lhs, rhs = rc.grafting_split_sides(r, summands)
         yield "grafting/split", {"r": r}, lhs, rhs, payload
 
 
 def _root_recurrence(sizes: range, trace: bool):
     for r in sizes:
-        payload, summands = _traced(trace, rc.root_degree_summands(r), _partition_entry)
+        payload, summands = _traced(trace, r, rc.root_degree_summands(r), _partition_entry)
         lhs, rhs = rc.root_degree_sides(r, summands)
         yield "root-recurrence", {"r": r}, lhs, rhs, payload
 
 
 def _mvl(sizes: range, trace: bool):
     for r in sizes:
-        payload, summands = _traced(trace, rc.lagrange_summands(r), _partition_entry)
+        payload, summands = _traced(trace, r, rc.lagrange_summands(r), _partition_entry)
         lhs, rhs = rc.lagrange_identity_sides(r, summands)
         yield "mvl", {"r": r}, lhs, rhs, payload
     rng = random.Random(ORACLE_SEED)

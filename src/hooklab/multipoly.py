@@ -19,7 +19,10 @@ coefficients), so polynomial equality is plain dict equality.
 Term maps are unordered.  Every rendered form (to_text, to_json_dict,
 canonical_hash) sorts terms in descending lexicographic order of the
 exponent tuple, which is descending order of the packed key; that is
-what makes output byte-reproducible across runs.
+what makes output byte-reproducible across runs.  to_text and
+canonical_hash share one routine.  The summand texts of a --trace run
+share one MonomialTable per summand stream, so each monomial's text is
+built once per stream; canonical_hash keeps no table.
 
 The hot arithmetic lives in hooklab._kernel_py; this module owns
 validation, construction and everything that is not a tight loop.
@@ -50,6 +53,7 @@ Coeff = Union[int, Fraction]
 
 __all__ = [
     "Coeff",
+    "MonomialTable",
     "MultiPoly",
     "Rational",
     "Var",
@@ -95,6 +99,43 @@ def _check_fit(exps) -> None:
         raise OverflowError(
             f"exponent {max(exps)} exceeds {FIELD_MAX}, the largest a key field holds"
         )
+
+
+def _names(nvars: int, names: Sequence[str] | None) -> tuple:
+    """The variable names a rendering uses: k1..kn unless given."""
+    if names is None:
+        return tuple(f"k{i + 1}" for i in range(nvars))
+    names = tuple(names)
+    if len(names) != nvars:
+        raise ValueError("need one name per variable")
+    return names
+
+
+def _monomial_text(key: int, nvars: int, names: tuple) -> str:
+    """The factors of one monomial, as in k3^2*k5; empty for the constant."""
+    factors = []
+    for name, e in zip(names, unpack(key, nvars)):
+        if e == 1:
+            factors.append(name)
+        elif e > 1:
+            factors.append(f"{name}^{e}")
+    return "*".join(factors)
+
+
+class MonomialTable:
+    """The monomial texts met so far by the to_text calls that share it.
+
+    Bound to one variable count and one set of names: rendering any
+    other ring through it raises ValueError.  It keeps every monomial it
+    met, so it should not outlive the renders that share it.
+    """
+
+    __slots__ = ("nvars", "names", "_texts")
+
+    def __init__(self, nvars: int, names: Sequence[str] | None = None):
+        self.nvars = nvars
+        self.names = _names(nvars, names)
+        self._texts: dict = {}
 
 
 class MultiPoly:
@@ -181,13 +222,8 @@ class MultiPoly:
 
     def sorted_terms(self) -> list:
         """Terms as (exponents, coeff) pairs in descending lex order."""
-        return list(self._iter_sorted())
-
-    def _iter_sorted(self) -> Iterator[tuple]:
-        """sorted_terms, unpacking one term at a time."""
         n, terms = self._nvars, self._terms
-        for k in sorted(terms, reverse=True):
-            yield unpack(k, n), terms[k]
+        return [(unpack(k, n), terms[k]) for k in sorted(terms, reverse=True)]
 
     def coefficient(self, exps: Sequence[int]) -> Coeff:
         """Coefficient of one monomial; exps is checked like the constructor's."""
@@ -293,6 +329,13 @@ class MultiPoly:
         for q in images:
             if not isinstance(q, MultiPoly) or q.nvars != nvars:
                 raise ValueError("every image must be a MultiPoly in `nvars` variables")
+        # a single-monomial image c*m sends x_i^e to the key shift e*m and
+        # the coefficient c^e; the other images are multiplied in by powers
+        shifts = {}
+        for i, q in enumerate(images):
+            if len(q._terms) == 1:
+                (key, c), = q._terms.items()
+                shifts[i] = (key, c, max(unpack(key, nvars), default=0))
         caches = [{0: {0: 1}, 1: q._terms} for q in images]
 
         def power(i: int, e: int) -> dict:
@@ -303,45 +346,67 @@ class MultiPoly:
                 top += 1
             return cache[e]
 
+        guard = pack([FIELD_MAX + 1] * nvars)
         out: dict = {}
+        others = [i for i in range(self._nvars) if i not in shifts]
         for key, c in self._terms.items():
-            term = {0: c}
-            for i, e in enumerate(unpack(key, self._nvars)):
+            exps = unpack(key, self._nvars)
+            shift = 0
+            for i, (k, ci, field) in shifts.items():
+                e = exps[i]
                 if e:
-                    term = mul_terms(term, power(i, e))
+                    # with e*field in range, shift and e*k have clear guard
+                    # bits, so their sum cannot carry and the check is exact
+                    shift += e * k
+                    if e * field > FIELD_MAX or shift & guard:
+                        raise OverflowError(f"an exponent of the image exceeds {FIELD_MAX}")
+                    c = c * ci**e
+            term = {shift: c}
+            for i in others:
+                if exps[i]:
+                    term = mul_terms(term, power(i, exps[i]))
             iadd_terms(out, term)
         return MultiPoly._raw(nvars, out)
 
-    def to_text(self, names: Sequence[str] | None = None) -> str:
-        """Deterministic human-readable form, leading term first."""
-        return "".join(self._text_chunks(names))
+    def to_text(
+        self, names: Sequence[str] | None = None, table: MonomialTable | None = None
+    ) -> str:
+        """Deterministic human-readable form, leading term first; the same
+        with or without a table."""
+        return "".join(self._text_chunks(names, table))
 
-    def _text_chunks(self, names: Sequence[str] | None = None) -> Iterator[str]:
-        """The canonical text, one term at a time, in to_text's order."""
-        if names is None:
-            names = [f"k{i + 1}" for i in range(self._nvars)]
-        elif len(names) != self._nvars:
-            raise ValueError("need one name per variable")
-        if not self._terms:
+    def _text_chunks(
+        self, names: Sequence[str] | None = None, table: MonomialTable | None = None
+    ) -> Iterator[str]:
+        """The canonical text, one term at a time, in to_text's order.
+        Without a table nothing is kept from one term to the next."""
+        n = self._nvars
+        names = _names(n, names)
+        texts = None if table is None else table._texts
+        if table is not None and (table.nvars, table.names) != (n, names):
+            raise ValueError(f"the monomial table is for {table.names}, not {names}")
+        terms = self._terms
+        if not terms:
             yield "0"
             return
         first = True
-        for exps, c in self._iter_sorted():
-            factors = []
-            for name, e in zip(names, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
+        for k in sorted(terms, reverse=True):
+            c = terms[k]
+            if texts is None:
+                factors = _monomial_text(k, n, names)
+            else:
+                factors = texts.get(k)
+                if factors is None:
+                    factors = texts[k] = _monomial_text(k, n, names)
             mag = abs(c)
             num, den = mag.numerator, mag.denominator
             coeff_txt = str(num) if den == 1 else f"{num}/{den}"
             if not factors:
                 body = coeff_txt
             elif coeff_txt == "1":
-                body = "*".join(factors)
+                body = factors
             else:
-                body = "*".join([coeff_txt] + factors)
+                body = f"{coeff_txt}*{factors}"
             if first:
                 yield body if c > 0 else f"-{body}"
                 first = False

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import warnings
 from fractions import Fraction
+from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
 from hooklab.multipoly import MultiPoly, falling_factorial, specialize
@@ -264,12 +265,43 @@ def root_degree_sides(
 
 
 def root_degree_summands(r: int) -> Iterator[tuple[tuple, MultiPoly]]:
-    """Per-partition contributions to the root degree right side."""
+    """Per-partition contributions to the root degree right side; the
+    factor of a block B is (K_B - |B| + 1) * S(B)."""
+
+    def factor(block: tuple) -> MultiPoly:
+        edge = _ksum(r, block) - (len(block) - 1)
+        return edge * tree_weight_sum(block, r)
+
+    return _partition_summands(r, factor)
+
+
+def _partition_summands(
+    r: int, factor: Callable[[tuple], MultiPoly]
+) -> Iterator[tuple[tuple, MultiPoly]]:
+    """(partition, k1^(blocks) * product of factor(B) over its blocks) for
+    every partition of {2..r}.
+
+    Each block's factor is built once and dropped after its last use.  A
+    block B occurs once for each partition of the other m - |B| labels,
+    in bell[m - |B|] partitions, so the large blocks, which have the
+    large factors, go soon.
+    """
+    m = r - 1
+    bell = [1]
+    for n in range(m):
+        bell.append(sum(comb(n, j) * bell[j] for j in range(n + 1)))
+    k1 = _var(r, 1)
+    factors: dict = {}
     for part in set_partitions(range(2, r + 1)):
-        term = _var(r, 1) ** len(part)
+        term = k1 ** len(part)
         for block in part:
-            edge = _ksum(r, block) - (len(block) - 1)
-            term = term * edge * tree_weight_sum(tuple(block), r)
+            entry = factors.get(block)
+            if entry is None:
+                entry = factors[block] = [factor(block), bell[m - len(block)]]
+            entry[1] -= 1
+            if not entry[1]:
+                del factors[block]
+            term = term * entry[0]
         yield part, term
 
 
@@ -299,13 +331,13 @@ def lagrange_identity_sides(
 
 
 def lagrange_summands(r: int) -> Iterator[tuple[tuple, MultiPoly]]:
-    """Per-partition contributions to the Lagrange-form right side."""
-    for part in set_partitions(range(2, r + 1)):
-        term = _var(r, 1) ** len(part)
-        for block in part:
-            term = term * _kprod(r, block)
-            term = term * falling_factorial(_ksum(r, block) - 1, len(block) - 1)
-        yield part, term
+    """Per-partition contributions to the Lagrange-form right side; the
+    factor of a block B is k_B * (K_B - 1)_(|B|-1)."""
+
+    def factor(block: tuple) -> MultiPoly:
+        return _kprod(r, block) * falling_factorial(_ksum(r, block) - 1, len(block) - 1)
+
+    return _partition_summands(r, factor)
 
 
 class TruncatedSeries:
@@ -485,11 +517,16 @@ def lagrange_series_oracle(r: int, kvals: Sequence[int]) -> int:
         )
     ts = [TruncatedSeries.variable(r, i) for i in range(r)]
     w = [TruncatedSeries.const(r, 0) for _ in range(r)]
+    top = max(kvals)
     for _ in range(r):
         base = TruncatedSeries.const(r, 1)
         for wi in w:
             base = base + wi
-        w = [ts[i] * base ** kvals[i] for i in range(r)]
+        # base^0..base^top once per pass; a negative k goes through the inverse
+        ladder = [TruncatedSeries.const(r, 1), base]
+        while len(ladder) <= top:
+            ladder.append(ladder[-1] * base)
+        w = [ts[i] * (ladder[k] if k >= 0 else base**k) for i, k in enumerate(kvals)]
     value = w[0].coefficient((1 << r) - 1)
     if isinstance(value, Fraction):
         if value.denominator != 1:

@@ -2,6 +2,7 @@
 
 import ast
 import functools
+import hashlib
 import json
 import subprocess
 import sys
@@ -227,6 +228,50 @@ class TestVerify:
         assert traced and all("trace" in rec for rec in traced)
         entry = traced[-1]["trace"][0]
         assert {"blocks", "terms", "text"} <= set(entry)
+
+    # sha256 of json.dumps(trace, sort_keys=True) for every traced check of
+    # `verify <family> --r 6 --trace --json`, recorded before the summand
+    # texts were rendered through a shared monomial table; every other
+    # check carries no trace
+    TRACE_SHA256 = {
+        "pq": [
+            "b1a68694a7cd68ccedc520b7b253d36cea2bf64e46e966eb10770123891255fe",
+            "45d931408b811bdf70431dfa9038e21d0c866e536fc9607e2fd906541ff7ecf5",
+            "f257245c36f8bbe7f073e63d43d432582398c5838504b4fc894a99743b91f375",
+            "fcb4bc1a5e7488a616d1f93642f4b970a260d9dabc316a85b5ba6e0dd6f074c5",
+            "a49fdfd7a771348e1b4b13202fa92af5ec09eebbde996416b0a686721f6d837e",
+        ],
+        "grafting/split": [
+            "6a07c8bfc3dfd009ac748ea84d70873b3387705f58486c9dee6d56eb77e70a67",
+            "c1a87c5ef8005b6e2327c665311dcabe279fdd51a65161e5c7927b5f78a75144",
+            "48c2a2eb909540e1fb7bb4cca2b8a29e7f2e3f07300606cc49860f480bb6601f",
+            "99a2fbb1344b7eb321519cb224a334b3d975571a6a470f2e18f84e64b97d650f",
+            "a3216edfa4843363d35d5b5172c65a489b8b91e5bd8fe50c0ca644ed8b1b6d8b",
+        ],
+        # the two partition sums agree summand by summand
+        "root-recurrence": [
+            "ec4e56b1ab1aa0f25127f3acb300653378734d7574410ae56ddcaa0e5b254052",
+            "7260574ef946d366235e25085bfabe7bfd476b1742a37317e2cbee4e0f723b67",
+            "e56fe4eab9c3a695da29226c46c18ff0ac5920baa615eabc0bedd1b09b4e2ce8",
+            "e434cfbcdbe9a793b9b6449aa88c55d551712b6cc7d95e6b8560191f7a8c025a",
+            "71aa1cd70e754757b9f434a4840eb3b12bc19f2954ea400e8bf8d5de68498a8f",
+        ],
+    }
+    TRACE_SHA256["mvl"] = TRACE_SHA256["root-recurrence"]
+
+    @pytest.mark.parametrize("family", ["pq", "grafting", "root-recurrence", "mvl"])
+    def test_trace_payloads_are_pinned(self, family, capsys):
+        argv = ["verify", family, "--r", "6", "--trace", "--json"]
+        code, out, _ = run_main(argv, capsys)
+        assert code == 0
+        got = {}
+        for rec in json.loads(out)["checks"]:
+            if "trace" in rec:
+                payload = json.dumps(rec["trace"], sort_keys=True).encode()
+                digest = hashlib.sha256(payload).hexdigest()
+                got.setdefault(rec["check"], []).append(digest)
+        check = "grafting/split" if family == "grafting" else family
+        assert got == {check: self.TRACE_SHA256[check]}
 
     def test_no_trace_key_without_flag(self, capsys):
         _, out, _ = run_main(["verify", "mvl", "--r", "3", "--json"], capsys)

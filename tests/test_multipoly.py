@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hooklab._kernel_py import FIELD_MAX, WIDTH
 from hooklab.multipoly import (
+    MonomialTable,
     MultiPoly,
     Var,
     falling_factorial,
@@ -197,6 +198,38 @@ class TestSubstitute:
         assert p.substitute(images, 0) == specialize(p, {0: c, 1: c, 2: c})
 
 
+    def test_overflow_raises(self):
+        with pytest.raises(OverflowError):
+            MultiPoly(1, {(20000,): 1}).substitute([MultiPoly(1, {(2,): 1})], 1)
+        # 30000 * 3 carries past the guard bit into the next field
+        with pytest.raises(OverflowError):
+            MultiPoly(1, {(30000,): 1}).substitute([MultiPoly(2, {(0, 3): 1})], 2)
+
+    def test_monomial_images_that_carry_together_raise(self):
+        # each image fits its field alone; three of them overflow it
+        image = MultiPoly(2, {(0, 12000): 1})
+        p = MultiPoly(3, {(1, 1, 1): 1})
+        with pytest.raises(OverflowError):
+            p.substitute([image] * 3, 2)
+        assert MultiPoly(3, {(1, 1, 0): 1}).substitute([image] * 3, 2) == MultiPoly(
+            2, {(0, 24000): 1}
+        )
+
+    @given(polys3, st.lists(st.tuples(polys3, st.booleans()), min_size=3, max_size=3))
+    def test_agrees_with_term_by_term_composition(self, p, picks):
+        # single-monomial images take the key-shift path, the rest multiply
+        images = [
+            MultiPoly(3, q.sorted_terms()[:1]) if single else q for q, single in picks
+        ]
+        want = MultiPoly.zero(3)
+        for exps, c in p.sorted_terms():
+            term = MultiPoly.const(3, c)
+            for image, e in zip(images, exps):
+                term = term * image**e
+            want = want + term
+        assert p.substitute(images, 3) == want
+
+
 class TestTopHomogeneous:
     def test_example(self):
         assert top_homogeneous((x + 1) * (y + 2)) == x * y
@@ -240,3 +273,34 @@ class TestRendering:
     def test_fraction_survives_json(self):
         p = MultiPoly(1, {(1,): Fraction(3, 7)})
         assert MultiPoly.from_json_dict(p.to_json_dict()) == p
+
+
+class TestMonomialTable:
+    CASES = [
+        (MultiPoly.zero(2), None),
+        (MultiPoly.const(2, 7), None),
+        (-(x**3) + 2 * x * y - 5, None),
+        (MultiPoly(2, {(2, 1): Fraction(-3, 4), (0, 1): Fraction(1, 2)}), None),
+        (x**2 * y + 4 * y, ["a", "b"]),
+    ]
+
+    def test_shared_table_renders_like_plain_text(self):
+        tables = {}
+        for p, names in self.CASES * 2:
+            table = tables.setdefault(tuple(names or ()), MonomialTable(2, names))
+            assert p.to_text(names, table=table) == p.to_text(names)
+
+    @given(st.lists(polys3, max_size=6))
+    def test_one_table_serves_a_stream(self, polys):
+        table = MonomialTable(3)
+        assert [p.to_text(table=table) for p in polys] == [p.to_text() for p in polys]
+
+    def test_table_is_bound_to_its_ring(self):
+        with pytest.raises(ValueError):
+            x.to_text(table=MonomialTable(3))
+        with pytest.raises(ValueError):
+            x.to_text(table=MonomialTable(2, ["a", "b"]))
+        with pytest.raises(ValueError):
+            x.to_text(["a", "c"], table=MonomialTable(2, ["a", "b"]))
+        with pytest.raises(ValueError):
+            MonomialTable(2, ["only"])

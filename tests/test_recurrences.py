@@ -1,8 +1,9 @@
 """Inductive derivations of the hook weight sum and the series oracle."""
 
 import random
+import warnings
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -191,6 +192,24 @@ class TestBlockBridge:
                 assert p1 == p2
                 assert a == b
 
+    @pytest.mark.parametrize(
+        "summands, inner",
+        [
+            ("root_degree_summands", "tree_weight_sum"),
+            ("lagrange_summands", "falling_factorial"),
+        ],
+    )
+    def test_each_block_factor_is_built_once(self, summands, inner, monkeypatch):
+        calls = []
+        real = getattr(rc, inner)
+        monkeypatch.setattr(rc, inner, lambda *args: calls.append(args) or real(*args))
+        for r in range(2, 8):
+            calls.clear()
+            for _ in getattr(rc, summands)(r):
+                pass
+            # one factor per nonempty subset of {2..r}, none rebuilt
+            assert len(calls) == 2 ** (r - 1) - 1
+
 
 class TestLagrangeIdentity:
     def test_two_by_hand(self):
@@ -261,6 +280,18 @@ class TestSeriesOracle:
     def test_non_positive_exponents_warn_but_compute(self):
         with pytest.warns(UserWarning):
             assert rc.lagrange_series_oracle(2, [0, 1]) == 0
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_non_positive_grid_matches_closed_form(self, r):
+        for kvals in product([-3, -1, 0, 2], repeat=r):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = rc.lagrange_series_oracle(r, kvals)
+            assert got == rc.oracle_closed_form(r, kvals), kvals
+            # exactly the calls with a non-positive exponent warn
+            assert [str(w.message)[:12] for w in caught] == (
+                ["non-positive"] if min(kvals) <= 0 else []
+            ), kvals
 
     def test_validation(self):
         with pytest.raises(ValueError):
