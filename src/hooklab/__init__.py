@@ -11,7 +11,6 @@ from hooklab.hookformula import (
     binary_reciprocal_hook_sum,
     cayley_degree_identity,
     cayley_fiber_sums,
-    fiber_sum,
     hook_weight_closed_form,
     hook_weight_sum,
     increasing_hook_sum,
@@ -25,7 +24,6 @@ from hooklab.hookformula import (
 )
 from hooklab.kerov import (
     IntPartition,
-    Permutation,
     bedard_goupil,
     binomial_simplification_check,
     block_cycle_permutation,
@@ -109,7 +107,6 @@ __all__ = [
     "linear_extension_check",
     "cayley_degree_identity",
     "cayley_fiber_sums",
-    "fiber_sum",
     "top_weight_sum",
     # recurrences
     "split_polynomial",
@@ -121,7 +118,6 @@ __all__ = [
     "subset_closed_form",
     "TruncatedSeries",
     # factorization counts
-    "Permutation",
     "IntPartition",
     "partitions_of",
     "block_cycle_permutation",

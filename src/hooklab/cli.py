@@ -1,18 +1,21 @@
 """Command line front end.
 
 Two subcommands.  `enumerate` streams one of the three tree families as
-JSON records (one per line) or DOT graphs (blank-line separated).
-`verify` runs identity suites and prints one verdict per comparison,
-exiting 0 only if every comparison held; `verify all` runs the whole
-battery.
+JSON records (one per line), or with --dot as DOT graphs (blank-line
+separated).  `verify` runs identity suites and prints one verdict per
+comparison, or with --json one report, exiting 0 only if every
+comparison held; `verify all` runs the whole battery.  Either writes
+to stdout or to the file --out names, which is opened once the
+arguments check out and before any work, so an unwritable path fails
+at once.
 
 Each family of checks is declared once, in FAMILIES: the size flag
 that sets its bound (--n for binary-hooks, --max-size for kerov, --r
 for the rest), its first size (2 for cayley, pq, grafting,
 root-recurrence and mvl, 1 for the rest), a default bound, a hard
 ceiling and the sweep that yields its comparisons.  Bounds can be
-raised per run with the size flag or a numeric --budget, but never past
-the ceiling: factorial and Catalan growth make accidental huge runs too
+raised per run with the size flag, but never past the ceiling:
+factorial and Catalan growth make accidental huge runs too
 easy, so over-ceiling requests are refused outright rather than
 truncated.  The environment variable HOOKLAB_BUDGET_CEILING replaces
 the ceilings for people who know what they are asking for, except
@@ -20,9 +23,8 @@ kerov's: its ceiling is kerov.FACTORIZATION_BOUND, the largest size the
 long-cycle walk takes, which the variable can lower but not raise.  A
 bound below a family's first size, which would compare nothing, is
 refused, and so is a size flag that no selected family reads (`verify
-all` reads all three).  The two module-level caches, hookformula's
-tree weight sums and the binary shapes of trees, last for one verify
-run.
+all` reads all three).  The one module-level cache, hookformula's
+tree weight sums, lasts for one verify run.
 
 Reports are deterministic: running the same command twice gives the
 same output except for elapsed_ms.  Every sweep runs in this one
@@ -34,6 +36,7 @@ nothing.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import random
@@ -83,13 +86,6 @@ def _verify_bound(check: str, args) -> int:
     if family.fixed:
         ceiling = min(ceiling, family.ceiling)
     explicit = getattr(args, family.flag)
-    if explicit is None and args.budget != "default":
-        try:
-            explicit = int(args.budget)
-        except ValueError:
-            raise UsageError(
-                f"--budget wants an integer or 'default', got {args.budget!r}"
-            ) from None
     bound = family.default if explicit is None else explicit
     if bound < family.first:
         raise UsageError(
@@ -365,7 +361,7 @@ def _kerov_table_lines(reports: list) -> list:
     return lines
 
 
-def cmd_verify(args) -> tuple[str, int]:
+def cmd_verify(args) -> int:
     if args.threads < 1:
         raise UsageError("--threads must be at least 1")
     checks = list(FAMILIES) if args.check == "all" else [args.check]
@@ -377,54 +373,40 @@ def cmd_verify(args) -> tuple[str, int]:
                 f"not {_option(flag)}"
             )
     bounds = {c: _verify_bound(c, args) for c in checks}
-    reports: list[VerdictReport] = []
-    try:
-        for c in checks:
-            reports.extend(run_family(c, bounds[c], args.trace))
-    finally:
-        # the sweep caches serve one run: a second run redoes its work
-        hf.tree_weight_sum.cache_clear()
-        tr._binary_shapes.cache_clear()
-    all_pass = all(v.equal for v in reports)
-    if args.json:
-        doc = {
-            "command": "verify",
-            "checks": [v.to_json_dict() for v in reports],
-            "pass": all_pass,
-        }
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    else:
-        lines = []
-        if any(v.check == "kerov" for v in reports):
-            lines.extend(_kerov_table_lines(reports))
-            lines.append("")
-        lines.extend(v.format_line() for v in reports)
-        failed = sum(1 for v in reports if not v.equal)
-        lines.append("")
-        if failed:
-            lines.append(f"{len(reports)} comparisons, {failed} FAILED")
+    with _output(args.out) as stream:
+        reports: list[VerdictReport] = []
+        try:
+            for c in checks:
+                reports.extend(run_family(c, bounds[c], args.trace))
+        finally:
+            # the sweep cache serves one run: a second run redoes its work
+            hf.tree_weight_sum.cache_clear()
+        all_pass = all(v.equal for v in reports)
+        if args.json:
+            doc = {
+                "command": "verify",
+                "checks": [v.to_json_dict() for v in reports],
+                "pass": all_pass,
+            }
+            json.dump(doc, stream, indent=2, sort_keys=True)
+            stream.write("\n")
         else:
-            lines.append(f"{len(reports)} comparisons, all passed")
-        text = "\n".join(lines) + "\n"
-    return text, 0 if all_pass else 1
+            lines = []
+            if any(v.check == "kerov" for v in reports):
+                lines.extend(_kerov_table_lines(reports))
+                lines.append("")
+            lines.extend(v.format_line() for v in reports)
+            failed = sum(1 for v in reports if not v.equal)
+            lines.append("")
+            if failed:
+                lines.append(f"{len(reports)} comparisons, {failed} FAILED")
+            else:
+                lines.append(f"{len(reports)} comparisons, all passed")
+            stream.write("\n".join(lines) + "\n")
+    return 0 if all_pass else 1
 
 
-def _resolve_format(args) -> str:
-    if args.json and args.dot:
-        raise UsageError("--json and --dot conflict")
-    fmt = args.format
-    if args.json:
-        if fmt == "dot":
-            raise UsageError("--json conflicts with --format dot")
-        fmt = "json"
-    if args.dot:
-        if fmt == "json":
-            raise UsageError("--dot conflicts with --format json")
-        fmt = "dot"
-    return fmt or "json"
-
-
-def cmd_enumerate(args) -> tuple[str, int]:
+def cmd_enumerate(args) -> int:
     family, size = args.family, args.size
     ceiling = _env_ceiling(ENUMERATE_BUDGETS[family])
     floor = 0 if family == "binary" else 1
@@ -435,29 +417,22 @@ def cmd_enumerate(args) -> tuple[str, int]:
             f"enumerate {family} is capped at {ceiling} (asked for {size}); "
             "set HOOKLAB_BUDGET_CEILING to raise the cap"
         )
-    fmt = _resolve_format(args)
     if family == "increasing":
         items = tr.enumerate_increasing(range(1, size + 1))
-        if fmt == "json":
-            chunks = [json.dumps(t.to_json_dict(), sort_keys=True) for t in items]
-        else:
-            chunks = [t.to_dot(f"t{i}") for i, t in enumerate(items)]
+        to_json, to_dot = tr.IncreasingTree.to_json_dict, tr.IncreasingTree.to_dot
     elif family == "cayley":
         items = tr.enumerate_cayley(size)
-        if fmt == "json":
-            chunks = [json.dumps(u.to_json_dict(), sort_keys=True) for u in items]
-        else:
-            chunks = [u.to_dot(f"t{i}") for i, u in enumerate(items)]
+        to_json, to_dot = tr.CayleyTree.to_json_dict, tr.CayleyTree.to_dot
     else:
         items = tr.enumerate_binary(size)
-        if fmt == "json":
-            chunks = [
-                json.dumps(tr.binary_to_json_dict(b), sort_keys=True) for b in items
-            ]
-        else:
-            chunks = [tr.binary_to_dot(b, f"t{i}") for i, b in enumerate(items)]
-    sep = "\n" if fmt == "json" else "\n\n"
-    return sep.join(chunks) + "\n", 0
+        to_json, to_dot = tr.binary_to_json_dict, tr.binary_to_dot
+    with _output(args.out) as stream:
+        for i, t in enumerate(items):
+            if args.dot:
+                stream.write(("\n" if i else "") + to_dot(t, f"t{i}") + "\n")
+            else:
+                stream.write(json.dumps(to_json(t), sort_keys=True) + "\n")
+    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -475,10 +450,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     enum_p.add_argument("size", type=int, help="number of vertices")
     enum_p.add_argument(
-        "--format", choices=["json", "dot"], default=None, help="output format"
+        "--dot", action="store_true", help="emit DOT graphs instead of JSON records"
     )
-    enum_p.add_argument("--json", action="store_true", help="same as --format json")
-    enum_p.add_argument("--dot", action="store_true", help="same as --format dot")
     enum_p.add_argument("--out", default=None, help="write to a file instead of stdout")
 
     verify_p = sub.add_parser(
@@ -500,11 +473,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="largest partition size for the kerov sweep",
     )
-    verify_p.add_argument(
-        "--budget",
-        default="default",
-        help="sweep bound for all selected checks: an integer, or 'default'",
-    )
     verify_p.add_argument("--json", action="store_true", help="emit a JSON report")
     verify_p.add_argument(
         "--trace",
@@ -522,29 +490,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_out(text: str, out_path) -> None:
+@contextlib.contextmanager
+def _output(out_path):
+    """stdout, or the file at out_path; a path that cannot be opened for
+    writing is a usage error."""
     if out_path is None:
-        sys.stdout.write(text)
+        yield sys.stdout
         return
     try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        fh = open(out_path, "w", encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot write {out_path}: {exc}") from None
+    with fh:
+        yield fh
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "enumerate":
-            text, code = cmd_enumerate(args)
-        else:
-            text, code = cmd_verify(args)
-        _write_out(text, args.out)
+            return cmd_enumerate(args)
+        return cmd_verify(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return code
 
 
 if __name__ == "__main__":

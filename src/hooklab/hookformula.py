@@ -72,7 +72,6 @@ __all__ = [
     "binary_reciprocal_hook_sum",
     "cayley_degree_identity",
     "cayley_fiber_sums",
-    "fiber_sum",
     "hook_weight_closed_form",
     "hook_weight_sum",
     "increasing_hook_sum",
@@ -119,6 +118,12 @@ def _linear_factor(keys, top_only: bool = False) -> dict:
     if not top_only and len(keys) != 1:
         lin[0] = 1 - len(keys)
     return lin
+
+
+def _hook_factor(ambient: int, labels) -> MultiPoly:
+    """K_S - |S| + 1 for a subtree S given by its labels: the factor an
+    edge into S contributes besides the variable of its upper end."""
+    return MultiPoly._raw(ambient, _linear_factor(_label_keys(labels, ambient)))
 
 
 def _weight_terms(units, pv, top_only: bool = False) -> dict:
@@ -478,19 +483,6 @@ def cayley_fiber_sums(r: int) -> Mapping:
         acc = groups.setdefault(image, {})
         acc[key] = acc.get(key, 0) + 1
     return {t: MultiPoly._raw(r, terms) for t, terms in groups.items()}
-
-
-def fiber_sum(t: IncreasingTree, r: int) -> MultiPoly:
-    """Degree-monomial sum over the unrooted trees collapsing to t.
-
-    Each call sweeps all r^(r-2) unrooted trees; for many fibers of one
-    r, call cayley_fiber_sums once.
-    """
-    sums = cayley_fiber_sums(r)
-    try:
-        return sums[t]
-    except KeyError:
-        raise ValueError(f"{t!r} is not an increasing tree on 1..{r}") from None
 
 
 def cayley_degree_identity(r: int) -> tuple:

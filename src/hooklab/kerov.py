@@ -41,7 +41,6 @@ from hooklab.multipoly import specialize
 
 __all__ = [
     "IntPartition",
-    "Permutation",
     "bedard_goupil",
     "binomial_simplification_check",
     "block_cycle_permutation",
@@ -56,104 +55,6 @@ __all__ = [
 
 FACTORIZATION_BOUND = 9
 TREE_BRIDGE_BOUND = 7
-
-class Permutation:
-    """Bijection of {1..n}, stored as the tuple of images of 1, 2, ..., n."""
-
-    __slots__ = ("_images",)
-
-    def __init__(self, images: Iterable[int]):
-        images = tuple(images)
-        n = len(images)
-        if sorted(images) != list(range(1, n + 1)):
-            raise ValueError(f"{images!r} is not a bijection of 1..{n}")
-        self._images = images
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls._make(tuple(range(1, n + 1)))
-
-    @classmethod
-    def from_visiting_order(cls, order: Sequence[int]) -> "Permutation":
-        """The single cycle sending each entry of `order` to the next.
-
-        `order` must list all of 1..n; the last entry wraps to the first.
-        """
-        n = len(order)
-        if sorted(order) != list(range(1, n + 1)):
-            raise ValueError(f"{order!r} does not visit 1..{n} exactly once")
-        images = [0] * n
-        for a, b in zip(order, order[1:]):
-            images[a - 1] = b
-        images[order[-1] - 1] = order[0]
-        return cls._make(tuple(images))
-
-    @classmethod
-    def _make(cls, images: tuple) -> "Permutation":
-        self = object.__new__(cls)
-        self._images = images
-        return self
-
-    @property
-    def images(self) -> tuple:
-        return self._images
-
-    @property
-    def n(self) -> int:
-        return len(self._images)
-
-    def __call__(self, i: int) -> int:
-        if not 1 <= i <= len(self._images):
-            raise ValueError(f"{i} is outside 1..{len(self._images)}")
-        return self._images[i - 1]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        """Composition: (p*q)(i) = p(q(i)), q applied first."""
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        if len(self._images) != len(other._images):
-            raise ValueError("sizes differ")
-        a, b = self._images, other._images
-        return Permutation._make(tuple(a[x - 1] for x in b))
-
-    def inverse(self) -> "Permutation":
-        images = [0] * len(self._images)
-        for i, x in enumerate(self._images):
-            images[x - 1] = i + 1
-        return Permutation._make(tuple(images))
-
-    def cycles(self) -> tuple:
-        """Cycles as tuples, each starting at its smallest element, by that element."""
-        seen = [False] * len(self._images)
-        out = []
-        for start in range(1, len(self._images) + 1):
-            if seen[start - 1]:
-                continue
-            cyc = []
-            x = start
-            while not seen[x - 1]:
-                seen[x - 1] = True
-                cyc.append(x)
-                x = self._images[x - 1]
-            out.append(tuple(cyc))
-        return tuple(out)
-
-    def ncycles(self) -> int:
-        return len(_cycle_sizes([x - 1 for x in self._images]))
-
-    def cycle_type(self) -> "IntPartition":
-        return IntPartition(_cycle_sizes([x - 1 for x in self._images]))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        return self._images == other._images
-
-    def __hash__(self) -> int:
-        return hash(self._images)
-
-    def __repr__(self) -> str:
-        return f"Permutation({self._images!r})"
 
 
 class IntPartition:
@@ -233,8 +134,9 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[IntPartition]
         yield IntPartition(parts)
 
 
-def block_cycle_permutation(mu: IntPartition) -> Permutation:
-    """The permutation whose cycles are consecutive blocks of sizes mu_1, mu_2, ...
+def block_cycle_permutation(mu: IntPartition) -> tuple:
+    """The images of 1, 2, ..., n under the permutation whose cycles are
+    consecutive blocks of sizes mu_1, mu_2, ...
 
     The first cycle visits 1..mu_1 in order, the next mu_1+1..mu_1+mu_2,
     and so on; it is the canonical representative of its conjugacy
@@ -248,7 +150,7 @@ def block_cycle_permutation(mu: IntPartition) -> Permutation:
         block = list(range(start + 1, start + p)) + [start]
         images.extend(block)
         start += p
-    return Permutation(images)
+    return tuple(images)
 
 
 def _cycle_sizes(images: Sequence[int]) -> list:
@@ -298,7 +200,7 @@ def _check_coverage(visited: int, n: int) -> None:
 
 
 def _block_images(mu: IntPartition) -> tuple:
-    return tuple(x - 1 for x in block_cycle_permutation(mu).images)
+    return tuple(x - 1 for x in block_cycle_permutation(mu))
 
 
 def _walk(sigma: Sequence[int], target: int) -> tuple:

@@ -38,6 +38,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from hooklab.multipoly import MultiPoly, falling_factorial, specialize
 from hooklab.hookformula import (
+    _hook_factor,
     _kprod,
     _ksum,
     hook_weight_closed_form,
@@ -203,9 +204,7 @@ def grafting_law_sides(
     if ambient is None:
         ambient = t.labels[-1]
     host, shoot = split_at_second_min(t)
-    edge = _var(ambient, host.root) * (
-        _ksum(ambient, shoot.labels) - (len(shoot) - 1)
-    )
+    edge = _var(ambient, host.root) * _hook_factor(ambient, shoot.labels)
     lhs = tree_weight(t, ambient)
     rhs = tree_weight(host, ambient) * tree_weight(shoot, ambient) * edge
     return lhs, rhs
@@ -234,9 +233,8 @@ def grafting_split_summands(r: int) -> Iterator[tuple[tuple, tuple, MultiPoly]]:
     if r < 2:
         raise ValueError("the split needs at least two vertices")
     k1 = _var(r, 1)
-    k2 = _var(r, 2)
     for x1, x2 in _ordered_splits(range(3, r + 1)):
-        edge = k1 * (k2 + _ksum(r, x2) - len(x2))
+        edge = k1 * _hook_factor(r, (2,) + x2)
         host_sum = tree_weight_sum(tuple(sorted((1,) + x1)), r)
         shoot_sum = tree_weight_sum(tuple(sorted((2,) + x2)), r)
         yield x1, x2, edge * host_sum * shoot_sum
@@ -269,8 +267,7 @@ def root_degree_summands(r: int) -> Iterator[tuple[tuple, MultiPoly]]:
     factor of a block B is (K_B - |B| + 1) * S(B)."""
 
     def factor(block: tuple) -> MultiPoly:
-        edge = _ksum(r, block) - (len(block) - 1)
-        return edge * tree_weight_sum(block, r)
+        return _hook_factor(r, block) * tree_weight_sum(block, r)
 
     return _partition_summands(r, factor)
 
@@ -475,13 +472,16 @@ class TruncatedSeries:
             raise TypeError("series power wants an int exponent")
         base = self if k >= 0 else self._inverse()
         e = abs(k)
-        out = TruncatedSeries.const(self._r, 1)
+        # square-and-multiply with no product by the constant 1 and no
+        # square past the top bit
+        out = None
         while e:
             if e & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             e >>= 1
-        return out
+            if e:
+                base = base * base
+        return TruncatedSeries.const(self._r, 1) if out is None else out
 
     def __repr__(self) -> str:
         nonzero = sum(1 for c in self._coeffs if c)

@@ -31,7 +31,6 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb, factorial, prod
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -492,23 +491,25 @@ def binary_count(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-@lru_cache(maxsize=None)
-def _binary_shapes(n: int) -> tuple:
-    if n == 0:
-        return (None,)
-    out = []
-    for left_size in range(n):
-        for left in _binary_shapes(left_size):
-            for right in _binary_shapes(n - 1 - left_size):
-                out.append(BinaryTree(left, right))
-    return tuple(out)
-
-
 def enumerate_binary(n: int) -> Iterator["BinaryTree | None"]:
-    """Yield all binary shapes with n vertices, left subtree size ascending."""
+    """Yield all binary shapes with n vertices, left subtree size ascending.
+
+    The shapes of every size up to n are built once per call, each
+    from the smaller ones, and shared as subtrees of the larger.
+    """
     if n < 0:
         raise ValueError("size must be non-negative")
-    return iter(_binary_shapes(n))
+    shapes: list[tuple] = [(None,)]
+    for m in range(1, n + 1):
+        shapes.append(
+            tuple(
+                BinaryTree(left, right)
+                for left_size in range(m)
+                for left in shapes[left_size]
+                for right in shapes[m - 1 - left_size]
+            )
+        )
+    return iter(shapes[n])
 
 
 def subtree_sizes(t: "BinaryTree | None") -> tuple[int, ...]:
@@ -567,30 +568,21 @@ def increasing_from_cayley(u: CayleyTree) -> IncreasingTree:
     """Collapse an unrooted labelled tree to an increasing tree.
 
     Remove the minimum vertex; each remaining component hangs its own
-    minimum under the removed one, and recursion inside the components
-    fills in the rest.  The map is onto, and summing a monomial over
-    each fiber is what links degree-weighted Cayley counts to hook
-    weights of increasing trees.
+    minimum under the removed one, and the same rule inside the
+    components fills in the rest.  The map is onto, and summing a
+    monomial over each fiber is what links degree-weighted Cayley
+    counts to hook weights of increasing trees.
+
+    Built in one pass over the labels from largest to smallest: the
+    partial trees on the labels above v are the components of u there,
+    each rooted at its minimum, and each neighbour w > v of v lies in
+    its own one, whose root becomes a child of v.
     """
     parent: dict[int, int] = {}
-
-    def collapse(vertices: frozenset[int], adj: dict[int, frozenset[int]]) -> int:
-        m = min(vertices)
-        rest = vertices - {m}
-        while rest:
-            seed = min(rest)
-            comp = {seed}
-            stack = [seed]
-            while stack:
-                for w in adj[stack.pop()]:
-                    if w in rest and w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            sub_adj = {v: adj[v] & frozenset(comp) for v in comp}
-            parent[collapse(frozenset(comp), sub_adj)] = m
-            rest -= comp
-        return m
-
-    adj = {v: frozenset(u.neighbors(v)) for v in u.vertices}
-    collapse(frozenset(u.vertices), adj)
+    for v in reversed(u.vertices):
+        for w in u.neighbors(v):
+            if w > v:
+                while w in parent:
+                    w = parent[w]
+                parent[w] = v
     return IncreasingTree(u.vertices, parent)

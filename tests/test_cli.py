@@ -15,6 +15,10 @@ import hooklab.cli as cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# `verify all` at bound 2 on every size flag: each family compares its
+# first sizes only
+SMALLEST_ALL = ["--r", "2", "--n", "2", "--max-size", "2"]
+
 
 def run_main(argv, capsys):
     code = cli.main(argv)
@@ -23,7 +27,7 @@ def run_main(argv, capsys):
 
 
 def verify_args(**overrides):
-    base = dict(r=None, n=None, max_size=None, budget="default")
+    base = dict(r=None, n=None, max_size=None)
     base.update(overrides)
     return Namespace(**base)
 
@@ -36,7 +40,7 @@ class TestEnumerate:
             assert len(out.strip().splitlines()) == want
 
     def test_json_records_parse(self, capsys):
-        code, out, _ = run_main(["enumerate", "increasing", "4", "--json"], capsys)
+        code, out, _ = run_main(["enumerate", "increasing", "4"], capsys)
         assert code == 0
         records = [json.loads(line) for line in out.strip().splitlines()]
         assert len(records) == 6
@@ -51,12 +55,8 @@ class TestEnumerate:
         assert graphs[1].startswith("digraph t1 {")
 
     def test_cayley_dot_is_undirected(self, capsys):
-        code, out, _ = run_main(["enumerate", "cayley", "3", "--format", "dot"], capsys)
+        code, out, _ = run_main(["enumerate", "cayley", "3", "--dot"], capsys)
         assert code == 0 and "graph t0" in out and "--" in out and "->" not in out
-
-    def test_format_conflict(self, capsys):
-        code, _, err = run_main(["enumerate", "binary", "3", "--json", "--dot"], capsys)
-        assert code == 2 and "conflict" in err
 
     def test_size_floor(self, capsys):
         assert run_main(["enumerate", "increasing", "0"], capsys)[0] == 2
@@ -94,13 +94,6 @@ class TestEnumerate:
 
 
 class TestBoundResolution:
-    def test_natural_flag_wins_over_budget(self):
-        args = verify_args(r=3, budget="5")
-        assert cli._verify_bound("theorem1", args) == 3
-
-    def test_budget_integer_applies(self):
-        assert cli._verify_bound("theorem1", verify_args(budget="5")) == 5
-
     def test_default_keyword(self):
         assert cli._verify_bound("theorem1", verify_args()) == 8
         assert cli._verify_bound("cayley", verify_args()) == 6
@@ -137,10 +130,6 @@ class TestBoundResolution:
         code, out, err = run_main(["verify", check, "--max-size", bound], capsys)
         assert code == 2 and out == ""
         assert f"kerov is capped at {cli.kv.FACTORIZATION_BOUND}" in err
-
-    def test_bad_budget_string(self):
-        with pytest.raises(cli.UsageError):
-            cli._verify_bound("theorem1", verify_args(budget="soon"))
 
 
 class TestVerify:
@@ -202,6 +191,17 @@ class TestVerify:
     def test_threads_must_be_positive(self, capsys):
         code, _, err = run_main(["verify", "theorem1", "--r", "2", "--threads", "0"], capsys)
         assert code == 2 and "threads" in err
+
+    def test_unwritable_out_file_fails_before_any_sweep(self, monkeypatch, capsys, tmp_path):
+        def no_work(sizes, trace):
+            raise AssertionError("the sweep started")
+
+        family = cli.FAMILIES["grafting"]._replace(sweep=no_work)
+        monkeypatch.setitem(cli.FAMILIES, "grafting", family)
+        target = tmp_path / "no" / "such" / "dir" / "x.json"
+        argv = ["verify", "grafting", "--r", "8", "--json", "--out", str(target)]
+        code, out, err = run_main(argv, capsys)
+        assert code == 2 and out == "" and "cannot write" in err
 
     def test_json_report_shape(self, capsys):
         code, out, _ = run_main(["verify", "pq", "--r", "3", "--json"], capsys)
@@ -289,7 +289,7 @@ class TestVerify:
         assert all(row.endswith("yes") for row in rows)
 
     def test_all_runs_every_family_cheaply(self, capsys):
-        code, out, _ = run_main(["verify", "all", "--budget", "2"], capsys)
+        code, out, _ = run_main(["verify", "all", *SMALLEST_ALL], capsys)
         assert code == 0
         for name in cli.FAMILIES:
             assert name in out
@@ -465,7 +465,7 @@ class TestFamilies:
         assert run_main(argv, capsys)[0] == 0
 
     def test_all_refuses_a_budget_below_a_first_size(self, capsys):
-        code, _, err = run_main(["verify", "all", "--budget", "1"], capsys)
+        code, _, err = run_main(["verify", "all", "--r", "1"], capsys)
         assert code == 2 and "cayley needs a bound of at least 2" in err
 
     def test_two_runs_do_the_same_work(self, monkeypatch, capsys):
@@ -483,9 +483,8 @@ class TestFamilies:
         assert counts == [5, 5]
 
     def test_no_sweep_cache_outlives_a_run(self, monkeypatch, capsys):
-        assert run_main(["verify", "all", "--budget", "2"], capsys)[0] == 0
+        assert run_main(["verify", "all", *SMALLEST_ALL], capsys)[0] == 0
         assert cli.hf.tree_weight_sum.cache_info().currsize == 0
-        assert cli.tr._binary_shapes.cache_info().currsize == 0
 
         def broken(r):
             raise RuntimeError("closed form unavailable")
@@ -496,7 +495,7 @@ class TestFamilies:
         assert cli.hf.tree_weight_sum.cache_info().currsize == 0
 
     def test_no_module_level_cache_outlives_a_run(self, capsys):
-        assert run_main(["verify", "all", "--budget", "2"], capsys)[0] == 0
+        assert run_main(["verify", "all", *SMALLEST_ALL], capsys)[0] == 0
         lru_wrapper = type(functools.lru_cache(maxsize=None)(len))
         sizes = {
             f"{name}.{attr}": value.cache_info().currsize
@@ -506,7 +505,7 @@ class TestFamilies:
             if isinstance(value, lru_wrapper)
         }
         # a new module-level cache must be named here and cleared by the run
-        assert set(sizes) == {"hooklab.hookformula._swept", "hooklab.trees._binary_shapes"}
+        assert set(sizes) == {"hooklab.hookformula._swept"}
         assert {cache: size for cache, size in sizes.items() if size} == {}
 
     def test_benchmark_names_the_declared_families(self):
@@ -519,6 +518,24 @@ class TestFamilies:
         ]
         assert len(declared) == 1
         assert ast.literal_eval(declared[0]) == tuple(cli.FAMILIES)
+
+
+class TestOptions:
+    def test_the_option_set_is_pinned(self):
+        # an option comes back only with an edit here
+        parser = cli._build_parser()
+        (subparsers,) = [a for a in parser._actions if a.choices and a.dest == "command"]
+        options = {
+            name: {a.option_strings[-1] if a.option_strings else a.dest for a in sub._actions}
+            for name, sub in subparsers.choices.items()
+        }
+        assert options == {
+            "enumerate": {"--help", "family", "size", "--dot", "--out"},
+            "verify": {
+                "--help", "check", "--r", "--n", "--max-size",
+                "--json", "--trace", "--threads", "--out",
+            },
+        }
 
 
 class TestConsoleScript:

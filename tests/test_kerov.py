@@ -1,5 +1,6 @@
 """Counting long-cycle factorizations and tying them to the tree sum."""
 
+import itertools
 import json
 from math import comb, factorial, prod
 
@@ -7,36 +8,36 @@ import pytest
 
 import hooklab.cli as cli
 import hooklab.kerov as kv
-from hooklab.kerov import IntPartition, Permutation
+from hooklab.kerov import IntPartition
 
 
 class TestPermutation:
+    """Permutations of 0..n-1 as tuples of images, as the sweeps hold them."""
+
     def test_composition_applies_right_factor_first(self):
-        a = Permutation((2, 1, 3))
-        b = Permutation((1, 3, 2))
-        assert (a * b).images == (2, 3, 1)
-        assert (b * a).images == (3, 1, 2)
+        # the first long cycle visits 0, 1, 2: its inverse is (2, 0, 1)
+        compose = next(kv._inverse_long_cycles(3))
+        assert compose((0, 1, 2)) == (2, 0, 1)
+        assert compose((1, 0, 2)) == (2, 1, 0)
 
     def test_inverse(self):
-        p = Permutation((3, 1, 2))
-        assert (p * p.inverse()).images == (1, 2, 3)
+        orders = itertools.permutations(range(1, 4))
+        for tail, compose in zip(orders, kv._inverse_long_cycles(4)):
+            order = (0, *tail)
+            s2 = [0] * 4
+            for a, b in zip(order, order[1:] + order[:1]):
+                s2[a] = b
+            assert compose(tuple(s2)) == (0, 1, 2, 3)
 
     def test_cycles_and_type(self):
-        p = Permutation((2, 1, 4, 3))
-        assert p.cycles() == ((1, 2), (3, 4))
-        assert p.ncycles() == 2
-        assert p.cycle_type() == IntPartition((2, 2))
+        assert kv._cycle_sizes((1, 0, 3, 2)) == [2, 2]
+        assert kv._cycle_sizes((0, 3, 2, 1)) == [1, 2, 1]
 
     def test_visiting_order_gives_a_long_cycle(self):
-        p = Permutation.from_visiting_order([1, 3, 2])
-        assert p.images == (3, 1, 2)
-        assert p.ncycles() == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Permutation((1, 1, 2))
-        with pytest.raises(ValueError):
-            Permutation((0, 1))
+        inverses = [compose(tuple(range(4))) for compose in kv._inverse_long_cycles(4)]
+        assert len(set(inverses)) == factorial(3)
+        assert all(kv._cycle_sizes(p) == [4] for p in inverses)
+        assert [compose((0,)) for compose in kv._inverse_long_cycles(1)] == [(0,)]
 
 
 class TestIntPartition:
@@ -78,13 +79,12 @@ class TestPartitionsOf:
 
 class TestBlockCycles:
     def test_two_blocks(self):
-        sigma = kv.block_cycle_permutation(IntPartition((2, 2)))
-        assert sigma.cycles() == ((1, 2), (3, 4))
+        assert kv.block_cycle_permutation(IntPartition((2, 2))) == (2, 1, 4, 3)
 
     def test_blocks_are_consecutive(self):
         sigma = kv.block_cycle_permutation(IntPartition((3, 2)))
-        assert sigma.cycles() == ((1, 2, 3), (4, 5))
-        assert sigma.cycle_type() == IntPartition((3, 2))
+        assert sigma == (2, 3, 1, 5, 4)
+        assert kv._cycle_sizes([x - 1 for x in sigma]) == [3, 2]
 
 
 class TestFactorizationCounts:

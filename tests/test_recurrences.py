@@ -242,6 +242,22 @@ class TestTruncatedSeries:
         assert s.coefficient(1) == -2
         assert s.coefficient(2) == 0
 
+    @pytest.mark.parametrize("k, products", [(0, 0), (1, 0), (3, 2), (8, 3)])
+    def test_power_makes_only_the_products_it_needs(self, monkeypatch, k, products):
+        s = rc.TruncatedSeries.const(3, 2)
+        for i in range(3):
+            s = s + rc.TruncatedSeries.variable(3, i)
+        want = rc.TruncatedSeries.const(3, 1)
+        for _ in range(k):
+            want = want * s
+        calls = []
+        real = rc.TruncatedSeries.__mul__
+        monkeypatch.setattr(
+            rc.TruncatedSeries, "__mul__", lambda a, b: calls.append(b) or real(a, b)
+        )
+        assert s**k == want
+        assert len(calls) == products
+
     def test_fractional_constant_term(self):
         s = rc.TruncatedSeries.const(1, 2) + rc.TruncatedSeries.variable(1, 0)
         inv = s**-1

@@ -246,6 +246,11 @@ class TestCollapse:
         u = CayleyTree([1, 2, 3], [(1, 2), (2, 3)])
         assert increasing_from_cayley(u).parent == {2: 1, 3: 2}
 
+    def test_a_child_is_its_component_minimum(self):
+        # 1's neighbour is 4, but the component {2, 4} hangs its minimum
+        u = CayleyTree([1, 2, 3, 4], [(1, 3), (1, 4), (4, 2)])
+        assert increasing_from_cayley(u).parent == {2: 1, 3: 1, 4: 2}
+
     def test_surjective_with_fibers_partitioning(self):
         for r in range(1, 6):
             fibers = {}
