@@ -64,6 +64,7 @@ from hooklab.trees import (
     increasing_count,
     increasing_from_cayley,
     prufer_decode,
+    prufer_edges,
     prufer_encode,
     split_at_second_min,
 )
@@ -92,6 +93,7 @@ __all__ = [
     "split_at_second_min",
     "prufer_encode",
     "prufer_decode",
+    "prufer_edges",
     "increasing_from_cayley",
     "degree_vector",
     # hook weights and summation identities

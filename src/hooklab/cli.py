@@ -5,9 +5,10 @@ JSON records (one per line), or with --dot as DOT graphs (blank-line
 separated).  `verify` runs identity suites and prints one verdict per
 comparison, or with --json one report, exiting 0 only if every
 comparison held; `verify all` runs the whole battery.  Either writes
-to stdout or to the file --out names, which is opened once the
-arguments check out and before any work, so an unwritable path fails
-at once.
+to stdout or to the file --out names.  That file's temporary twin is
+opened once the arguments check out and before any work, so an
+unwritable path fails at once, and renamed onto it when the run ends,
+so a run that raises leaves the file as it was.
 
 Each family of checks is declared once, in FAMILIES: the size flag
 that sets its bound (--n for binary-hooks, --max-size for kerov, --r
@@ -493,16 +494,32 @@ def _build_parser() -> argparse.ArgumentParser:
 @contextlib.contextmanager
 def _output(out_path):
     """stdout, or the file at out_path; a path that cannot be opened for
-    writing is a usage error."""
+    writing is a usage error.
+
+    A file is written under a temporary name beside out_path and renamed
+    onto it only once the body has finished, so a run that raises leaves
+    out_path as it was.  Something other than a file already at out_path
+    (a device, a pipe) is written in place.
+    """
     if out_path is None:
         yield sys.stdout
         return
+    target = os.path.realpath(out_path)  # a symlink is written through
+    in_place = os.path.exists(target) and not os.path.isfile(target)
+    path = target if in_place else f"{target}.{os.getpid()}.tmp"
     try:
-        fh = open(out_path, "w", encoding="utf-8")
+        fh = open(path, "w", encoding="utf-8")
     except OSError as exc:
-        raise UsageError(f"cannot write {out_path}: {exc}") from None
-    with fh:
-        yield fh
+        raise UsageError(f"cannot write {out_path}: {exc.strerror}") from None
+    try:
+        with fh:
+            yield fh
+        if not in_place:
+            os.replace(path, target)
+    except BaseException:
+        if not in_place:
+            os.unlink(path)
+        raise
 
 
 def main(argv=None) -> int:

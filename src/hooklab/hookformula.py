@@ -34,7 +34,8 @@ pending-subtree sweep (_pending_sweep) chooses parents from the largest
 label down and adds the partial products of all choice sequences that
 leave the same subtrees pending, so most of the (n-1)! products are
 shared.  Every sweep here runs in one process, the Cayley degree sum
-included: one pass over the Prüfer sequences in order.
+included: one pass over the edge lists that the Prüfer sequences decode
+to, in order.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ from hooklab.trees import (
     IncreasingTree,
     _clean_labels,
     _parent_positions,
+    cayley_edge_lists,
     degree_vector,
     enumerate_binary,
     enumerate_cayley,
@@ -491,12 +493,20 @@ def cayley_degree_identity(r: int) -> tuple:
     lhs: sum of prod k_v^(deg v) over all r^(r-2) trees.  rhs:
     k_1...k_r * K^(r-2).  This is also the top-degree shadow of the
     main identity, which top_weight_sum cross-checks.
+
+    The lhs reads the edge lists that the Pruefer decoder yields, in
+    Pruefer-lexicographic order, and builds no tree object: a monomial
+    key is the sum of its variables' keys, so each edge adds the key of
+    k_v for both of its endpoints v.
     """
     if r < 2:
         raise ValueError("need at least two vertices")
+    units = [0, *(unit(r, v) for v in range(r))]  # units[v]: key of k_v
     acc: dict = {}
-    for u in enumerate_cayley(r):
-        key = pack(degree_vector(u))
+    for edges in cayley_edge_lists(r):
+        key = 0
+        for a, b in edges:
+            key += units[a] + units[b]
         acc[key] = acc.get(key, 0) + 1
     lhs = MultiPoly._raw(r, acc)
     rhs = _kprod(r, range(1, r + 1)) * _ksum(r, range(1, r + 1)) ** (r - 2)

@@ -4,16 +4,24 @@ Fix a partition mu of n and the canonical permutation sigma_mu whose
 cycles are the consecutive blocks (1..mu_1)(mu_1+1..mu_1+mu_2)...  The
 objects counted here are the pairs (s1, s2) with s1*s2 = sigma_mu, s2 a
 single n-cycle, and s1 having exactly j-1 cycles, where j = n - l(mu) + 2
-and l is the number of parts.  The count is a pruned depth-first walk
-over the long cycles s2, built as visiting orders one position at a
-time: each position fixes one arc of s1, and a branch whose s1 has
-already closed too many cycles, or can no longer close enough, is cut
-and credited with all the long cycles below it, so the walk still
-accounts for exactly (n-1)! of them.  The cycle count of s1 = sigma *
-s2^(-1) is the genus statistic of unicellular maps (Goupil and
-Schaeffer, 1998).  The distribution over the cycle types of s1 is
-swept by brute force, every long cycle built in full, which keeps it an
-independent cross-check of the walk.
+and l is the number of parts.  The cycle count of s1 = sigma * s2^(-1)
+is the genus statistic of unicellular maps (Goupil and Schaeffer,
+1998): c(s1) + c(s2) + c(sigma) <= n + 2, so the j-1 = n-l+1 cycles
+asked for are the most s1 can have, the genus-0 factorizations.
+
+The count is a pruned depth-first walk over the long cycles s2, built
+as visiting orders one position at a time: each position fixes one arc
+of s1, and a branch whose s1 has already closed too many cycles, or
+can no longer close enough, is cut and credited with all the long
+cycles below it.  What is left to count below a branch depends only on
+the cycle type of a residual permutation, with one cycle marked, and
+on the number of cycles still needed (the lemma in _walk), so each
+such residual subproblem is solved once and every other branch that
+reaches it is credited with its count.  The walk still accounts for
+exactly (n-1)! long cycles and raises unless it did.  The distribution
+over the cycle types of s1 is swept by brute force, every long cycle
+built in full, which keeps it an independent cross-check of the walk;
+that sweep is what FACTORIZATION_BOUND is for.
 
 Three closed descriptions of that count are evaluated alongside:
 grouping by the cycle type of s1 (a per-type product formula), the
@@ -203,6 +211,33 @@ def _block_images(mu: IntPartition) -> tuple:
     return tuple(x - 1 for x in block_cycle_permutation(mu))
 
 
+def _residual(
+    inverse: Sequence[int], head: Sequence[int], free: Sequence[bool], prev: int, needed: int
+) -> tuple:
+    """The memo key of _walk: (length of the marker's cycle, sorted
+    lengths of the other cycles) of the residual permutation rho, and
+    the number of cycles still needed.
+
+    rho acts on the unplaced points and the marker, which is index 0 in
+    both roles: x goes to sigma^(-1)(head[x]), and prev stands for the
+    marker among the images.
+    """
+    rho = {}
+    for x, unplaced in enumerate(free):
+        if unplaced:  # free[0] is never cleared: 0 is the marker
+            y = inverse[head[x]]
+            rho[x] = 0 if y == prev else y
+    lengths = []
+    while rho:  # the first cycle walked is the marker's
+        x = next(iter(rho))
+        size = 0
+        while x in rho:
+            x = rho.pop(x)
+            size += 1
+        lengths.append(size)
+    return lengths[0], tuple(sorted(lengths[1:])), needed
+
+
 def _walk(sigma: Sequence[int], target: int) -> tuple:
     """(long cycles s2 of 0..n-1 whose s1 = sigma * s2^(-1) has target
     cycles, long cycles accounted for).
@@ -215,23 +250,46 @@ def _walk(sigma: Sequence[int], target: int) -> tuple:
     between c + 1 and c + n - k of them; once target is outside that
     range the branch is cut and its (n-1-k)! long cycles are accounted
     for without being built.
+
+    Each residual subproblem is solved once.  After k arcs with last
+    point prev, let F be the unplaced points and * a marker standing
+    for 0 (the end that is still open) and for prev.  Every open path
+    ends at a point x of F or at 0 and starts at sigma(y) for one y in
+    F or y = prev, so rho(x) = sigma^(-1)(head[x]), with 0 and prev
+    read as *, is a permutation of F + {*}.  Lemma: placing a in F next
+    closes a cycle of s1 exactly when rho(a) = *, and the next rho is
+    rho composed with the transposition (a *), with a then cut out of
+    its cycle.  So a on the cycle of * splits it, one part keeping *
+    and the other losing a, and a elsewhere merges its cycle into that
+    of * and is cut out.  A bijection of F that carries one rho to
+    another with the cycle of * to the cycle of * therefore carries
+    branches to branches with the same closings, and the pair (hits,
+    covered) below a branch depends only on the length of the cycle of
+    *, the sorted lengths of the other cycles and the number of cycles
+    still needed.  The memo is keyed on that triple; a branch found in
+    it is credited with the pair of its first solving, so the coverage
+    count is still (n-1)! and still checked.
     """
     n = len(sigma)
+    inverse = [0] * n
+    for x, y in enumerate(sigma):
+        inverse[y] = x
     head = list(range(n))  # head[x]: first point of the open path ending at x
     tail = list(range(n))  # tail[x]: last point of the open path starting at x
-    free = [True] * n  # points not yet placed; 0, placed first, is never read
+    free = [True] * n  # points not yet placed, and 0: placed first, it is the marker
     below = [factorial(m) for m in range(n)]  # long cycles under a branch
-    hits = covered = 0
+    solved: dict = {}
 
-    def place(prev: int, k: int, closed: int) -> None:
-        nonlocal hits, covered
-        if not closed < target <= closed + n - k:
-            covered += below[n - 1 - k]
-            return
-        if k == n - 1:  # the range above is the single value closed + 1
-            hits += 1
-            covered += 1
-            return
+    def place(prev: int, k: int, closed: int) -> tuple:
+        needed = target - closed
+        if not 0 < needed <= n - k:
+            return 0, below[n - 1 - k]
+        if k == n - 1:  # needed is 1: the last arc closes the one path left
+            return 1, 1
+        key = _residual(inverse, head, free, prev, needed)
+        if key in solved:
+            return solved[key]
+        hits = covered = 0
         b = sigma[prev]
         for a in range(1, n):
             if not free[a]:
@@ -239,25 +297,30 @@ def _walk(sigma: Sequence[int], target: int) -> tuple:
             free[a] = False
             h = head[a]
             if h == b:  # the arc a -> b closes the path b..a
-                place(a, k + 1, closed + 1)
+                found = place(a, k + 1, closed + 1)
             else:
                 t = tail[b]
                 tail[h], head[t] = t, h
-                place(a, k + 1, closed)
+                found = place(a, k + 1, closed)
                 tail[h], head[t] = a, b
             free[a] = True
+            hits += found[0]
+            covered += found[1]
+        solved[key] = hits, covered
+        return hits, covered
 
-    place(0, 0, 0)
-    return hits, covered
+    return place(0, 0, 0)
 
 
 def count_factorizations(mu: IntPartition) -> int:
     """Pairs (s1, s2) with s1*s2 the block permutation of mu, s2 an n-cycle,
     and s1 having exactly j-1 cycles.
 
-    The walk accounts for every long cycle s2, (n-1)! of them, hence the
-    size bound; it raises RuntimeError unless it accounted for exactly
-    that many.
+    The walk accounts for every long cycle s2, (n-1)! of them, solving
+    each residual subproblem once, and raises RuntimeError unless it
+    accounted for exactly that many.  Its work grows far more slowly
+    than (n-1)!, but it keeps the size bound of the brute-force sweep it
+    is checked against.
     """
     _check_size(mu.size)
     hits, covered = _walk(_block_images(mu), mu.cycle_index - 1)

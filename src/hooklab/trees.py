@@ -46,6 +46,7 @@ __all__ = [
     "binary_to_dot",
     "binary_to_json_dict",
     "cayley_count",
+    "cayley_edge_lists",
     "degree_vector",
     "enumerate_binary",
     "enumerate_cayley",
@@ -56,6 +57,7 @@ __all__ = [
     "increasing_from_cayley",
     "parent_vectors",
     "prufer_decode",
+    "prufer_edges",
     "prufer_encode",
     "shape_classes",
     "split_at_second_min",
@@ -419,12 +421,19 @@ def prufer_encode(u: CayleyTree) -> tuple[int, ...]:
     return tuple(seq)
 
 
-def prufer_decode(seq: Sequence[int]) -> CayleyTree:
-    """Tree on {1..len(seq)+2} with the given Pruefer sequence."""
+def prufer_edges(seq: Sequence[int]) -> list:
+    """Edges (leaf, neighbour) of the tree on {1..len(seq)+2} with the
+    given Pruefer sequence, in the order the decoder finds them.
+
+    The smallest leaf is cut at each step and joined to the next entry;
+    the last two leaves make the last edge.  A union-find pass then
+    checks that no edge closes a cycle, so the r-1 edges span a tree on
+    all r vertices; ValueError otherwise.
+    """
     r = len(seq) + 2
     if any(not 1 <= s <= r for s in seq):
         raise ValueError(f"sequence entries must lie in 1..{r}")
-    deg = {v: 1 for v in range(1, r + 1)}
+    deg = [1] * (r + 1)
     for s in seq:
         deg[s] += 1
     edges = []
@@ -439,7 +448,30 @@ def prufer_decode(seq: Sequence[int]) -> CayleyTree:
     a = heapq.heappop(leaves)
     b = heapq.heappop(leaves)
     edges.append((a, b))
-    return CayleyTree(range(1, r + 1), edges)
+    root = list(range(r + 1))
+    for a, b in edges:
+        while root[a] != a:
+            a = root[a]
+        while root[b] != b:
+            b = root[b]
+        if a == b:
+            raise ValueError(f"decoded edges of {tuple(seq)} close a cycle")
+        root[a] = b
+    return edges
+
+
+def prufer_decode(seq: Sequence[int]) -> CayleyTree:
+    """Tree on {1..len(seq)+2} with the given Pruefer sequence: the
+    edges prufer_edges decodes, validated once more by CayleyTree."""
+    return CayleyTree(range(1, len(seq) + 3), prufer_edges(seq))
+
+
+def cayley_edge_lists(r: int) -> Iterator[list]:
+    """Edge lists of all r^(r-2) labelled trees on {1..r}, r >= 2, in
+    Pruefer-lexicographic order, as prufer_edges decodes them."""
+    if r < 2:
+        raise ValueError("Pruefer codes need at least two vertices")
+    return map(prufer_edges, itertools.product(range(1, r + 1), repeat=r - 2))
 
 
 def enumerate_cayley(r: int) -> Iterator[CayleyTree]:
@@ -449,8 +481,8 @@ def enumerate_cayley(r: int) -> Iterator[CayleyTree]:
     if r == 1:
         yield CayleyTree([1], [])
         return
-    for seq in itertools.product(range(1, r + 1), repeat=r - 2):
-        yield prufer_decode(seq)
+    for edges in cayley_edge_lists(r):
+        yield CayleyTree(range(1, r + 1), edges)
 
 
 class BinaryTree:

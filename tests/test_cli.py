@@ -4,8 +4,11 @@ import ast
 import functools
 import hashlib
 import json
+import os
+import stat
 import subprocess
 import sys
+import threading
 from argparse import Namespace
 from pathlib import Path
 
@@ -202,6 +205,40 @@ class TestVerify:
         argv = ["verify", "grafting", "--r", "8", "--json", "--out", str(target)]
         code, out, err = run_main(argv, capsys)
         assert code == 2 and out == "" and "cannot write" in err
+
+    def test_a_sweep_that_raises_leaves_the_out_file_as_it_was(self, monkeypatch, tmp_path):
+        def broken(sizes, trace):
+            yield from cli._theorem1(sizes, trace)
+            raise RuntimeError("the sweep broke")
+
+        family = cli.FAMILIES["theorem1"]._replace(sweep=broken)
+        monkeypatch.setitem(cli.FAMILIES, "theorem1", family)
+        target = tmp_path / "fail.json"
+        target.write_bytes(b"an earlier report\n")
+        argv = ["verify", "theorem1", "--r", "3", "--json", "--out", str(target)]
+        with pytest.raises(RuntimeError, match="broke"):
+            cli.main(argv)
+        assert target.read_bytes() == b"an earlier report\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["fail.json"]
+
+    def test_out_writes_through_a_symlink(self, capsys, tmp_path):
+        target = tmp_path / "real.txt"
+        link = tmp_path / "link.txt"
+        link.symlink_to(target)
+        code, _, _ = run_main(["verify", "theorem1", "--r", "2", "--out", str(link)], capsys)
+        assert code == 0 and link.is_symlink()
+        assert "all passed" in target.read_text()
+
+    def test_out_writes_into_a_pipe_in_place(self, capsys, tmp_path):
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(pipe.read_text()), daemon=True)
+        reader.start()
+        code, _, _ = run_main(["verify", "theorem1", "--r", "2", "--out", str(pipe)], capsys)
+        reader.join(timeout=10)
+        assert code == 0 and not reader.is_alive()
+        assert "all passed" in received[0] and stat.S_ISFIFO(pipe.stat().st_mode)
 
     def test_json_report_shape(self, capsys):
         code, out, _ = run_main(["verify", "pq", "--r", "3", "--json"], capsys)

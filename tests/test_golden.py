@@ -1,11 +1,13 @@
 """The byte-stable report contract, pinned by a recorded verify all run."""
 
+import hashlib
 import json
 from pathlib import Path
 
 import hooklab.cli as cli
 
 GOLDEN = Path(__file__).parent / "golden" / "verify_all.json"
+BENCH_REFERENCE = Path(__file__).parents[1] / "perfbench" / "reference.json"
 
 
 def test_verify_all_matches_the_golden_file(tmp_path):
@@ -30,3 +32,21 @@ def test_pooled_sweeps_match_the_golden_file(tmp_path):
             del record["elapsed_ms"]
         family = [rec for rec in golden if rec["check"].split("/")[0] == check]
         assert records == family
+
+
+def test_ceiling_sweeps_match_the_benchmark_reference(tmp_path):
+    """cayley r=7 and kerov size 9, the two ceiling runs of the pools-2w
+    benchmark workload, give the verdict records it checks against."""
+    reference = json.loads(BENCH_REFERENCE.read_text())["workloads"]["pools-2w"]
+    keys = ("check", "params", "equal", "lhs_terms", "rhs_terms", "lhs_hash", "rhs_hash")
+    for k, argv in ((1, ["cayley", "--r", "7"]), (2, ["kerov", "--max-size", "9"])):
+        out = tmp_path / f"{argv[0]}.json"
+        assert cli.main(["verify", *argv, "--json", "--out", str(out)]) == 0
+        records = []
+        for c in json.loads(out.read_text())["checks"]:
+            rec = {key: c[key] for key in keys}
+            if c.get("trace") is not None:
+                payload = json.dumps(c["trace"], sort_keys=True).encode()
+                rec["trace_sha256"] = hashlib.sha256(payload).hexdigest()
+            records.append(rec)
+        assert records == reference[k]

@@ -321,6 +321,22 @@ class TestCayleyIdentity:
         with pytest.raises(ValueError):
             hf.cayley_degree_identity(1)
 
+    def test_a_doubled_tree_fails_the_cayley_check_only(self, monkeypatch, tmp_path):
+        real = hf.cayley_edge_lists
+
+        def doubled(r):
+            lists = real(r)
+            first = next(lists)
+            yield first
+            yield first
+            yield from lists
+
+        monkeypatch.setattr(hf, "cayley_edge_lists", doubled)
+        out = tmp_path / "c.json"
+        assert cli.main(["verify", "cayley", "--r", "4", "--json", "--out", str(out)]) == 1
+        records = json.loads(out.read_text())["checks"]
+        assert {rec["check"] for rec in records if not rec["equal"]} == {"cayley"}
+
 
 class TestFibers:
     def test_examples(self):

@@ -1,7 +1,9 @@
 """Counting long-cycle factorizations and tying them to the tree sum."""
 
+import cProfile
 import itertools
 import json
+import pstats
 from math import comb, factorial, prod
 
 import pytest
@@ -148,6 +150,45 @@ class TestFactorizationSweep:
             else:
                 want = [kv.factorization_count_closed_form(mu) for mu in mus]
             assert [kv.count_factorizations(mu) for mu in mus] == want
+
+    def test_walk_past_the_bound_equals_the_closed_form(self):
+        # the size bound is the brute-force sweep's; the walk itself
+        # reaches sizes 10 and 11 in well under a second
+        for n, partitions in ((10, 42), (11, 56)):
+            mus = list(kv.partitions_of(n))
+            assert len(mus) == partitions
+            for mu in mus:
+                hits, covered = kv._walk(kv._block_images(mu), mu.cycle_index - 1)
+                assert covered == factorial(n - 1)
+                assert hits == kv.factorization_count_closed_form(mu)
+
+    def test_the_memo_needs_the_cycles_still_needed(self, monkeypatch):
+        # keyed on the residual cycle type alone, a branch is credited
+        # with a count solved for another target; coverage cannot tell
+        real = kv._residual
+        monkeypatch.setattr(kv, "_residual", lambda *args: real(*args)[:2])
+        wrong = [
+            mu.parts
+            for n in range(1, 10)
+            for mu in kv.partitions_of(n)
+            if kv.count_factorizations(mu) != kv.factorization_count_closed_form(mu)
+        ]
+        assert wrong and wrong[0] == (3, 1, 1)
+
+    def test_each_residual_subproblem_is_solved_once(self):
+        # the walk without a memo makes 971,100 calls over sizes 1-9
+        profile = cProfile.Profile()
+        profile.enable()
+        for n in range(1, 10):
+            for mu in kv.partitions_of(n):
+                kv.count_factorizations(mu)
+        profile.disable()
+        calls = sum(
+            stat[1]
+            for (path, _, name), stat in pstats.Stats(profile).stats.items()
+            if name == "place" and path == kv.__file__
+        )
+        assert 0 < calls < 20_000
 
     def test_empty_partition_is_refused_before_any_work(self, monkeypatch):
         def no_work(*args):

@@ -1,11 +1,14 @@
 """Tree families: enumeration, counting, hooks, grafting, encodings."""
 
+import heapq
 import itertools
 from collections import Counter
 from math import factorial
+from types import SimpleNamespace
 
 import pytest
 
+import hooklab.trees as tr
 from hooklab.trees import (
     BinaryTree,
     CayleyTree,
@@ -25,6 +28,7 @@ from hooklab.trees import (
     increasing_count,
     increasing_from_cayley,
     prufer_decode,
+    prufer_edges,
     prufer_encode,
     shape_classes,
     split_at_second_min,
@@ -212,6 +216,34 @@ class TestCayley:
         assert list(enumerate_cayley(1)) == [CayleyTree([1], [])]
         with pytest.raises(ValueError):
             next(enumerate_cayley(0))
+
+    def test_edge_lists_are_the_enumerated_trees(self):
+        for r in range(2, 7):
+            codes = itertools.product(range(1, r + 1), repeat=r - 2)
+            lists = list(tr.cayley_edge_lists(r))
+            assert lists == [prufer_edges(code) for code in codes]
+            normalized = [sorted(tuple(sorted(e)) for e in edges) for edges in lists]
+            assert normalized == [list(u.edges) for u in enumerate_cayley(r)]
+        with pytest.raises(ValueError):
+            tr.cayley_edge_lists(1)
+
+    def test_a_repeated_edge_is_refused(self, monkeypatch):
+        # a heap whose first pop leaves the leaf in place: for (1, 1) the
+        # decoder then joins leaf 2 to vertex 1 twice
+        pops = []
+
+        def heappop(heap):
+            pops.append(heap[0])
+            return heap[0] if len(pops) == 1 else heapq.heappop(heap)
+
+        fake = SimpleNamespace(heapify=heapq.heapify, heappush=heapq.heappush, heappop=heappop)
+        monkeypatch.setattr(tr, "heapq", fake)
+        with pytest.raises(ValueError, match="cycle"):
+            prufer_edges((1, 1))
+
+    def test_out_of_range_entries_are_refused(self):
+        with pytest.raises(ValueError, match="1..4"):
+            prufer_edges((1, 5))
 
     def test_degree_vector(self):
         star = CayleyTree([1, 2, 3, 4], [(1, 2), (1, 3), (1, 4)])
