@@ -29,24 +29,31 @@ Identity functions return both sides and never assert; callers compare.
 Label ℓ always binds to variable index ℓ-1 of the ambient ring, so
 subtree weights over split label sets multiply without reindexing.
 
-The sums over increasing trees are not expanded tree by tree: the
-pending-subtree sweep (_pending_sweep) chooses parents from the largest
-label down and adds the partial products of all choice sequences that
-leave the same subtrees pending, so most of the (n-1)! products are
-shared.  Every sweep here runs in one process, the Cayley degree sum
-included: one pass over the edge lists that the Prüfer sequences decode
-to, in order.
+The sums over increasing trees are not expanded tree by tree.  The
+root's subtree B that holds the largest label splits a tree on X into
+a tree on B and one on X without B, so the sum on X is
+
+    sum over B of k_root * (K_B - |B| + 1) * W(B) * W(X without B),
+
+and W(B), W(X without B) are the sums on {1..|B|} and {1..|X|-|B|}
+relabelled in order (_split_sum, _swept): one sum is built per size,
+and the sum on any label set is a relabelled copy.  Every sweep here
+runs in one process, the Cayley degree sum included: one pass over the
+edge lists that the Prüfer sequences decode to, in order.
 """
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 from typing import Iterable, Mapping
 
 from hooklab._kernel_py import (
+    _FIELD_CODE,
     FIELD_MAX,
+    WIDTH,
     addmul_terms,
     check_fields,
     iadd_terms,
@@ -150,92 +157,89 @@ def _weight_terms(units, pv, top_only: bool = False) -> dict:
     return acc
 
 
-def _parent_choices(j: int) -> range:
-    """Parent positions open to the vertex at position j: every smaller one.
+def _subtree_choices(n: int):
+    """The positions of the root's subtree that holds the last of the
+    positions 0..n-1: each subset of 1..n-1 holding n-1, sorted.  A
+    function of its own so that a test can drop or double a choice."""
+    for mask in range(1 << n - 2):
+        yield (*(j for j in range(1, n - 1) if mask >> j - 1 & 1), n - 1)
 
-    A function of its own so that a test can drop or double a branch.
+
+def _split_sum(n: int, planted, below) -> dict:
+    """Sum over the increasing trees on the positions 0..n-1, split at the
+    root's subtree B that holds n-1: each tree is one tree on B, hung
+    from the root, and one on the rest R.  planted(B) sums the trees on
+    B times the edge into B, below(R) the trees on R times what that
+    edge adds at the root.
+
+    Raises RuntimeError unless the choices covered the (n-1)! trees,
+    (|B|-1)! (|R|-1)! for each B, and OverflowError when an exponent
+    overflows its key field: a product adds two keys with no field past
+    2**(WIDTH-1), so none carries into the next before the final check.
     """
-    return range(j)
-
-
-def _pending_sweep(shifts, factor) -> dict:
-    """Sum over increasing trees on n = len(shifts) positions of the
-    product, over every non-root position v with parent position p, of
-    shifts[p] (a key: the monomial k_p, or 0 for none) times
-    factor(S_v), S_v being v's subtree as a bit mask of positions.
-
-    Parents are chosen from the largest label down, and once v's parent
-    is chosen every factor still to come depends only on the pending
-    sets, the positions hanging below each of 0..v-1.  Choice sequences
-    ending in the same pending sets are therefore added before
-    multiplying further: one merged state per pending tuple, holding a
-    partial sum and the count of trees merged into it.  Merging goes on
-    down to position 2; the last factor then depends on the set below
-    position 1 alone, and multiplies each state of that last level once.
-
-    A level is built one state at a time, each from every state that
-    reaches it, and a state of the level before is dropped after its
-    last use; the states of the last level are finished as they are
-    built.  The states handed from one level to the next share their
-    keys, one int per distinct monomial: at n = 9 the 75,996 terms of
-    the level before the last have 4,081 distinct keys.  So the peak
-    memory stays below that of the level before the last built alone.
-
-    Raises RuntimeError unless the states covered exactly the (n-1)!
-    trees, and OverflowError when an exponent overflows its key field.
-    Every state is checked before it is multiplied, and so is the
-    result: between two guard checks no field grows by more than 2, one
-    shift and one factor, so a field can set its guard bit but never
-    carry into the next one.
-    """
-    n = len(shifts)
-    if n == 1:
-        return {0: 1}
-
-    def merged(level: dict, j: int):
-        """The states left once position j has its parent, each yielded
-        as soon as it is built; consumes level."""
-        feeds: dict = {}  # new pending tuple -> [(old pending tuple, parent)]
-        uses: dict = {}
-        for pend, (poly, _) in level.items():
-            check_fields(poly)
-            sub = pend[j] | 1 << j
-            for p in _parent_choices(j):
-                moved = pend[:p] + (pend[p] | sub,) + pend[p + 1 : j]
-                feeds.setdefault(moved, []).append((pend, p))
-                uses[pend] = uses.get(pend, 0) + 1
-        for moved, sources in feeds.items():
-            poly, count = {}, 0
-            for pend, p in sources:
-                part, part_count = level[pend]
-                lin = factor(pend[j] | 1 << j)
-                addmul_terms(poly, part, {e + shifts[p]: c for e, c in lin.items()})
-                count += part_count
-                uses[pend] -= 1
-                if not uses[pend]:
-                    del level[pend]
-            yield moved, (poly, count)
-
-    keep = {}.setdefault  # the one key object of each monomial
     acc: dict = {}
     trees = 0
-    states = [((0,) * n, ({0: 1}, 1))]
-    for j in range(n - 1, 1, -1):
-        level = {
-            pend: ({keep(e, e): c for e, c in poly.items()}, count)
-            for pend, (poly, count) in states
-        }
-        states = merged(level, j)
-    for pend, (poly, count) in states:
-        check_fields(poly)
-        last = factor(pend[1] | 1 << 1)
-        for p in _parent_choices(1):
-            addmul_terms(acc, poly, {e + shifts[p]: c for e, c in last.items()})
-            trees += count
-    expected = factorial(n - 1)
-    if trees != expected:
-        raise RuntimeError(f"the sweep covered {trees} trees, expected {expected}")
+    for sub in _subtree_choices(n):
+        rest = tuple(p for p in range(n) if p not in sub)
+        addmul_terms(acc, planted(sub), below(rest))
+        trees += factorial(len(sub) - 1) * factorial(len(rest) - 1)
+    if trees != factorial(n - 1):
+        raise RuntimeError(f"the split covered {trees} trees, expected {factorial(n - 1)}")
     return check_fields(acc)
+
+
+def _edge_factor(size: int, top_only: bool) -> dict:
+    """K - size + 1 in a ring of size variables: the recursion's edge
+    factor, apart so that a test can change its constant alone."""
+    return _linear_factor([unit(size, j) for j in range(size)], top_only)
+
+
+@lru_cache(maxsize=None)
+def _swept(top_only: bool, size: int) -> dict:
+    """Term map of the weight sum over the trees on {1..size} in a ring
+    of size variables: the one cached sum per size, never changed.
+
+    _split_sum builds it from the sums of the smaller sizes, each
+    multiplied and packed once per size and relabelled per choice.  The
+    split is at the largest label; grafting/split splits at the second
+    smallest and root-recurrence groups all of the root's subtrees, so
+    neither restates this sum.  With the constant 1 - |B| of
+    _edge_factor changed to 2 - |B|, theorem1, grafting/split and
+    root-recurrence fail at every r from 3 to 6; pq, on closed forms
+    only, passes.
+    """
+    if size == 1:
+        return {0: 1}
+    parts: dict = {}
+
+    def part(positions: tuple, planted: bool) -> dict:
+        m = len(positions)
+        if (m, planted) not in parts:
+            terms = _swept(top_only, m)
+            if planted:
+                terms = mul_terms(terms, _edge_factor(m, top_only))
+            parts[m, planted] = _packed(terms, m)
+        return _relabel(*parts[m, planted], positions, size, 0 if planted else unit(size, 0))
+
+    return _split_sum(size, lambda sub: part(sub, True), lambda rest: part(rest, False))
+
+
+def _packed(terms: dict, nvars: int) -> tuple:
+    """(terms, rows), the rows holding the exponents of each key in term
+    map order as WIDTH-bit fields, all in one bytes buffer."""
+    return terms, b"".join(e.to_bytes(WIDTH // 8 * nvars, "big") for e in terms)
+
+
+def _relabel(terms: dict, rows: bytes, positions, nvars: int, shift: int = 0) -> dict:
+    """Term map of a _packed map with its variable j moved to the sorted
+    position positions[j] of a ring of nvars variables, plus shift."""
+    buf = bytearray(len(rows) // len(positions) * nvars)
+    out, src = memoryview(buf).cast(_FIELD_CODE), memoryview(rows).cast(_FIELD_CODE)
+    for j, p in enumerate(positions):
+        out[p::nvars] = src[j :: len(positions)]
+    packed = struct.iter_unpack(f"{out.itemsize * nvars}s", buf)
+    keys = (int.from_bytes(k, "big") + shift for k, in packed)
+    return dict(zip(keys, terms.values()))
 
 
 def _resolve_ambient(labels: tuple, ambient: int | None) -> int:
@@ -275,35 +279,28 @@ def top_weight(t: IncreasingTree, ambient: int | None = None) -> MultiPoly:
 
 
 def _weight_sum(labels: tuple, ambient: int, top_only: bool) -> dict:
-    """Summed weights of the trees on a label set, by the pending-subtree sweep.
-
-    With top_only the constant of every linear factor is dropped.
+    """Summed weights of the trees on sorted labels: the sum on
+    {1..len(labels)} relabelled in order.  With top_only the constant of
+    every linear factor is dropped.  On all of {1..ambient} that is the
+    cached map itself.
     """
-    units = _label_keys(labels, ambient)
-
-    @lru_cache(maxsize=None)
-    def factor(mask: int) -> dict:
-        keys = [u for j, u in enumerate(units) if mask >> j & 1]
-        return _linear_factor(keys, top_only)
-
-    return _pending_sweep(units, factor)
-
-
-@lru_cache(maxsize=None)
-def _swept(labels: tuple, ambient: int) -> MultiPoly:
-    """The weight sum of tree_weight_sum, on labels it has checked."""
-    return MultiPoly._raw(ambient, _weight_sum(labels, ambient, False))
+    n = len(labels)
+    if n == ambient:
+        return _swept(top_only, n)
+    return _relabel(*_packed(_swept(top_only, n), n), [l - 1 for l in labels], ambient)
 
 
 def tree_weight_sum(labels: tuple, ambient: int) -> MultiPoly:
     """Sum of hook weights over all increasing trees on a label set.
 
-    Cached: the splitting recurrences evaluate it on many overlapping
-    subsets.  labels must be distinct positive ints, at most ambient.
+    The sum on {1..n} for n labels, relabelled: the splitting
+    recurrences evaluate it on many overlapping subsets, and only the
+    one sum per size is cached.  labels must be distinct positive ints,
+    at most ambient.
     """
     labels = _clean_labels(labels)
     _resolve_ambient(labels, ambient)
-    return _swept(labels, ambient)
+    return MultiPoly._raw(ambient, _weight_sum(labels, ambient, False))
 
 
 tree_weight_sum.cache_info = _swept.cache_info
@@ -345,12 +342,13 @@ def increasing_hook_sum(r: int) -> tuple:
     if r < 1:
         raise ValueError("need at least one vertex")
 
-    def factor(mask: int) -> dict:
-        return {1: mask.bit_count(), 0: 1}
-
-    acc = _pending_sweep([0] * r, factor)
-    acc = mul_terms(acc, {1: r, 0: 1})
-    lhs = MultiPoly._raw(1, acc)
+    # whole[n]: the sum over trees on n vertices of the factors of the
+    # non-root ones; planted[n]: that times the root's factor x*n + 1
+    whole, planted = [None, {0: 1}], [None, {1: 1, 0: 1}]
+    for n in range(2, r + 1):
+        whole.append(_split_sum(n, lambda sub: planted[len(sub)], lambda rest: whole[len(rest)]))
+        planted.append(mul_terms(whole[n], {1: n, 0: 1}))
+    lhs = MultiPoly._raw(1, planted[r])
     x = MultiPoly.variable(1, 0)
     rhs = x + 1
     for i in range(1, r):

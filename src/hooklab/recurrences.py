@@ -515,24 +515,26 @@ def lagrange_series_oracle(r: int, kvals: Sequence[int]) -> int:
             "statement, but the values no longer count trees",
             stacklevel=2,
         )
-    ts = [TruncatedSeries.variable(r, i) for i in range(r)]
-    w = [TruncatedSeries.const(r, 0) for _ in range(r)]
-    top = max(kvals)
+    full = 1 << r
+    w = [[0] * full for _ in range(r)]
     for _ in range(r):
-        base = TruncatedSeries.const(r, 1)
-        for wi in w:
-            base = base + wi
-        # base^0..base^top once per pass; a negative k goes through the inverse
-        ladder = [TruncatedSeries.const(r, 1), base]
-        while len(ladder) <= top:
-            ladder.append(ladder[-1] * base)
-        w = [ts[i] * (ladder[k] if k >= 0 else base**k) for i, k in enumerate(kvals)]
-    value = w[0].coefficient((1 << r) - 1)
-    if isinstance(value, Fraction):
-        if value.denominator != 1:
-            return value
-        value = int(value)
-    return value
+        # base = 1 + nil, nil = sum w with no constant term: base^k is the sum
+        # over j < r of C(k, j) nil^j (no inverse for a negative k), as w_i
+        # reads base off t_i and nil^j vanishes on sets of fewer than j t's
+        nil = TruncatedSeries(r, map(sum, zip(*w)))
+        powers = [TruncatedSeries.const(r, 1), nil]
+        while len(powers) < r:
+            powers.append(powers[-1] * nil)
+        base = {}
+        for k in set(kvals):
+            base[k], c = [0] * full, 1
+            for j, p in enumerate(powers):
+                base[k] = [a + c * b for a, b in zip(base[k], p._coeffs)]
+                c = c * (k - j) // (j + 1)
+        # w_i = t_i base^k_i: each set without t_i moves onto the set with it
+        w = [[m >> i & 1 and base[k][m ^ 1 << i] for m in range(full)]
+             for i, k in enumerate(kvals)]
+    return w[0][full - 1]
 
 
 def oracle_closed_form(r: int, kvals: Sequence[int]) -> int:

@@ -34,19 +34,32 @@ def test_pooled_sweeps_match_the_golden_file(tmp_path):
         assert records == family
 
 
+def _benchmark_records(out, argv) -> list:
+    """The verdict records of a verify --json run, as the benchmark
+    reference keeps them."""
+    assert cli.main(["verify", *argv, "--json", "--out", str(out)]) == 0
+    keys = ("check", "params", "equal", "lhs_terms", "rhs_terms", "lhs_hash", "rhs_hash")
+    records = []
+    for c in json.loads(out.read_text())["checks"]:
+        rec = {key: c[key] for key in keys}
+        if c.get("trace") is not None:
+            payload = json.dumps(c["trace"], sort_keys=True).encode()
+            rec["trace_sha256"] = hashlib.sha256(payload).hexdigest()
+        records.append(rec)
+    return records
+
+
 def test_ceiling_sweeps_match_the_benchmark_reference(tmp_path):
     """cayley r=7 and kerov size 9, the two ceiling runs of the pools-2w
     benchmark workload, give the verdict records it checks against."""
     reference = json.loads(BENCH_REFERENCE.read_text())["workloads"]["pools-2w"]
-    keys = ("check", "params", "equal", "lhs_terms", "rhs_terms", "lhs_hash", "rhs_hash")
     for k, argv in ((1, ["cayley", "--r", "7"]), (2, ["kerov", "--max-size", "9"])):
-        out = tmp_path / f"{argv[0]}.json"
-        assert cli.main(["verify", *argv, "--json", "--out", str(out)]) == 0
-        records = []
-        for c in json.loads(out.read_text())["checks"]:
-            rec = {key: c[key] for key in keys}
-            if c.get("trace") is not None:
-                payload = json.dumps(c["trace"], sort_keys=True).encode()
-                rec["trace_sha256"] = hashlib.sha256(payload).hexdigest()
-            records.append(rec)
-        assert records == reference[k]
+        assert _benchmark_records(tmp_path / f"{argv[0]}.json", argv) == reference[k]
+
+
+def test_theorem1_r9_matches_the_benchmark_reference(tmp_path):
+    """verify theorem1 --r 9, the theorem1-r9 benchmark workload, gives
+    the verdict records it checks against."""
+    reference = json.loads(BENCH_REFERENCE.read_text())["workloads"]["theorem1-r9"]
+    argv = ["theorem1", "--r", "9"]
+    assert _benchmark_records(tmp_path / "theorem1.json", argv) == reference[0]

@@ -103,6 +103,9 @@ class TestHookWeightSum:
 
 
 class TestPendingSweep:
+    """The weight sums of _weight_sum and the guards of the recursion
+    over sizes that builds them."""
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.sets(st.integers(1, 7), min_size=1),
@@ -143,12 +146,16 @@ class TestPendingSweep:
         assert MultiPoly._raw(ambient, got) == want
 
     def test_the_guard_fires_through_the_finish(self):
-        # five positions, four shifts per tree: 4 * 8192 sets the guard bit
-        with pytest.raises(OverflowError):
-            hf._pending_sweep([pack((8192,))] * 5, lambda mask: {0: 1})
-        assert hf._pending_sweep([pack((8191,))] * 5, lambda mask: {0: 1}) == {32764: 24}
+        # every one of the 8 products on five positions sums two 16384 steps
+        def step(e):
+            return lambda positions: {pack((e,)): 1}
 
-    def test_the_r8_sum_stays_under_its_product_budget(self, monkeypatch):
+        with pytest.raises(OverflowError):
+            hf._split_sum(5, step(16384), step(16384))
+        assert hf._split_sum(5, step(16383), step(16383)) == {32766: 8}
+
+    @staticmethod
+    def count_products(monkeypatch) -> list:
         products = []
         real_addmul, real_mul = hf.addmul_terms, hf.mul_terms
 
@@ -162,26 +169,41 @@ class TestPendingSweep:
 
         monkeypatch.setattr(hf, "addmul_terms", addmul)
         monkeypatch.setattr(hf, "mul_terms", mul)
+        return products
+
+    def test_the_r8_sum_stays_under_its_product_budget(self, monkeypatch):
+        products = self.count_products(monkeypatch)
         hf.tree_weight_sum.cache_clear()
         try:
             assert hf.hook_weight_sum(8) == hf.hook_weight_closed_form(8)
         finally:
             hf.tree_weight_sum.cache_clear()
-        # expanding the last two positions per state took 221,678
-        assert sum(products) < 170_000
+        # the pending-subtree sweep that split by parent positions took 151,647
+        assert sum(products) < 60_000
+
+    def test_the_sums_to_r9_stay_under_their_product_budget(self, monkeypatch):
+        products = self.count_products(monkeypatch)
+        hf.tree_weight_sum.cache_clear()
+        try:
+            for r in range(1, 10):
+                hf.hook_weight_sum(r)
+        finally:
+            hf.tree_weight_sum.cache_clear()
+        # the pending-subtree sweep took 1.42 M at r = 9 alone
+        assert sum(products) < 400_000
 
     @pytest.mark.parametrize("defect", ["drop", "double"])
-    @pytest.mark.parametrize("position", [1, 2, 3, 4])
-    def test_a_lost_or_doubled_branch_raises(self, monkeypatch, defect, position):
-        real = hf._parent_choices
+    @pytest.mark.parametrize("size", [2, 3, 4, 5])
+    def test_a_lost_or_doubled_branch_raises(self, monkeypatch, defect, size):
+        real = hf._subtree_choices
 
-        def mutant(j):
-            choices = list(real(j))
-            if j == position:
+        def mutant(n):
+            choices = list(real(n))
+            if n == size:
                 return choices[:-1] if defect == "drop" else choices + choices[-1:]
             return choices
 
-        monkeypatch.setattr(hf, "_parent_choices", mutant)
+        monkeypatch.setattr(hf, "_subtree_choices", mutant)
         hf.tree_weight_sum.cache_clear()
         try:
             with pytest.raises(RuntimeError, match="covered"):
@@ -190,6 +212,36 @@ class TestPendingSweep:
                 cli.main(["verify", "theorem1", "--r", "5"])
             with pytest.raises(RuntimeError, match="covered"):
                 hf.increasing_hook_sum(5)
+        finally:
+            hf.tree_weight_sum.cache_clear()
+
+    def test_a_changed_edge_constant_fails_the_checks_that_regroup_the_sum(
+        self, monkeypatch, tmp_path
+    ):
+        # 2 - |B| for 1 - |B| in the recursion only: the closed-form pq
+        # checks cannot see it, the regrouped sums must
+        real = hf._edge_factor
+
+        def mutant(size, top_only):
+            factor = dict(real(size, top_only))
+            if 0 in factor:
+                factor[0] += 1
+            return factor
+
+        monkeypatch.setattr(hf, "_edge_factor", mutant)
+        hf.tree_weight_sum.cache_clear()
+        try:
+            for check in ("theorem1", "grafting", "root-recurrence", "pq"):
+                out = tmp_path / f"{check}.json"
+                argv = ["verify", check, "--r", "6", "--json", "--out", str(out)]
+                assert cli.main(argv) == (0 if check == "pq" else 1)
+                records = json.loads(out.read_text())["checks"]
+                failed = {(c["check"], c["params"]["r"]) for c in records if not c["equal"]}
+                if check == "pq":
+                    assert not failed
+                else:
+                    name = "grafting/split" if check == "grafting" else check
+                    assert {(name, r) for r in range(3, 7)} <= failed
         finally:
             hf.tree_weight_sum.cache_clear()
 
