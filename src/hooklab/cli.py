@@ -49,7 +49,7 @@ from hooklab import hookformula as hf
 from hooklab import kerov as kv
 from hooklab import recurrences as rc
 from hooklab import trees as tr
-from hooklab.multipoly import MonomialTable, top_homogeneous
+from hooklab.multipoly import MonomialTable, MultiPoly, top_homogeneous
 from hooklab.reports import VerdictReport, compare_sides
 
 __all__ = ["FAMILIES", "main", "run_family"]
@@ -149,13 +149,12 @@ def _cayley(sizes: range, trace: bool):
 def _fibers(sizes: range, trace: bool):
     for r in sizes:
         sums = hf.cayley_fiber_sums(r)
+        units = hf._label_keys(range(1, r + 1), r)
         fiber_eq = top_eq = 0
-        for t in tr.enumerate_increasing(range(1, r + 1)):
-            top = hf.top_weight(t, r)
-            if sums.get(t) == top:
-                fiber_eq += 1
-            if top == top_homogeneous(hf.tree_weight(t, r)):
-                top_eq += 1
+        for pv in tr.parent_vectors(r):
+            top = MultiPoly._raw(r, hf._weight_terms(units, pv, top_only=True))
+            fiber_eq += sums.get(pv) == top
+            top_eq += top == top_homogeneous(MultiPoly._raw(r, hf._weight_terms(units, pv)))
         preimages = sum(
             int(c) for poly in sums.values() for c in poly.terms.values()
         )
@@ -218,10 +217,7 @@ def _pq(sizes: range, trace: bool):
 
 def _grafting(sizes: range, trace: bool):
     for r in sizes:
-        agreed = 0
-        for t in tr.enumerate_increasing(range(1, r + 1)):
-            lhs, rhs = rc.grafting_law_sides(t, r)
-            agreed += lhs == rhs
+        agreed = sum(map(rc.grafting_law_holds, tr.parent_vectors(r)))
         yield "grafting/law", {"r": r}, tr.increasing_count(r), agreed, None
         payload, summands = _traced(trace, r, rc.grafting_split_summands(r), _split_entry)
         lhs, rhs = rc.grafting_split_sides(r, summands)

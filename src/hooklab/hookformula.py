@@ -38,8 +38,9 @@ a tree on B and one on X without B, so the sum on X is
 and W(B), W(X without B) are the sums on {1..|B|} and {1..|X|-|B|}
 relabelled in order (_split_sum, _swept): one sum is built per size,
 and the sum on any label set is a relabelled copy.  Every sweep here
-runs in one process, the Cayley degree sum included: one pass over the
-edge lists that the Prüfer sequences decode to, in order.
+runs in one process, the Cayley degree sum and the fiber sums included:
+one pass over the edge lists that the Prüfer sequences decode to, in
+order.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from hooklab._kernel_py import (
     check_fields,
     iadd_terms,
     mul_terms,
-    pack,
     scale_terms,
     unit,
 )
@@ -66,12 +66,10 @@ from hooklab.multipoly import MultiPoly, Var, falling_factorial, specialize
 from hooklab.trees import (
     IncreasingTree,
     _clean_labels,
+    _collapse,
     _parent_positions,
     cayley_edge_lists,
-    degree_vector,
     enumerate_binary,
-    enumerate_cayley,
-    increasing_from_cayley,
     subtree_sizes,
     subtree_totals,
 )
@@ -135,13 +133,13 @@ def _hook_factor(ambient: int, labels) -> MultiPoly:
     return MultiPoly._raw(ambient, _linear_factor(_label_keys(labels, ambient)))
 
 
-def _weight_terms(units, pv, top_only: bool = False) -> dict:
-    """Packed term map of the weight of one tree, given parent positions.
+def _weight_factors(units, pv, top_only: bool = False) -> tuple:
+    """The weight of one tree, given parent positions, as (monomial key,
+    one _linear_factor map per non-root subtree) to multiply together.
 
     units[j] is the key of the variable of the j-th smallest label (see
     _label_keys); pv[j-1] is the position of the father of that label.
-    With top_only the constant in each linear factor is dropped, which
-    yields exactly the terms of maximal total degree.
+    With top_only the constant in each linear factor is dropped.
     """
     mono = 0
     for p in pv:
@@ -150,6 +148,15 @@ def _weight_terms(units, pv, top_only: bool = False) -> dict:
         _linear_factor(keys, top_only)
         for keys in subtree_totals([(u,) for u in units], pv)[1:]
     ]
+    return mono, factors
+
+
+def _weight_terms(units, pv, top_only: bool = False) -> dict:
+    """Packed term map of the weight of one tree, given parent positions:
+    _weight_factors multiplied out, shortest factors first.  With
+    top_only that yields exactly the terms of maximal total degree.
+    """
+    mono, factors = _weight_factors(units, pv, top_only)
     factors.sort(key=len)
     acc = {mono: 1}
     for f in factors:
@@ -466,23 +473,36 @@ def linear_extension_check(t: IncreasingTree) -> tuple:
     return lext, quotient
 
 
+def _degree_keys(r: int):
+    """(edges, key of prod k_v^(deg v)) of each labelled tree on {1..r},
+    r >= 2, from the decoded edge lists of cayley_edge_lists: each edge
+    adds the key of k_v for both of its endpoints v."""
+    units = [0, *(unit(r, v) for v in range(r))]  # units[v]: key of k_v
+    for edges in cayley_edge_lists(r):
+        key = 0
+        for a, b in edges:
+            key += units[a] + units[b]
+        yield edges, key
+
+
 def cayley_fiber_sums(r: int) -> Mapping:
     """Degree-monomial sums of every fiber of the collapse map on {1..r}.
 
-    One pass over all labelled unrooted trees, grouped by forward
-    image.  The keys are exactly the increasing trees on {1..r} (the
-    map is onto), and the values sum the monomial prod k_v^(degree of v)
-    over each group.
+    One pass over the edge lists of all labelled unrooted trees
+    (_degree_keys), grouped by the parent vector of their image
+    (trees._collapse).  The keys are exactly the parent vectors of the
+    increasing trees on {1..r} (the map is onto), and the values sum the
+    monomial prod k_v^(degree of v) over each group.
     """
     if r < 1:
         raise ValueError("need at least one vertex")
+    if r == 1:
+        return {(): MultiPoly.const(1, 1)}
     groups: dict = {}
-    for u in enumerate_cayley(r):
-        image = increasing_from_cayley(u)
-        key = pack(degree_vector(u))
-        acc = groups.setdefault(image, {})
+    for edges, key in _degree_keys(r):
+        acc = groups.setdefault(_collapse(r, edges), {})
         acc[key] = acc.get(key, 0) + 1
-    return {t: MultiPoly._raw(r, terms) for t, terms in groups.items()}
+    return {pv: MultiPoly._raw(r, terms) for pv, terms in groups.items()}
 
 
 def cayley_degree_identity(r: int) -> tuple:
@@ -492,19 +512,12 @@ def cayley_degree_identity(r: int) -> tuple:
     k_1...k_r * K^(r-2).  This is also the top-degree shadow of the
     main identity, which top_weight_sum cross-checks.
 
-    The lhs reads the edge lists that the Pruefer decoder yields, in
-    Pruefer-lexicographic order, and builds no tree object: a monomial
-    key is the sum of its variables' keys, so each edge adds the key of
-    k_v for both of its endpoints v.
+    The lhs counts the degree keys of _degree_keys and builds no tree.
     """
     if r < 2:
         raise ValueError("need at least two vertices")
-    units = [0, *(unit(r, v) for v in range(r))]  # units[v]: key of k_v
     acc: dict = {}
-    for edges in cayley_edge_lists(r):
-        key = 0
-        for a, b in edges:
-            key += units[a] + units[b]
+    for _, key in _degree_keys(r):
         acc[key] = acc.get(key, 0) + 1
     lhs = MultiPoly._raw(r, acc)
     rhs = _kprod(r, range(1, r + 1)) * _ksum(r, range(1, r + 1)) ** (r - 2)

@@ -41,6 +41,9 @@ from hooklab.hookformula import (
     _hook_factor,
     _kprod,
     _ksum,
+    _label_keys,
+    _linear_factor,
+    _weight_factors,
     hook_weight_closed_form,
     hook_weight_sum,
     tree_weight,
@@ -53,6 +56,7 @@ __all__ = [
     "closed_polynomial",
     "constant_term_sides",
     "finite_difference_sides",
+    "grafting_law_holds",
     "grafting_law_sides",
     "grafting_split_sides",
     "grafting_split_summands",
@@ -208,6 +212,64 @@ def grafting_law_sides(
     lhs = tree_weight(t, ambient)
     rhs = tree_weight(host, ambient) * tree_weight(shoot, ambient) * edge
     return lhs, rhs
+
+
+def _graft_split(pv) -> tuple:
+    """split_at_second_min on a parent vector: (host, shoot), each as
+    (positions, parent vector on them).  The shoot is the subtree of
+    position 1; parents come first, so one forward pass marks it."""
+    if not pv:
+        raise ValueError("need at least two vertices to split")
+    inside = [False, True]
+    for p in pv[1:]:
+        inside.append(inside[p])
+    parts = []
+    for side in (False, True):
+        at = [j for j, s in enumerate(inside) if s is side]
+        index = {p: i for i, p in enumerate(at)}
+        parts.append((at, tuple(index[pv[p - 1]] for p in at[1:])))
+    return parts
+
+
+def _law_form(mono: int, factors) -> tuple:
+    """Canonical form of mono times the product of the factor maps:
+    single-term factors folded into mono and a coefficient, the rest
+    sorted as item tuples.  Equal forms multiply the same maps."""
+    coeff, rest = 1, []
+    for f in factors:
+        if len(f) == 1:
+            ((key, c),) = f.items()
+            mono, coeff = mono + key, coeff * c
+        else:
+            rest.append(tuple(sorted(f.items())))
+    return mono, coeff, sorted(rest)
+
+
+def grafting_law_holds(pv) -> bool:
+    """Whether grafting_law_sides holds on the tree t on {1..len(pv)+1}
+    with parent vector pv, decided on factored weights.
+
+    The weights of t and of the host and shoot of its split
+    (_graft_split) are each a monomial times linear factor maps
+    (hookformula._weight_factors); the edge is k_1 times the factor of
+    the shoot's labels.  Sides with equal _law_forms multiply the same
+    maps, so the law holds; any other tree is settled by
+    grafting_law_sides on t.  The verdict is always that of
+    grafting_law_sides, but a passing tree multiplies nothing out.
+    """
+    r = len(pv) + 1
+    units = _label_keys(range(1, r + 1), r)
+    (host, host_pv), (shoot, shoot_pv) = _graft_split(pv)
+    host_mono, host_factors = _weight_factors([units[p] for p in host], host_pv)
+    shoot_units = [units[p] for p in shoot]
+    shoot_mono, shoot_factors = _weight_factors(shoot_units, shoot_pv)
+    edge = _linear_factor(shoot_units)
+    rhs = _law_form(host_mono + shoot_mono + units[0], [*host_factors, *shoot_factors, edge])
+    if _law_form(*_weight_factors(units, pv)) == rhs:
+        return True
+    t = IncreasingTree(range(1, r + 1), {j + 1: p + 1 for j, p in enumerate(pv, 1)})
+    lhs, rhs = grafting_law_sides(t, r)
+    return lhs == rhs
 
 
 def grafting_split_sides(

@@ -596,8 +596,9 @@ def binary_to_dot(t: "BinaryTree | None", graph_name: str = "binary_tree") -> st
     return "\n".join(lines)
 
 
-def increasing_from_cayley(u: CayleyTree) -> IncreasingTree:
-    """Collapse an unrooted labelled tree to an increasing tree.
+def _collapse(r: int, edges) -> tuple:
+    """Parent vector of the increasing tree that the collapse map sends
+    the tree on {1..r} with the given edges to.
 
     Remove the minimum vertex; each remaining component hangs its own
     minimum under the removed one, and the same rule inside the
@@ -605,16 +606,23 @@ def increasing_from_cayley(u: CayleyTree) -> IncreasingTree:
     monomial over each fiber is what links degree-weighted Cayley
     counts to hook weights of increasing trees.
 
-    Built in one pass over the labels from largest to smallest: the
-    partial trees on the labels above v are the components of u there,
+    One pass over the edges by smaller end v, largest first: the partial
+    trees on the labels above v are the components of the tree there,
     each rooted at its minimum, and each neighbour w > v of v lies in
     its own one, whose root becomes a child of v.
     """
-    parent: dict[int, int] = {}
-    for v in reversed(u.vertices):
-        for w in u.neighbors(v):
-            if w > v:
-                while w in parent:
-                    w = parent[w]
-                parent[w] = v
-    return IncreasingTree(u.vertices, parent)
+    parent = [0] * (r + 1)  # parent[w]: label of w's father, 0 for none yet
+    for v, w in sorted([(a, b) if a < b else (b, a) for a, b in edges], reverse=True):
+        while parent[w]:
+            w = parent[w]
+        parent[w] = v
+    return tuple(p - 1 for p in parent[2:])
+
+
+def increasing_from_cayley(u: CayleyTree) -> IncreasingTree:
+    """Collapse an unrooted labelled tree to an increasing tree: the
+    tree whose parent vector _collapse gives, on u's vertices."""
+    labs = u.vertices
+    pos = {v: i for i, v in enumerate(labs, 1)}
+    pv = _collapse(len(labs), [(pos[a], pos[b]) for a, b in u.edges])
+    return IncreasingTree(labs, {labs[j]: labs[p] for j, p in enumerate(pv, 1)})

@@ -82,11 +82,10 @@ def test_criterion_05_unrooted_degree_sums(acceptance):
             assert lhs == rhs
         for r in range(1, 7):
             sums = hf.cayley_fiber_sums(r)
-            family = list(tr.enumerate_increasing(range(1, r + 1)))
-            assert set(sums) == set(family)
-            for t in family:
+            assert set(sums) == set(tr.parent_vectors(r))
+            for t in tr.enumerate_increasing(range(1, r + 1)):
                 top = hf.top_weight(t, r)
-                assert sums[t] == top
+                assert sums[tr._parent_positions(t)] == top
                 assert top == top_homogeneous(hf.tree_weight(t, r))
             preimages = sum(
                 int(c) for poly in sums.values() for c in poly.terms.values()

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import hooklab.cli as cli
+from hooklab.reports import side_summary
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -429,27 +430,62 @@ class TestLabellingCount:
 
 
 class TestPerTreeChecks:
-    """grafting/law and the fibers checks report (r-1)! against the trees
-    that agree, so a tree lost from the enumeration makes them fail."""
+    """grafting/law and the fibers checks sweep the parent vectors of
+    trees.parent_vectors and report (r-1)! against the vectors that
+    agree, so a vector lost from or repeated in the sweep makes them
+    fail."""
 
-    def test_a_dropped_tree_fails_every_per_tree_check(self, monkeypatch, capsys):
-        real = cli.tr.enumerate_increasing
+    PER_TREE_AT_4 = [
+        ("grafting/law", {"r": 4}),
+        ("fibers/degree-sum", {"r": 4}),
+        ("fibers/top-of-weight", {"r": 4}),
+    ]
 
-        def dropping(labels):
-            trees = list(real(labels))
-            return iter(trees[:-1] if len(labels) == 4 else trees)
+    def failed_with(self, monkeypatch, capsys, edit):
+        real = cli.tr.parent_vectors
 
-        monkeypatch.setattr(cli.tr, "enumerate_increasing", dropping)
+        def edited(n):
+            pvs = list(real(n))
+            return iter(edit(pvs) if n == 4 else pvs)
+
+        monkeypatch.setattr(cli.tr, "parent_vectors", edited)
         failed = []
         for family in ("grafting", "fibers"):
             code, out, _ = run_main(["verify", family, "--r", "5", "--json"], capsys)
             assert code == 1
             failed.extend(failed_checks(out))
-        assert failed == [
-            ("grafting/law", {"r": 4}),
-            ("fibers/degree-sum", {"r": 4}),
-            ("fibers/top-of-weight", {"r": 4}),
-        ]
+        return failed
+
+    def test_a_dropped_tree_fails_every_per_tree_check(self, monkeypatch, capsys):
+        failed = self.failed_with(monkeypatch, capsys, lambda pvs: pvs[:-1])
+        assert failed == self.PER_TREE_AT_4
+
+    def test_a_doubled_tree_fails_every_per_tree_check(self, monkeypatch, capsys):
+        failed = self.failed_with(monkeypatch, capsys, lambda pvs: [pvs[0], *pvs])
+        assert failed == self.PER_TREE_AT_4
+
+    def test_the_ceiling_sweeps_agree_on_every_tree(self, capsys):
+        def sides(argv):
+            code, out, _ = run_main(["verify", *argv, "--json"], capsys)
+            assert code == 0
+            return {
+                (c["check"], c["params"]["r"]): (c["lhs_hash"], c["rhs_hash"])
+                for c in json.loads(out)["checks"]
+            }
+
+        def both_sides(n):
+            """The (lhs, rhs) hashes of a comparison of n with n."""
+            return (side_summary(n)[1],) * 2
+
+        grafting = sides(["grafting", "--r", "8"])
+        assert grafting["grafting/law", 8] == both_sides(5040)
+        lhs, rhs = grafting["grafting/split", 8]
+        assert lhs == rhs
+        fibers = sides(["fibers", "--r", "7"])
+        assert fibers["fibers/degree-sum", 7] == both_sides(720)
+        assert fibers["fibers/top-of-weight", 7] == both_sides(720)
+        assert fibers["fibers/surjective", 7] == both_sides(720)
+        assert fibers["fibers/partition", 7] == both_sides(16807)
 
 
 def size_flag(flag: str) -> str:

@@ -13,7 +13,15 @@ import hooklab.cli as cli
 import hooklab.hookformula as hf
 from hooklab._kernel_py import pack
 from hooklab.multipoly import MultiPoly, top_homogeneous
-from hooklab.trees import CayleyTree, IncreasingTree, enumerate_increasing, hooks
+from hooklab.trees import (
+    CayleyTree,
+    IncreasingTree,
+    _parent_positions,
+    enumerate_increasing,
+    hooks,
+    increasing_from_cayley,
+    parent_vectors,
+)
 
 
 def K(r):
@@ -346,6 +354,20 @@ class TestTopWeight:
                 assert hf.top_weight(t) == top_homogeneous(hf.tree_weight(t))
 
 
+def double_the_first_edge_list(monkeypatch):
+    """Patch the decoded Cayley edge lists so the first tree comes twice."""
+    real = hf.cayley_edge_lists
+
+    def doubled(r):
+        lists = real(r)
+        first = next(lists)
+        yield first
+        yield first
+        yield from lists
+
+    monkeypatch.setattr(hf, "cayley_edge_lists", doubled)
+
+
 class TestCayleyIdentity:
     def test_two_and_three_by_hand(self):
         lhs, rhs = hf.cayley_degree_identity(2)
@@ -374,16 +396,7 @@ class TestCayleyIdentity:
             hf.cayley_degree_identity(1)
 
     def test_a_doubled_tree_fails_the_cayley_check_only(self, monkeypatch, tmp_path):
-        real = hf.cayley_edge_lists
-
-        def doubled(r):
-            lists = real(r)
-            first = next(lists)
-            yield first
-            yield first
-            yield from lists
-
-        monkeypatch.setattr(hf, "cayley_edge_lists", doubled)
+        double_the_first_edge_list(monkeypatch)
         out = tmp_path / "c.json"
         assert cli.main(["verify", "cayley", "--r", "4", "--json", "--out", str(out)]) == 1
         records = json.loads(out.read_text())["checks"]
@@ -391,21 +404,25 @@ class TestCayleyIdentity:
 
 
 class TestFibers:
+    """cayley_fiber_sums keys each fiber by the parent vector of its image,
+    as trees.parent_vectors yields it."""
+
     def test_examples(self):
-        edge = IncreasingTree([1, 2], {2: 1})
-        assert hf.cayley_fiber_sums(2)[edge] == k(2, 1) * k(2, 2)
+        assert hf.cayley_fiber_sums(1) == {(): MultiPoly.const(1, 1)}
+        assert hf.cayley_fiber_sums(2)[(0,)] == k(2, 1) * k(2, 2)
         sums = hf.cayley_fiber_sums(3)
-        path = IncreasingTree([1, 2, 3], {2: 1, 3: 2})
+        # the path 1-2-3
         want = k(3, 1) * k(3, 2) * k(3, 3) * (k(3, 2) + k(3, 3))
-        assert sums[path] == want
-        star = IncreasingTree([1, 2, 3], {2: 1, 3: 1})
-        assert sums[star] == k(3, 1) ** 2 * k(3, 2) * k(3, 3)
+        assert sums[(0, 1)] == want
+        # the star at 1
+        assert sums[(0, 0)] == k(3, 1) ** 2 * k(3, 2) * k(3, 3)
 
     def test_fiber_sums_are_the_top_weights(self):
         for r in range(1, 6):
             sums = hf.cayley_fiber_sums(r)
+            assert set(sums) == set(parent_vectors(r))
             for t in enumerate_increasing(range(1, r + 1)):
-                assert sums[t] == hf.top_weight(t, r)
+                assert sums[_parent_positions(t)] == hf.top_weight(t, r)
 
     def test_a_changed_mapping_does_not_reach_the_next_call(self):
         sums = hf.cayley_fiber_sums(4)
@@ -420,13 +437,25 @@ class TestFibers:
             assert hf.top_weight_sum(r) == lhs
 
     def test_unknown_tree_is_refused(self):
-        stranger = IncreasingTree([1, 2, 4], {2: 1, 4: 1})
-        assert stranger not in hf.cayley_fiber_sums(3)
+        sums = hf.cayley_fiber_sums(3)
+        # a vector of the wrong length, and one whose label 3 hangs from itself
+        assert (0, 0, 0) not in sums and (0, 2) not in sums
 
     def test_degree_monomials_only(self):
         u = CayleyTree([1, 2, 3], [(1, 2), (2, 3)])
-        # the fiber polynomial of phi(u) collects one monomial per preimage
-        t = IncreasingTree([1, 2, 3], {2: 1, 3: 2})
-        poly = hf.cayley_fiber_sums(3)[t]
+        # the fiber polynomial of phi(u), the path 1-2-3, collects one
+        # monomial per preimage
+        poly = hf.cayley_fiber_sums(3)[_parent_positions(increasing_from_cayley(u))]
         assert all(sum(e) == 2 * (3 - 1) for e in poly.terms)
         assert poly.coefficient((1, 2, 1)) == 1
+
+    def test_a_doubled_tree_fails_the_degree_sum_and_the_partition(
+        self, monkeypatch, tmp_path
+    ):
+        double_the_first_edge_list(monkeypatch)
+        out = tmp_path / "f.json"
+        assert cli.main(["verify", "fibers", "--r", "5", "--json", "--out", str(out)]) == 1
+        records = json.loads(out.read_text())["checks"]
+        assert [(rec["check"], rec["params"]["r"]) for rec in records if not rec["equal"]] == [
+            (check, r) for r in range(2, 6) for check in ("fibers/degree-sum", "fibers/partition")
+        ]

@@ -1,13 +1,17 @@
 """Inductive derivations of the hook weight sum and the series oracle."""
 
+import json
 import random
 import warnings
 from fractions import Fraction
 from itertools import combinations, product
+from math import factorial
+from pathlib import Path
 
 import pytest
 
 import hooklab.cli as cli
+import hooklab.hookformula as hf
 import hooklab.recurrences as rc
 from hooklab.hookformula import (
     hook_weight_closed_form,
@@ -16,7 +20,15 @@ from hooklab.hookformula import (
     tree_weight,
 )
 from hooklab.multipoly import MultiPoly, falling_factorial
-from hooklab.trees import IncreasingTree, enumerate_increasing
+from hooklab.trees import (
+    IncreasingTree,
+    _parent_positions,
+    enumerate_increasing,
+    parent_vectors,
+    split_at_second_min,
+)
+
+GOLDEN = Path(__file__).parent / "golden" / "verify_all.json"
 
 
 def K(r):
@@ -132,6 +144,108 @@ class TestGrafting:
             (check, r) for r in range(2, 7) for check in ("grafting/law", "grafting/split")
         ]
         assert all(v.equal for v in reports)
+
+
+def tree_of(pv):
+    """The increasing tree on {1..len(pv)+1} with parent vector pv."""
+    return IncreasingTree(range(1, len(pv) + 2), {j + 1: p + 1 for j, p in enumerate(pv, 1)})
+
+
+def law_verdicts(r_max=6):
+    """{parent vector: (factored verdict, expanded verdict)} of every tree
+    on {1..r} for r = 2..r_max."""
+    out = {}
+    for r in range(2, r_max + 1):
+        for pv in parent_vectors(r):
+            lhs, rhs = rc.grafting_law_sides(tree_of(pv), r)
+            out[pv] = (rc.grafting_law_holds(pv), lhs == rhs)
+    return out
+
+
+def count_fallbacks(monkeypatch):
+    """Patch grafting_law_sides to count its calls; returns the counter."""
+    calls = [0]
+    real = rc.grafting_law_sides
+
+    def counted(t, ambient=None):
+        calls[0] += 1
+        return real(t, ambient)
+
+    monkeypatch.setattr(rc, "grafting_law_sides", counted)
+    return calls
+
+
+class TestFactoredLaw:
+    """grafting_law_holds compares factored weights and settles any
+    mismatch with grafting_law_sides, so its verdict is always that of
+    the expanded sides."""
+
+    def test_the_split_is_split_at_second_min(self):
+        for r in range(2, 7):
+            for pv in parent_vectors(r):
+                halves = split_at_second_min(tree_of(pv))
+                for (at, sub_pv), tree in zip(rc._graft_split(pv), halves):
+                    assert tuple(p + 1 for p in at) == tree.labels
+                    assert sub_pv == _parent_positions(tree)
+
+    def test_a_single_vertex_cannot_split(self):
+        with pytest.raises(ValueError):
+            rc.grafting_law_holds(())
+
+    def test_correct_code_decides_without_the_fallback(self, monkeypatch):
+        calls = count_fallbacks(monkeypatch)
+        assert all(rc.grafting_law_holds(pv) for r in range(2, 7) for pv in parent_vectors(r))
+        assert calls[0] == 0
+
+    def test_a_changed_factor_constant_gives_the_expanded_verdict(self, monkeypatch):
+        def shifted(keys, top_only=False):
+            # 2 - |S| in place of 1 - |S|, a zero constant dropped
+            lin = dict.fromkeys(keys, 1)
+            if not top_only and len(keys) != 1 and len(keys) != 2:
+                lin[0] = 2 - len(keys)
+            return lin
+
+        monkeypatch.setattr(hf, "_linear_factor", shifted)
+        monkeypatch.setattr(rc, "_linear_factor", shifted)
+        verdicts = law_verdicts()
+        assert all(factored == expanded for factored, expanded in verdicts.values())
+        assert hf._hook_factor(3, (1, 2, 3)).coefficient((0, 0, 0)) == -1
+
+    def test_a_label_moved_from_shoot_to_host_gives_the_expanded_verdict(self, monkeypatch):
+        real = rc._graft_split
+
+        def moved(pv):
+            (host, _), (shoot, shoot_pv) = real(pv)
+            if len(shoot) < 2:
+                return real(pv)
+            # the shoot's largest label is a leaf: hang it from the host's root
+            host = sorted([*host, shoot[-1]])
+            index = {p: i for i, p in enumerate(host)}
+            host_pv = tuple(index.get(pv[p - 1], 0) for p in host[1:])
+            return [(host, host_pv), (shoot[:-1], shoot_pv[:-1])]
+
+        monkeypatch.setattr(rc, "_graft_split", moved)
+        calls = count_fallbacks(monkeypatch)
+        verdicts = law_verdicts()
+        assert all(factored == expanded for factored, expanded in verdicts.values())
+        # every tree whose shoot lost a label went to the fallback, once
+        # for its factored verdict and once for its expanded one
+        moved_trees = sum(len(real(pv)[1][0]) > 1 for pv in verdicts)
+        assert moved_trees and calls[0] == moved_trees + len(verdicts)
+
+    def test_the_fallback_alone_gives_the_same_report(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(rc, "_law_form", lambda mono, factors: object())
+        calls = count_fallbacks(monkeypatch)
+        out = tmp_path / "grafting.json"
+        assert cli.main(["verify", "grafting", "--r", "6", "--json", "--out", str(out)]) == 0
+        assert calls[0] == sum(factorial(r - 1) for r in range(2, 7))
+        records = json.loads(out.read_text())["checks"]
+        golden = json.loads(GOLDEN.read_text())["checks"]
+        for record in records:
+            del record["elapsed_ms"]
+        assert records == [
+            rec for rec in golden if rec["check"].startswith("grafting/") and rec["params"]["r"] <= 6
+        ]
 
 
 class TestSubsetClosedForm:

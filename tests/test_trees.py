@@ -13,12 +13,15 @@ from hooklab.trees import (
     BinaryTree,
     CayleyTree,
     IncreasingTree,
+    _collapse,
+    _parent_positions,
     automorphisms,
     binary_count,
     binary_from_json_dict,
     binary_to_dot,
     binary_to_json_dict,
     cayley_count,
+    cayley_edge_lists,
     degree_vector,
     enumerate_binary,
     enumerate_cayley,
@@ -42,6 +45,29 @@ def path_tree(r):
 
 def star_tree(r):
     return IncreasingTree(range(1, r + 1), {v: 1 for v in range(2, r + 1)})
+
+
+def collapse_by_definition(u):
+    """Parent vector of the collapse of u, straight from its definition:
+    remove the minimum vertex, hang the minimum of each remaining
+    component under it, and do the same inside each component."""
+    parent = {}
+
+    def hang(part):
+        root = min(part)
+        rest = part - {root}
+        while rest:
+            seen, stack = set(), [min(rest)]
+            while stack:
+                v = stack.pop()
+                seen.add(v)
+                stack.extend(w for w in u.neighbors(v) if w in rest and w not in seen)
+            parent[min(seen)] = root
+            hang(seen)
+            rest -= seen
+
+    hang(set(u.vertices))
+    return tuple(parent[v] - 1 for v in u.vertices[1:])
 
 
 class TestIncreasing:
@@ -282,6 +308,14 @@ class TestCollapse:
         # 1's neighbour is 4, but the component {2, 4} hangs its minimum
         u = CayleyTree([1, 2, 3, 4], [(1, 3), (1, 4), (4, 2)])
         assert increasing_from_cayley(u).parent == {2: 1, 3: 1, 4: 2}
+
+    def test_each_edge_list_collapses_as_its_tree_does(self):
+        for r in range(2, 7):
+            for edges in cayley_edge_lists(r):
+                u = CayleyTree(range(1, r + 1), edges)
+                pv = _collapse(r, edges)
+                assert pv == _parent_positions(increasing_from_cayley(u))
+                assert pv == collapse_by_definition(u)
 
     def test_surjective_with_fibers_partitioning(self):
         for r in range(1, 6):
