@@ -122,20 +122,21 @@ def _binary_hooks(sizes: range, trace: bool):
         yield "binary-hooks/shape-identity", {"n": n}, lhs, rhs, None
         total = hf.binary_reciprocal_hook_sum(n)
         yield "binary-hooks/reciprocal-sum", {"n": n}, total, 1, None
-    # the labelling count is checked once per unordered shape, but the
-    # shapes come from a pass over all (n-1)! increasing trees, which
-    # grows much faster than the shape sums: it stops at
-    # LINEAR_EXTENSION_BOUND whatever the bound.  A shape passes when its
-    # extension count, its hook quotient and its multiplicity times |Aut|
-    # agree, and counts for every tree it stands for; the passing trees
-    # are compared with all (n-1)! of them, so a lost shape fails too.
+    # the labelling count is checked once per unordered shape, generated
+    # directly (trees.rooted_shapes): a shape passes when its extension
+    # count equals its hook quotient and |Aut| divides it, and then
+    # stands for lext/|Aut| increasing trees.  Only that total ties the
+    # shapes to the (n-1)! trees, so a lost, doubled or failing shape
+    # fails the check.  The extension count's memo grows about 4x per
+    # size, so the check stops at LINEAR_EXTENSION_BOUND whatever the bound.
     for n in range(sizes.start, min(sizes.stop, hf.LINEAR_EXTENSION_BOUND + 1)):
         agreed = 0
         labels = range(1, n + 1)
-        for key, (pv, mult) in tr.shape_classes(n).items():
+        for key, pv in tr.rooted_shapes(n):
             rep = tr.IncreasingTree(labels, {j + 1: p + 1 for j, p in enumerate(pv, 1)})
             lext, quotient = hf.linear_extension_check(rep)
-            agreed += mult * (lext == quotient == mult * tr.automorphisms(key))
+            trees, rem = divmod(lext, tr.automorphisms(key))
+            agreed += trees * (lext == quotient and not rem)
         yield "binary-hooks/labelling-count", {"n": n}, tr.increasing_count(n), agreed, None
 
 

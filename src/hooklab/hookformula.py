@@ -19,7 +19,9 @@ or companion of that identity:
   weighted by its count of increasing labellings, n!/prod(h); for
   unordered trees that count is certified shape by shape against a
   linear-extension count (linear_extension_check), with the shapes
-  grouped by hooklab.trees.shape_classes;
+  generated by hooklab.trees.rooted_shapes: only their total of trees
+  meets (n-1)!, and the count's memo, about 4x per size, sets
+  LINEAR_EXTENSION_BOUND;
 * dropping each factor's constant gives the top-degree weight, whose
   sum over trees reproduces the degree-refined count of labelled
   unrooted trees, with the collapse map from unrooted trees providing
@@ -48,7 +50,7 @@ from __future__ import annotations
 import struct
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import comb, factorial, prod
 from typing import Iterable, Mapping
 
 from hooklab._kernel_py import (
@@ -69,8 +71,6 @@ from hooklab.trees import (
     _collapse,
     _parent_positions,
     cayley_edge_lists,
-    enumerate_binary,
-    subtree_sizes,
     subtree_totals,
 )
 
@@ -388,30 +388,33 @@ def uniform_chain_sides(r: int, lhs_uni: MultiPoly | None = None) -> tuple:
     return left, right
 
 
+def _binary_split(m: int) -> tuple:
+    """(root hook, splits) of the binary shapes on m vertices: (i, C(m-1, i))
+    for a left shape on i vertices, whose labels the binomial chooses, and
+    a right one on m-1-i.  Apart so that a test can change any of them."""
+    return m, [(i, comb(m - 1, i)) for i in range(m)]
+
+
 def binary_hook_sum(n: int) -> tuple:
     """Both sides of the univariate hook identity over binary shapes.
 
     Each shape stands in for its increasing labellings: the shape's
     product of (x*h + 1) is scaled by n!/prod(h), the labelling count.
+    Split at the root (_binary_split), one size at a time, that sum is
+    B_m = (x*m + 1) * sum over i of C(m-1, i) * B_i * B_(m-1-i), B_0 = 1.
     rhs: prod_{i=0}^{n-1} ((n+1+i)x + n+1-i) divided by n+1; the
     division is exact once the product is expanded.
     """
     if n < 1:
         raise ValueError("size must be at least 1")
-    nfact = factorial(n)
-    acc: dict = {}
-    for shape in enumerate_binary(n):
-        sizes = subtree_sizes(shape)
-        prod_h = 1
-        term = {0: 1}
-        for h in sizes:
-            prod_h *= h
-            term = mul_terms(term, {1: h, 0: 1})
-        count, rem = divmod(nfact, prod_h)
-        if rem:
-            raise ValueError(f"hook product {prod_h} does not divide {n}!")
-        iadd_terms(acc, scale_terms(term, count))
-    lhs = MultiPoly._raw(1, acc)
+    sums = [{0: 1}]
+    for m in range(1, n + 1):
+        hook, splits = _binary_split(m)
+        acc: dict = {}
+        for i, c in splits:
+            iadd_terms(acc, scale_terms(mul_terms(sums[i], sums[m - 1 - i]), c))
+        sums.append(mul_terms(acc, {1: hook, 0: 1}))
+    lhs = MultiPoly._raw(1, sums[n])
     x = MultiPoly.variable(1, 0)
     rhs = MultiPoly.const(1, Fraction(1, n + 1))
     for i in range(n):
@@ -420,13 +423,16 @@ def binary_hook_sum(n: int) -> tuple:
 
 
 def binary_reciprocal_hook_sum(n: int) -> Fraction:
-    """Sum over binary shapes of the product of 1/h; the identity says 1."""
+    """Sum over binary shapes of the product of 1/h; the identity says 1.
+    Its own recursion on binary_hook_sum's split, not that sum at x = 0:
+    R_m = (1/m) * sum over i of R_i * R_(m-1-i), R_0 = 1."""
     if n < 1:
         raise ValueError("size must be at least 1")
-    total = Fraction(0)
-    for shape in enumerate_binary(n):
-        total += Fraction(1, prod(subtree_sizes(shape)))
-    return total
+    sums = [Fraction(1)]
+    for m in range(1, n + 1):
+        hook, splits = _binary_split(m)
+        sums.append(Fraction(sum(sums[i] * sums[m - 1 - i] for i, _ in splits), hook))
+    return sums[n]
 
 
 def _lext_count(pv) -> int:

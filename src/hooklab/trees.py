@@ -6,7 +6,8 @@ Three shapes of object live here.
   labels in which every non-root vertex has a parent with a smaller
   label.  The root is forced to be the minimum label, and the whole
   tree is determined by the parent map.  There are (n-1)! of them on
-  any n labels; shape_classes groups them by unordered shape.
+  any n labels; shape_classes groups them by unordered shape, and
+  rooted_shapes generates those shapes directly.
 
 * CayleyTree: an unrooted labelled tree on vertices {1..r}, stored as a
   sorted edge list.  There are r^(r-2) of them, and the Pruefer code
@@ -59,6 +60,7 @@ __all__ = [
     "prufer_decode",
     "prufer_edges",
     "prufer_encode",
+    "rooted_shapes",
     "shape_classes",
     "split_at_second_min",
     "subtree_sizes",
@@ -187,27 +189,57 @@ def subtree_totals(values: Sequence, pv: Sequence[int]) -> list:
     return out
 
 
+def _shape_key(pv: Sequence[int]) -> tuple:
+    """AHU key (Aho, Hopcroft and Ullman, 1974) of the shape with parent
+    positions pv: a vertex's key is the sorted tuple of its children's, a
+    leaf's is ().  Parents precede children, so one backward pass does."""
+    kids: list = [[] for _ in range(len(pv) + 1)]
+    for j in range(len(pv), 0, -1):
+        kids[pv[j - 1]].append(tuple(sorted(kids[j])))
+    return tuple(sorted(kids[0]))
+
+
 def shape_classes(n: int) -> dict:
     """The increasing trees on n labels grouped by unordered shape.
 
-    Maps each shape's AHU key (Aho, Hopcroft and Ullman, 1974: a vertex's
-    key is the sorted tuple of its children's keys, a leaf's is ()) to
-    (first parent vector of that shape, number of trees of that shape),
-    in order of first appearance along parent_vectors.  Parents precede
-    their children, so one backward pass finishes each key before its
-    parent needs it.
+    Maps each shape's AHU key (_shape_key) to (first parent vector of
+    that shape, number of trees of that shape), in order of first
+    appearance along parent_vectors.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
     out: dict = {}
     for pv in parent_vectors(n):
-        kids: list = [[] for _ in range(n)]
-        for j in range(n - 1, 0, -1):
-            kids[pv[j - 1]].append(tuple(sorted(kids[j])))
-        key = tuple(sorted(kids[0]))
+        key = _shape_key(pv)
         first, mult = out.get(key, (pv, 0))
         out[key] = (first, mult + 1)
     return out
+
+
+def rooted_shapes(n: int) -> Iterator[tuple]:
+    """(AHU key, parent vector) of each unordered rooted shape on n
+    vertices, once each, as in Beyer and Hedetniemi, "Constant time
+    generation of rooted trees" (SIAM J. Comput. 1980): a shape is its
+    preorder depths, each subtree's no smaller than a later sibling's.
+    The next shape repeats the depths from q, the parent of the last
+    vertex p below depth 1, with period p - q to the end.  Preorder
+    positions label the shape increasingly: the parent vector."""
+    if n < 1:
+        raise ValueError("need at least one vertex")
+    levels = list(range(n))
+    while True:
+        last = [0] * n  # last[d]: latest position at depth d
+        pv = []
+        for j in range(1, n):
+            pv.append(last[levels[j] - 1])
+            last[levels[j]] = j
+        yield _shape_key(pv), tuple(pv)
+        p = next((j for j in range(n - 1, 0, -1) if levels[j] > 1), 0)
+        if not p:
+            return
+        q = max(j for j in range(p) if levels[j] == levels[p] - 1)
+        for j in range(p, n):
+            levels[j] = levels[j - (p - q)]
 
 
 def automorphisms(key: tuple) -> int:

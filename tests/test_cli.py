@@ -368,8 +368,9 @@ def failed_checks(out):
 
 class TestLabellingCount:
     """The count is checked once per shape but reported per tree: (n-1)!
-    against the trees of the passing shapes, so a shape that fails or is
-    lost from the enumeration makes the check fail."""
+    against the trees of the passing shapes, so a shape that fails, or
+    is lost from or doubled in the generated shapes, makes the check
+    fail."""
 
     def test_grouped_counts_equal_the_per_tree_counts(self):
         assert labelling_counts(7) == {n: per_tree_counts(n) for n in range(1, 8)}
@@ -387,38 +388,32 @@ class TestLabellingCount:
         assert counts == {n: per_tree_counts(n) for n in range(1, 7)}
         assert counts[6][1] < counts[6][0]
 
-    def test_a_dropped_tree_fails_the_multiplicity_check(self, monkeypatch, capsys):
-        real = cli.tr.parent_vectors
-
-        def dropping(n):
-            pvs = list(real(n))
-            if n == 5:
-                # (0, 0, 0, 1): label 5 under label 2, one of 6 trees of its shape
-                pvs.remove((0, 0, 0, 1))
-            return iter(pvs)
-
-        monkeypatch.setattr(cli.tr, "parent_vectors", dropping)
-        code, out, _ = run_main(["verify", "binary-hooks", "--n", "6", "--json"], capsys)
-        assert code == 1
-        assert failed_checks(out) == [("binary-hooks/labelling-count", {"n": 5})]
-        # the extension count still matches the hook quotient on every shape
-        assert labelling_counts(5)[5] == (24, 18) and per_tree_counts(5) == (23, 23)
-
     def test_a_dropped_star_fails_the_tree_count(self, monkeypatch, capsys):
-        real = cli.tr.parent_vectors
+        real = cli.tr.rooted_shapes
 
         def dropping(n):
-            pvs = list(real(n))
-            if n == 5:
-                # the star is the only tree of its shape: the shape is lost
-                pvs.remove((0, 0, 0, 0))
-            return iter(pvs)
+            # the star stands for one tree: the shapes then cover 23 of 24
+            return [(key, pv) for key, pv in real(n) if n != 5 or any(pv)]
 
-        monkeypatch.setattr(cli.tr, "parent_vectors", dropping)
+        monkeypatch.setattr(cli.tr, "rooted_shapes", dropping)
         code, out, _ = run_main(["verify", "binary-hooks", "--n", "6", "--json"], capsys)
         assert code == 1
         assert failed_checks(out) == [("binary-hooks/labelling-count", {"n": 5})]
         assert labelling_counts(5)[5] == (24, 23)
+
+    def test_a_doubled_shape_fails_the_tree_count(self, monkeypatch, capsys):
+        real = cli.tr.rooted_shapes
+
+        def doubling(n):
+            shapes = list(real(n))
+            return shapes + shapes[-1:] if n == 5 else shapes
+
+        monkeypatch.setattr(cli.tr, "rooted_shapes", doubling)
+        code, out, _ = run_main(["verify", "binary-hooks", "--n", "6", "--json"], capsys)
+        assert code == 1
+        assert failed_checks(out) == [("binary-hooks/labelling-count", {"n": 5})]
+        trees, agreed = labelling_counts(5)[5]
+        assert agreed > trees == 24
 
     def test_trivial_automorphism_groups_fail_from_three_vertices(self, monkeypatch, capsys):
         monkeypatch.setattr(cli.tr, "automorphisms", lambda key: 1)

@@ -3,7 +3,7 @@
 import json
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -17,10 +17,12 @@ from hooklab.trees import (
     CayleyTree,
     IncreasingTree,
     _parent_positions,
+    enumerate_binary,
     enumerate_increasing,
     hooks,
     increasing_from_cayley,
     parent_vectors,
+    subtree_sizes,
 )
 
 
@@ -294,6 +296,54 @@ class TestBinaryShapes:
         for n in range(1, 9):
             total = hf.binary_reciprocal_hook_sum(n)
             assert total == 1 and isinstance(total, Fraction)
+
+    def test_split_sums_equal_the_shape_by_shape_sums(self):
+        x = MultiPoly.variable(1, 0)
+        for n in range(1, 9):
+            lhs = MultiPoly.const(1, 0)
+            reciprocal = Fraction(0)
+            for shape in enumerate_binary(n):
+                sizes = subtree_sizes(shape)
+                term = MultiPoly.const(1, factorial(n) // prod(sizes))
+                for h in sizes:
+                    term = term * (h * x + 1)
+                lhs = lhs + term
+                reciprocal += Fraction(1, prod(sizes))
+            assert hf.binary_hook_sum(n)[0] == lhs
+            assert hf.binary_reciprocal_hook_sum(n) == reciprocal
+
+    def test_no_vertices_is_refused(self):
+        for n in (0, -1):
+            with pytest.raises(ValueError):
+                hf.binary_hook_sum(n)
+            with pytest.raises(ValueError):
+                hf.binary_reciprocal_hook_sum(n)
+
+    # each mutant of the split and the checks it fails at n = 1..6; a
+    # root hook of 0 would divide by zero, so the hook mutant starts at 2
+    SPLIT_MUTANTS = {
+        "wrong binomial": (
+            lambda m: (m, [(i, comb(m, i)) for i in range(m)]),
+            [("shape-identity", n) for n in range(2, 7)],
+        ),
+        "dropped split": (
+            lambda m: (m, [(i, comb(m - 1, i)) for i in range(1, m)]),
+            [(check, n) for n in range(1, 7) for check in ("shape-identity", "reciprocal-sum")],
+        ),
+        "root hook m - 1": (
+            lambda m: (m - 1 if m > 1 else m, [(i, comb(m - 1, i)) for i in range(m)]),
+            [(check, n) for n in range(2, 7) for check in ("shape-identity", "reciprocal-sum")],
+        ),
+    }
+
+    @pytest.mark.parametrize("mutant", SPLIT_MUTANTS)
+    def test_a_changed_split_fails_the_sums_it_feeds(self, monkeypatch, capsys, mutant):
+        split, want = self.SPLIT_MUTANTS[mutant]
+        monkeypatch.setattr(hf, "_binary_split", split)
+        assert cli.main(["verify", "binary-hooks", "--n", "6", "--json"]) == 1
+        records = json.loads(capsys.readouterr().out)["checks"]
+        failed = [(c["check"], c["params"]["n"]) for c in records if not c["equal"]]
+        assert failed == [("binary-hooks/" + check, n) for check, n in want]
 
 
 class TestLinearExtensions:

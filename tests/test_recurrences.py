@@ -233,6 +233,27 @@ class TestFactoredLaw:
         moved_trees = sum(len(real(pv)[1][0]) > 1 for pv in verdicts)
         assert moved_trees and calls[0] == moved_trees + len(verdicts)
 
+    def test_dropped_leaf_factors_fail_the_law_and_the_fiber_sums(self, monkeypatch):
+        # the factors of single vertices dropped, in both bindings: patched
+        # in hookformula alone the law's two sides lose the same factors
+        real = hf._weight_factors
+
+        def leafless(units, pv, top_only=False):
+            mono, factors = real(units, pv, top_only)
+            return mono, [f for f in factors if len(f) != 1]
+
+        monkeypatch.setattr(hf, "_weight_factors", leafless)
+        monkeypatch.setattr(rc, "_weight_factors", leafless)
+        failed = {
+            (v.check, v.params.get("r"))
+            for name, family in cli.FAMILIES.items()
+            for v in cli.run_family(name, min(6, family.ceiling))
+            if not v.equal
+        }
+        assert failed == {
+            (check, r) for check in ("grafting/law", "fibers/degree-sum") for r in range(2, 7)
+        }
+
     def test_the_fallback_alone_gives_the_same_report(self, monkeypatch, tmp_path):
         monkeypatch.setattr(rc, "_law_form", lambda mono, factors: object())
         calls = count_fallbacks(monkeypatch)

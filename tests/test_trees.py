@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 import hooklab.trees as tr
+from hooklab.hookformula import linear_extension_check
 from hooklab.trees import (
     BinaryTree,
     CayleyTree,
@@ -33,6 +34,7 @@ from hooklab.trees import (
     prufer_decode,
     prufer_edges,
     prufer_encode,
+    rooted_shapes,
     shape_classes,
     split_at_second_min,
     subtree_sizes,
@@ -168,6 +170,27 @@ class TestShapes:
     def test_no_vertices_is_refused(self):
         with pytest.raises(ValueError):
             shape_classes(0)
+        for n in (0, -1):
+            with pytest.raises(ValueError):
+                next(rooted_shapes(n))
+
+    def test_generated_shapes_are_rooted_tree_counts(self):
+        # OEIS A000081
+        counts = [sum(1 for _ in rooted_shapes(n)) for n in range(1, 13)]
+        assert counts == [1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766]
+
+    def test_generated_shapes_are_the_classes(self):
+        for n in range(1, 9):
+            shapes = list(rooted_shapes(n))
+            classes = shape_classes(n)
+            assert sorted(key for key, _ in shapes) == sorted(classes)
+            for key, pv in shapes:
+                rep = IncreasingTree(
+                    range(1, n + 1), {j + 1: p + 1 for j, p in enumerate(pv, 1)}
+                )
+                assert shape_string(rep) == key_string(key)
+                lext, _ = linear_extension_check(rep)
+                assert lext == automorphisms(key) * classes[key][1]
 
 
 class TestHooks:
