@@ -40,7 +40,6 @@ from hooklab.multipoly import (
     top_homogeneous,
 )
 from hooklab.recurrences import (
-    TruncatedSeries,
     closed_polynomial,
     grafting_law_sides,
     lagrange_series_oracle,
@@ -118,7 +117,6 @@ __all__ = [
     "oracle_closed_form",
     "set_partitions",
     "subset_closed_form",
-    "TruncatedSeries",
     # factorization counts
     "IntPartition",
     "partitions_of",

@@ -48,14 +48,12 @@ from hooklab._kernel_py import (
     unpack,
 )
 
-Rational = Fraction
 Coeff = Union[int, Fraction]
 
 __all__ = [
     "Coeff",
     "MonomialTable",
     "MultiPoly",
-    "Rational",
     "Var",
     "falling_factorial",
     "specialize",

@@ -18,8 +18,8 @@ sum as a partition sum (root_degree_sides); substituting the closed
 form for the inner sums turns it into a pure partition identity
 (lagrange_identity_sides), which is exactly what inverting the system
 w_i = t_i (1 + w_1 + ... + w_r)^{k_i} predicts for the coefficient of
-t_1...t_r in w_1.  A truncated-series solver plays that inversion back
-numerically as an independent oracle.
+t_1...t_r in w_1.  An exact solver on coefficient lists indexed by
+subsets plays that inversion back as an independent oracle.
 
 Side-returning functions never assert; comparing is the caller's job
 (hooklab.cli sweeps each family).  Where a right side sums the output
@@ -32,7 +32,6 @@ All polynomial arithmetic is exact.
 from __future__ import annotations
 
 import warnings
-from fractions import Fraction
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -52,7 +51,6 @@ from hooklab.hookformula import (
 from hooklab.trees import IncreasingTree, split_at_second_min
 
 __all__ = [
-    "TruncatedSeries",
     "closed_polynomial",
     "constant_term_sides",
     "finite_difference_sides",
@@ -399,155 +397,39 @@ def lagrange_summands(r: int) -> Iterator[tuple[tuple, MultiPoly]]:
     return _partition_summands(r, factor)
 
 
-class TruncatedSeries:
-    """Power series in t_1..t_r cut to exponent at most one per variable.
+def _subset_product(a: list, b: list) -> list:
+    """Product of two series in t_1..t_r cut to exponent at most one per
+    variable, as coefficient lists indexed by subsets (bit i-1 for t_i):
+    entry m sums a[s] * b[m - s] over the subsets s of m.  A function of
+    its own so that a test can change it."""
+    out = [0] * len(a)
+    for m in range(len(a)):
+        acc = 0
+        s = m
+        while True:
+            ca = a[s]
+            if ca:
+                cb = b[m ^ s]
+                if cb:
+                    acc += ca * cb
+            if s == 0:
+                break
+            s = (s - 1) & m
+        out[m] = acc
+    return out
 
-    Coefficients are indexed by subsets of {1..r} as bitmasks (bit i-1
-    for t_i) and are exact ints or Fractions.  Inside this window any
-    series with zero constant term is nilpotent, which is what makes
-    inversion (and hence negative powers) a finite sum.
-    """
 
-    __slots__ = ("_r", "_coeffs")
-
-    def __init__(self, r: int, coeffs=None):
-        if not isinstance(r, int) or r < 0:
-            raise ValueError("variable count must be a non-negative int")
-        size = 1 << r
-        if coeffs is None:
-            coeffs = [0] * size
-        else:
-            coeffs = list(coeffs)
-            if len(coeffs) != size:
-                raise ValueError(f"need {size} coefficients, got {len(coeffs)}")
-        self._r = r
-        self._coeffs = coeffs
-
-    @classmethod
-    def const(cls, r: int, value) -> "TruncatedSeries":
-        s = cls(r)
-        s._coeffs[0] = value
-        return s
-
-    @classmethod
-    def variable(cls, r: int, i: int) -> "TruncatedSeries":
-        """The series t_(i+1)."""
-        if not 0 <= i < r:
-            raise ValueError(f"variable index {i} out of range")
-        s = cls(r)
-        s._coeffs[1 << i] = 1
-        return s
-
-    @property
-    def nvars(self) -> int:
-        return self._r
-
-    def coefficient(self, mask: int) -> "int | Fraction":
-        """Coefficient of the squarefree monomial selected by the bitmask."""
-        if not 0 <= mask < (1 << self._r):
-            raise ValueError(f"mask {mask} out of range")
-        return self._coeffs[mask]
-
-    def _coerce(self, other):
-        if isinstance(other, TruncatedSeries):
-            if other._r != self._r:
-                raise ValueError("variable counts differ")
-            return other
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return TruncatedSeries.const(self._r, other)
-        return None
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self._r == other._r and self._coeffs == other._coeffs
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return TruncatedSeries(
-            self._r, [a + b for a, b in zip(self._coeffs, o._coeffs)]
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedSeries(self._r, [-a for a in self._coeffs])
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self._coeffs, o._coeffs
-        out = [0] * (1 << self._r)
-        for m in range(1 << self._r):
-            acc = 0
-            s = m
-            while True:
-                ca = a[s]
-                if ca:
-                    cb = b[m ^ s]
-                    if cb:
-                        acc += ca * cb
-                if s == 0:
-                    break
-                s = (s - 1) & m
-            out[m] = acc
-        return TruncatedSeries(self._r, out)
-
-    __rmul__ = __mul__
-
-    def _inverse(self) -> "TruncatedSeries":
-        c0 = self._coeffs[0]
-        if not c0:
-            raise ZeroDivisionError("series with zero constant term has no inverse")
-        unit = TruncatedSeries.const(self._r, 1)
-        nil = TruncatedSeries(
-            self._r, [0] + [Fraction(c, c0) if c0 != 1 else c for c in self._coeffs[1:]]
-        )
-        out = unit
-        power = unit
-        sign = 1
-        for _ in range(self._r):
-            power = power * nil
-            sign = -sign
-            out = out + power if sign > 0 else out - power
-        if c0 != 1:
-            out = out * Fraction(1, c0)
-        return out
-
-    def __pow__(self, k: int) -> "TruncatedSeries":
+def _oracle_exponents(r: int, kvals: Sequence[int]) -> list:
+    """kvals as a list of r int exponents, refused otherwise."""
+    if r < 1:
+        raise ValueError("need at least one variable")
+    kvals = list(kvals)
+    if len(kvals) != r:
+        raise ValueError(f"need {r} exponents, got {len(kvals)}")
+    for k in kvals:
         if not isinstance(k, int) or isinstance(k, bool):
-            raise TypeError("series power wants an int exponent")
-        base = self if k >= 0 else self._inverse()
-        e = abs(k)
-        # square-and-multiply with no product by the constant 1 and no
-        # square past the top bit
-        out = None
-        while e:
-            if e & 1:
-                out = base if out is None else out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return TruncatedSeries.const(self._r, 1) if out is None else out
-
-    def __repr__(self) -> str:
-        nonzero = sum(1 for c in self._coeffs if c)
-        return f"TruncatedSeries(r={self._r}, nonzero={nonzero})"
+            raise TypeError("exponents must be ints")
+    return kvals
 
 
 def lagrange_series_oracle(r: int, kvals: Sequence[int]) -> int:
@@ -563,14 +445,7 @@ def lagrange_series_oracle(r: int, kvals: Sequence[int]) -> int:
     but non-positive entries leave tree-counting territory, so they are
     flagged with a warning.
     """
-    if r < 1:
-        raise ValueError("need at least one variable")
-    kvals = list(kvals)
-    if len(kvals) != r:
-        raise ValueError(f"need {r} exponents, got {len(kvals)}")
-    for k in kvals:
-        if not isinstance(k, int) or isinstance(k, bool):
-            raise TypeError("exponents must be ints")
+    kvals = _oracle_exponents(r, kvals)
     if any(k <= 0 for k in kvals):
         warnings.warn(
             "non-positive exponents: the identity still holds as a polynomial "
@@ -583,15 +458,15 @@ def lagrange_series_oracle(r: int, kvals: Sequence[int]) -> int:
         # base = 1 + nil, nil = sum w with no constant term: base^k is the sum
         # over j < r of C(k, j) nil^j (no inverse for a negative k), as w_i
         # reads base off t_i and nil^j vanishes on sets of fewer than j t's
-        nil = TruncatedSeries(r, map(sum, zip(*w)))
-        powers = [TruncatedSeries.const(r, 1), nil]
+        nil = list(map(sum, zip(*w)))
+        powers = [[1] + [0] * (full - 1), nil]
         while len(powers) < r:
-            powers.append(powers[-1] * nil)
+            powers.append(_subset_product(powers[-1], nil))
         base = {}
         for k in set(kvals):
             base[k], c = [0] * full, 1
             for j, p in enumerate(powers):
-                base[k] = [a + c * b for a, b in zip(base[k], p._coeffs)]
+                base[k] = [a + c * b for a, b in zip(base[k], p)]
                 c = c * (k - j) // (j + 1)
         # w_i = t_i base^k_i: each set without t_i moves onto the set with it
         w = [[m >> i & 1 and base[k][m ^ 1 << i] for m in range(full)]
@@ -601,11 +476,7 @@ def lagrange_series_oracle(r: int, kvals: Sequence[int]) -> int:
 
 def oracle_closed_form(r: int, kvals: Sequence[int]) -> int:
     """k_1 (K-1)_(r-2) at integer values; 1 at r = 1 by the usual convention."""
-    if r < 1:
-        raise ValueError("need at least one variable")
-    kvals = list(kvals)
-    if len(kvals) != r:
-        raise ValueError(f"need {r} exponents, got {len(kvals)}")
+    kvals = _oracle_exponents(r, kvals)
     if r == 1:
         return 1
     big_k = sum(kvals)

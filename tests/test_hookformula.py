@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import hooklab.cli as cli
 import hooklab.hookformula as hf
+import hooklab.recurrences as rc
 from hooklab._kernel_py import pack
 from hooklab.multipoly import MultiPoly, top_homogeneous
 from hooklab.trees import (
@@ -402,6 +403,32 @@ class TestTopWeight:
         for r in range(1, 6):
             for t in enumerate_increasing(range(1, r + 1)):
                 assert hf.top_weight(t) == top_homogeneous(hf.tree_weight(t))
+
+    def test_a_kept_constant_fails_the_top_weight_checks(self, monkeypatch):
+        # _linear_factor ignores top_only, in both bindings
+        def with_constant(keys, top_only=False):
+            lin = dict.fromkeys(keys, 1)
+            if len(keys) != 1:
+                lin[0] = 1 - len(keys)
+            return lin
+
+        monkeypatch.setattr(hf, "_linear_factor", with_constant)
+        monkeypatch.setattr(rc, "_linear_factor", with_constant)
+        hf.tree_weight_sum.cache_clear()
+        try:
+            failed = {
+                (v.check, v.params.get("r"))
+                for name, family in cli.FAMILIES.items()
+                for v in cli.run_family(name, min(6, family.ceiling))
+                if not v.equal
+            }
+        finally:
+            hf.tree_weight_sum.cache_clear()
+        assert failed == {
+            (check, r)
+            for check in ("cayley/top-weight-sum", "fibers/degree-sum", "fibers/top-of-weight")
+            for r in range(3, 7)
+        }
 
 
 def double_the_first_edge_list(monkeypatch):

@@ -3,7 +3,6 @@
 import json
 import random
 import warnings
-from fractions import Fraction
 from itertools import combinations, product
 from math import factorial
 from pathlib import Path
@@ -357,57 +356,12 @@ class TestLagrangeIdentity:
         assert all(v.equal for v in reports)
 
 
-class TestTruncatedSeries:
+class TestSubsetProduct:
     def test_square_free_window(self):
-        t1 = rc.TruncatedSeries.variable(2, 0)
-        one = rc.TruncatedSeries.const(2, 1)
-        assert t1 * t1 == rc.TruncatedSeries(2)
-        assert (one + t1) * (one - t1) == one
-
-    def test_inverse(self):
-        s = rc.TruncatedSeries.const(3, 1)
-        for i in range(3):
-            s = s + rc.TruncatedSeries.variable(3, i)
-        assert s * s**-1 == rc.TruncatedSeries.const(3, 1)
-
-    def test_negative_power_by_hand(self):
-        t1 = rc.TruncatedSeries.variable(2, 0)
-        s = (rc.TruncatedSeries.const(2, 1) + t1) ** -2
-        assert s.coefficient(0) == 1
-        assert s.coefficient(1) == -2
-        assert s.coefficient(2) == 0
-
-    @pytest.mark.parametrize("k, products", [(0, 0), (1, 0), (3, 2), (8, 3)])
-    def test_power_makes_only_the_products_it_needs(self, monkeypatch, k, products):
-        s = rc.TruncatedSeries.const(3, 2)
-        for i in range(3):
-            s = s + rc.TruncatedSeries.variable(3, i)
-        want = rc.TruncatedSeries.const(3, 1)
-        for _ in range(k):
-            want = want * s
-        calls = []
-        real = rc.TruncatedSeries.__mul__
-        monkeypatch.setattr(
-            rc.TruncatedSeries, "__mul__", lambda a, b: calls.append(b) or real(a, b)
-        )
-        assert s**k == want
-        assert len(calls) == products
-
-    def test_fractional_constant_term(self):
-        s = rc.TruncatedSeries.const(1, 2) + rc.TruncatedSeries.variable(1, 0)
-        inv = s**-1
-        assert inv.coefficient(0) == Fraction(1, 2)
-        assert inv.coefficient(1) == Fraction(-1, 4)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            rc.TruncatedSeries(2, [1, 2, 3])
-        with pytest.raises(ValueError):
-            rc.TruncatedSeries.variable(2, 5)
-        with pytest.raises(ValueError):
-            rc.TruncatedSeries.const(2, 1) * rc.TruncatedSeries.const(3, 1)
-        with pytest.raises(ZeroDivisionError):
-            rc.TruncatedSeries.variable(2, 0) ** -1
+        # coefficient lists on t1, t2 indexed by bitmask: 1, t1, t2, t1 t2
+        t1, one = [0, 1, 0, 0], [1, 0, 0, 0]
+        assert rc._subset_product(t1, t1) == [0, 0, 0, 0]
+        assert rc._subset_product([1, 1, 0, 0], [1, -1, 0, 0]) == one
 
 
 class TestSeriesOracle:
@@ -445,7 +399,31 @@ class TestSeriesOracle:
             ), kvals
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            rc.lagrange_series_oracle(3, [1, 2])
-        with pytest.raises(TypeError):
-            rc.lagrange_series_oracle(2, [1, "2"])
+        for solve in (rc.lagrange_series_oracle, rc.oracle_closed_form):
+            with pytest.raises(ValueError):
+                solve(3, [1, 2])
+            for r, kvals in [(2, [1, "2"]), (2, [1.5, 2]), (3, [True, 2, 2])]:
+                with pytest.raises(TypeError):
+                    solve(r, kvals)
+
+    @pytest.mark.parametrize("mutant", ["hadamard", "no single-variable terms"])
+    def test_a_changed_product_fails_the_oracle_only(self, monkeypatch, capsys, mutant):
+        real = rc._subset_product
+
+        def without_single_variable_terms(a, b):
+            # the true product less a[s] * b[m - s] for every s of one variable
+            out = real(a, b)
+            for m in range(len(out)):
+                for i in range(len(out).bit_length() - 1):
+                    if m >> i & 1:
+                        out[m] -= a[1 << i] * b[m ^ 1 << i]
+            return out
+
+        product = {
+            "hadamard": lambda a, b: [x * y for x, y in zip(a, b)],
+            "no single-variable terms": without_single_variable_terms,
+        }[mutant]
+        monkeypatch.setattr(rc, "_subset_product", product)
+        assert cli.main(["verify", "mvl", "--r", "6", "--json"]) == 1
+        records = json.loads(capsys.readouterr().out)["checks"]
+        assert [c["check"] for c in records if not c["equal"]] == ["mvl/oracle"]
