@@ -18,14 +18,14 @@ ceiling and the sweep that yields its comparisons.  Bounds can be
 raised per run with the size flag, but never past the ceiling:
 factorial and Catalan growth make accidental huge runs too
 easy, so over-ceiling requests are refused outright rather than
-truncated.  The environment variable HOOKLAB_BUDGET_CEILING replaces
-the ceilings for people who know what they are asking for, except
-kerov's: its ceiling is kerov.FACTORIZATION_BOUND, the largest size the
-long-cycle walk takes, which the variable can lower but not raise.  A
-bound below a family's first size, which would compare nothing, is
-refused, and so is a size flag that no selected family reads (`verify
-all` reads all three).  The one module-level cache, hookformula's
-tree weight sums, lasts for one verify run.
+truncated.  The ceiling is the only size limit a sweep meets, and the
+environment variable HOOKLAB_BUDGET_CEILING replaces it, for every
+family, for people who know what they are asking for; enumerate's
+sizes are capped the same way.  A bound below a family's first size,
+which would compare nothing, is refused, and so is a size flag that no
+selected family reads (`verify all` reads all three).  The one
+module-level cache, hookformula's tree weight sums, lasts for one
+verify run.
 
 Reports are deterministic: running the same command twice gives the
 same output except for elapsed_ms.  Every sweep runs in this one
@@ -65,41 +65,37 @@ class UsageError(Exception):
     """Bad invocation: conflicting flags, out-of-budget sizes, bad paths."""
 
 
-def _env_ceiling(base: int) -> int:
-    raw = os.environ.get("HOOKLAB_BUDGET_CEILING")
-    if raw is None:
-        return base
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(
-            f"HOOKLAB_BUDGET_CEILING must be an integer, got {raw!r}"
-        ) from None
-
-
 def _option(flag: str) -> str:
     return "--" + flag.replace("_", "-")
 
 
+def _check_bound(what: str, bound: int, first: int, ceiling: int) -> int:
+    """bound, refused unless it lies from first up to ceiling, or up to
+    HOOKLAB_BUDGET_CEILING when that is set: the one size check of both
+    subcommands."""
+    raw = os.environ.get("HOOKLAB_BUDGET_CEILING")
+    if raw is not None:
+        try:
+            ceiling = int(raw)
+        except ValueError:
+            raise UsageError(
+                f"HOOKLAB_BUDGET_CEILING must be an integer, got {raw!r}"
+            ) from None
+    if bound < first:
+        raise UsageError(f"{what} needs a bound of at least {first}, got {bound}")
+    if bound > ceiling:
+        raise UsageError(
+            f"{what} is capped at {ceiling} (asked for {bound}); "
+            "set HOOKLAB_BUDGET_CEILING to raise the cap"
+        )
+    return bound
+
+
 def _verify_bound(check: str, args) -> int:
     family = FAMILIES[check]
-    ceiling = _env_ceiling(family.ceiling)
-    if family.fixed:
-        ceiling = min(ceiling, family.ceiling)
     explicit = getattr(args, family.flag)
     bound = family.default if explicit is None else explicit
-    if bound < family.first:
-        raise UsageError(
-            f"{check} needs a bound of at least {family.first}, got {bound}"
-        )
-    if bound > ceiling:
-        hint = (
-            "HOOKLAB_BUDGET_CEILING cannot raise this cap"
-            if family.fixed and ceiling == family.ceiling
-            else "set HOOKLAB_BUDGET_CEILING to raise the cap"
-        )
-        raise UsageError(f"{check} is capped at {ceiling} (asked for {bound}); {hint}")
-    return bound
+    return _check_bound(check, bound, family.first, family.ceiling)
 
 
 def _theorem1(sizes: range, trace: bool):
@@ -128,8 +124,8 @@ def _binary_hooks(sizes: range, trace: bool):
     # stands for lext/|Aut| increasing trees.  Only that total ties the
     # shapes to the (n-1)! trees, so a lost, doubled or failing shape
     # fails the check.  The extension count's memo grows about 4x per
-    # size, so the check stops at LINEAR_EXTENSION_BOUND whatever the bound.
-    for n in range(sizes.start, min(sizes.stop, hf.LINEAR_EXTENSION_BOUND + 1)):
+    # size, which the family's ceiling bounds.
+    for n in sizes:
         agreed = 0
         labels = range(1, n + 1)
         for key, pv in tr.rooted_shapes(n):
@@ -288,9 +284,8 @@ class Family(NamedTuple):
     flag is the option that sets its bound (r, n or max_size), first the
     smallest size it compares, default and ceiling its bounds.
     sweep(sizes, trace) yields (check, params, lhs, rhs, trace)
-    for every comparison over the sizes in order.  A fixed ceiling is
-    the largest size the sweep can take at all: HOOKLAB_BUDGET_CEILING
-    lowers it but never raises it.
+    for every comparison over the sizes in order.  The ceiling is the
+    only limit on the sizes, and HOOKLAB_BUDGET_CEILING replaces it.
     """
 
     flag: str
@@ -298,7 +293,6 @@ class Family(NamedTuple):
     default: int
     ceiling: int
     sweep: Callable
-    fixed: bool = False
 
 
 # in `verify all` order
@@ -312,7 +306,7 @@ FAMILIES = {
     "grafting": Family("r", 2, 7, 9, _grafting),
     "root-recurrence": Family("r", 2, 7, 9, _root_recurrence),
     "mvl": Family("r", 2, 7, 9, _mvl),
-    "kerov": Family("max_size", 1, 8, kv.FACTORIZATION_BOUND, _kerov, fixed=True),
+    "kerov": Family("max_size", 1, 8, 9, _kerov),
 }
 
 
@@ -321,14 +315,12 @@ def run_family(name: str, bound: int, trace: bool = False) -> list:
 
     Each comparison's elapsed_ms is the time the sweep took to produce
     its two sides; summarizing them is not counted.  A bound below the
-    first size, which would compare nothing, or past a fixed ceiling,
-    which the sweep cannot reach, raises ValueError before any work.
+    first size, which would compare nothing, raises ValueError before
+    any work; the ceiling is the caller's to apply.
     """
     family = FAMILIES[name]
     if bound < family.first:
         raise ValueError(f"{name} starts at size {family.first}, got bound {bound}")
-    if family.fixed and bound > family.ceiling:
-        raise ValueError(f"{name} is capped at {family.ceiling}, got bound {bound}")
     sweep = family.sweep(range(family.first, bound + 1), trace)
     out = []
     while True:
@@ -406,15 +398,8 @@ def cmd_verify(args) -> int:
 
 def cmd_enumerate(args) -> int:
     family, size = args.family, args.size
-    ceiling = _env_ceiling(ENUMERATE_BUDGETS[family])
-    floor = 0 if family == "binary" else 1
-    if size < floor:
-        raise UsageError(f"enumerate {family} needs size >= {floor}, got {size}")
-    if size > ceiling:
-        raise UsageError(
-            f"enumerate {family} is capped at {ceiling} (asked for {size}); "
-            "set HOOKLAB_BUDGET_CEILING to raise the cap"
-        )
+    first = 0 if family == "binary" else 1
+    _check_bound(f"enumerate {family}", size, first, ENUMERATE_BUDGETS[family])
     if family == "increasing":
         items = tr.enumerate_increasing(range(1, size + 1))
         to_json, to_dot = tr.IncreasingTree.to_json_dict, tr.IncreasingTree.to_dot

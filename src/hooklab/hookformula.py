@@ -20,8 +20,7 @@ or companion of that identity:
   unordered trees that count is certified shape by shape against a
   linear-extension count (linear_extension_check), with the shapes
   generated by hooklab.trees.rooted_shapes: only their total of trees
-  meets (n-1)!, and the count's memo, about 4x per size, sets
-  LINEAR_EXTENSION_BOUND;
+  meets (n-1)!, and the count's memo grows about 4x per size;
 * dropping each factor's constant gives the top-degree weight, whose
   sum over trees reproduces the degree-refined count of labelled
   unrooted trees, with the collapse map from unrooted trees providing
@@ -90,8 +89,6 @@ __all__ = [
     "tree_weight_sum",
     "uniform_chain_sides",
 ]
-
-LINEAR_EXTENSION_BOUND = 9
 
 
 def _label_keys(labels, ambient: int) -> list:
@@ -340,6 +337,12 @@ def hook_weight_closed_form(r: int) -> MultiPoly:
     return subset_closed_form(range(1, r + 1), r)
 
 
+def _vertex_factor(n: int) -> dict:
+    """Term map of x*n + 1, the factor of a vertex whose subtree has n
+    vertices, n >= 2: apart so that a test can change it."""
+    return {1: n, 0: 1}
+
+
 def increasing_hook_sum(r: int) -> tuple:
     """Both sides of the univariate hook identity over increasing trees.
 
@@ -354,7 +357,7 @@ def increasing_hook_sum(r: int) -> tuple:
     whole, planted = [None, {0: 1}], [None, {1: 1, 0: 1}]
     for n in range(2, r + 1):
         whole.append(_split_sum(n, lambda sub: planted[len(sub)], lambda rest: whole[len(rest)]))
-        planted.append(mul_terms(whole[n], {1: n, 0: 1}))
+        planted.append(mul_terms(whole[n], _vertex_factor(n)))
     lhs = MultiPoly._raw(1, planted[r])
     x = MultiPoly.variable(1, 0)
     rhs = x + 1
@@ -463,13 +466,9 @@ def linear_extension_check(t: IncreasingTree) -> tuple:
     formula says they match.  The quotient is checked to divide
     exactly.  The count places the vertices one at a time, memoised on
     the set of vertices ready to place, so its cost follows the number
-    of such frontiers (at most 2^|T|); the size bound keeps that small.
+    of such frontiers, not |T|: |T| + 1 on a path, at most 2^|T|.
     """
     n = len(t)
-    if n > LINEAR_EXTENSION_BOUND:
-        raise ValueError(
-            f"exhaustive labelling count is capped at {LINEAR_EXTENSION_BOUND} vertices"
-        )
     pv = _parent_positions(t)
     lext = _lext_count(pv)
     prod_h = prod(subtree_totals([1] * n, pv))

@@ -193,12 +193,9 @@ def _inverse_long_cycles(n: int) -> Iterator:
 
 
 def _check_size(n: int) -> None:
-    """Refuse the empty partition and sizes past the bound, before any
-    long cycle is built."""
+    """Refuse the empty partition, before any long cycle is built."""
     if n < 1:
         raise ValueError("factorizations need a partition of size at least 1, got the empty one")
-    if n > FACTORIZATION_BOUND:
-        raise ValueError(f"long-cycle enumeration is capped at size {FACTORIZATION_BOUND}")
 
 
 def _check_coverage(visited: int, n: int) -> None:
@@ -319,8 +316,8 @@ def count_factorizations(mu: IntPartition) -> int:
     The walk accounts for every long cycle s2, (n-1)! of them, solving
     each residual subproblem once, and raises RuntimeError unless it
     accounted for exactly that many.  Its work grows far more slowly
-    than (n-1)!, but it keeps the size bound of the brute-force sweep it
-    is checked against.
+    than (n-1)!, so only the empty partition is refused; the size bound
+    is the brute-force sweep's (factorization_counts_by_type).
     """
     _check_size(mu.size)
     hits, covered = _walk(_block_images(mu), mu.cycle_index - 1)
@@ -335,8 +332,12 @@ def factorization_counts_by_type(mu: IntPartition) -> Mapping[IntPartition, int]
     No cycle-count filter: the full distribution comes back, so the
     per-type closed formula can be checked type by type and the
     filtered total recovered by restricting to types of length j-1.
+    Every long cycle is built in full, so sizes past FACTORIZATION_BOUND
+    are refused before the first.
     """
     _check_size(mu.size)
+    if mu.size > FACTORIZATION_BOUND:
+        raise ValueError(f"long-cycle enumeration is capped at size {FACTORIZATION_BOUND}")
     sigma = _block_images(mu)
     out: dict = {}
     for compose in _inverse_long_cycles(mu.size):

@@ -68,11 +68,16 @@ __all__ = [
 ]
 
 
+def _is_int(v) -> bool:
+    """Whether v is an int and not a bool, as every vertex must be."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _clean_labels(labels: Iterable[int]) -> tuple[int, ...]:
     out = tuple(sorted(labels))
     if not out:
         raise ValueError("a tree needs at least one vertex")
-    if any(not isinstance(v, int) or isinstance(v, bool) or v < 1 for v in out):
+    if any(not _is_int(v) or v < 1 for v in out):
         raise ValueError(f"labels must be positive ints: {out}")
     if len(set(out)) != len(out):
         raise ValueError(f"labels must be distinct: {out}")
@@ -94,8 +99,8 @@ class IncreasingTree:
             )
         label_set = set(self._labels)
         for v, p in parent.items():
-            if p not in label_set:
-                raise ValueError(f"parent {p} of {v} is not a vertex")
+            if not _is_int(p) or p not in label_set:
+                raise ValueError(f"parent {p!r} of {v} is not a vertex")
             if p >= v:
                 raise ValueError(f"parent {p} of {v} must carry a smaller label")
         self._parent = {v: parent[v] for v in self._labels[1:]}
@@ -344,7 +349,7 @@ class CayleyTree:
         norm = []
         for e in edges:
             a, b = e
-            if a == b or a not in vset or b not in vset:
+            if not (_is_int(a) and _is_int(b)) or a == b or a not in vset or b not in vset:
                 raise ValueError(f"bad edge {e!r}")
             norm.append((a, b) if a < b else (b, a))
         norm.sort()
@@ -463,8 +468,8 @@ def prufer_edges(seq: Sequence[int]) -> list:
     all r vertices; ValueError otherwise.
     """
     r = len(seq) + 2
-    if any(not 1 <= s <= r for s in seq):
-        raise ValueError(f"sequence entries must lie in 1..{r}")
+    if any(not (_is_int(s) and 1 <= s <= r) for s in seq):
+        raise ValueError(f"sequence entries must be ints in 1..{r}")
     deg = [1] * (r + 1)
     for s in seq:
         deg[s] += 1

@@ -116,24 +116,40 @@ class TestBoundResolution:
         monkeypatch.setenv("HOOKLAB_BUDGET_CEILING", "12")
         assert cli._verify_bound("cayley", verify_args(r=12)) == 12
 
-    def test_kerov_ceiling_is_the_walk_bound(self, monkeypatch):
-        assert cli.FAMILIES["kerov"].ceiling == cli.kv.FACTORIZATION_BOUND
+    def test_env_replaces_the_kerov_ceiling_too(self, monkeypatch):
         monkeypatch.setenv("HOOKLAB_BUDGET_CEILING", "5")
         with pytest.raises(cli.UsageError, match="capped at 5"):
             cli._verify_bound("kerov", verify_args(max_size=6))
+        monkeypatch.setenv("HOOKLAB_BUDGET_CEILING", "11")
+        assert cli._verify_bound("kerov", verify_args(max_size=11)) == 11
 
     @pytest.mark.parametrize("check", ["kerov", "all"])
-    def test_env_cannot_lift_kerov_past_the_walk_bound(self, monkeypatch, capsys, check):
+    def test_kerov_past_its_ceiling_is_refused_before_any_work(self, monkeypatch, capsys, check):
         def no_work(*args):
             raise AssertionError("the sweep started")
 
         monkeypatch.setattr(cli.kv, "count_factorizations", no_work)
         monkeypatch.setattr(cli.hf, "hook_weight_sum", no_work)
-        monkeypatch.setenv("HOOKLAB_BUDGET_CEILING", "12")
-        bound = str(cli.kv.FACTORIZATION_BOUND + 1)
-        code, out, err = run_main(["verify", check, "--max-size", bound], capsys)
+        monkeypatch.delenv("HOOKLAB_BUDGET_CEILING", raising=False)
+        code, out, err = run_main(["verify", check, "--max-size", "10"], capsys)
         assert code == 2 and out == ""
-        assert f"kerov is capped at {cli.kv.FACTORIZATION_BOUND}" in err
+        assert "kerov is capped at 9" in err and "HOOKLAB_BUDGET_CEILING" in err
+
+    def test_env_lifts_kerov_past_its_ceiling(self, monkeypatch, capsys):
+        monkeypatch.setenv("HOOKLAB_BUDGET_CEILING", "11")
+        code, out, _ = run_main(["verify", "kerov", "--max-size", "11"], capsys)
+        assert code == 0 and "11 comparisons, all passed" in out
+
+    def test_env_changes_no_default_bound_verdict(self, monkeypatch, capsys):
+        def records():
+            code, out, _ = run_main(["verify", "all", "--json"], capsys)
+            assert code == 0
+            return [{**rec, "elapsed_ms": None} for rec in json.loads(out)["checks"]]
+
+        monkeypatch.delenv("HOOKLAB_BUDGET_CEILING", raising=False)
+        unset = records()
+        monkeypatch.setenv("HOOKLAB_BUDGET_CEILING", "12")
+        assert records() == unset
 
 
 class TestVerify:
@@ -423,6 +439,14 @@ class TestLabellingCount:
             ("binary-hooks/labelling-count", {"n": n}) for n in range(3, 6)
         ]
 
+    def test_the_count_runs_to_the_bound(self, capsys):
+        code, out, _ = run_main(["verify", "binary-hooks", "--n", "10", "--json"], capsys)
+        assert code == 0
+        records = json.loads(out)["checks"]
+        assert len(records) == 30 and all(rec["equal"] for rec in records)
+        counts = [rec for rec in records if rec["check"] == "binary-hooks/labelling-count"]
+        assert [rec["params"]["n"] for rec in counts] == list(range(1, 11))
+
 
 class TestPerTreeChecks:
     """grafting/law and the fibers checks sweep the parent vectors of
@@ -507,18 +531,12 @@ class TestFamilies:
         with pytest.raises(ValueError):
             cli.run_family(name, family.first - 1)
 
-    def test_a_bound_past_a_fixed_ceiling_is_refused_before_any_work(self, monkeypatch):
-        calls = []
-        real = cli.kv.count_factorizations
-        monkeypatch.setattr(
-            cli.kv, "count_factorizations", lambda mu: calls.append(mu) or real(mu)
-        )
-        family = cli.FAMILIES["kerov"]
-        assert family.fixed
-        with pytest.raises(ValueError, match="capped"):
-            cli.run_family("kerov", family.ceiling + 1)
-        assert calls == []
-        assert cli.run_family("kerov", 2) and calls
+    def test_run_family_meets_no_ceiling(self):
+        # the ceiling is applied to the command line only
+        bound = cli.FAMILIES["kerov"].ceiling + 1
+        reports = cli.run_family("kerov", bound)
+        assert reports[-1].params == {"size": bound}
+        assert all(rep.equal for rep in reports)
 
     @pytest.mark.parametrize("name", list(cli.FAMILIES))
     def test_unread_size_flag_is_a_usage_error(self, name, capsys):

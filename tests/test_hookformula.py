@@ -35,6 +35,21 @@ def k(r, label):
     return MultiPoly.variable(r, label - 1)
 
 
+def failed_at_bound_6():
+    """(check, r) of each comparison that fails with every family swept
+    to min(6, ceiling), the sweep cache cleared before and after."""
+    hf.tree_weight_sum.cache_clear()
+    try:
+        return {
+            (v.check, v.params.get("r"))
+            for name, family in cli.FAMILIES.items()
+            for v in cli.run_family(name, min(6, family.ceiling))
+            if not v.equal
+        }
+    finally:
+        hf.tree_weight_sum.cache_clear()
+
+
 class TestTreeWeight:
     def test_single_vertex(self):
         t = IncreasingTree([1], {})
@@ -281,6 +296,13 @@ class TestUniformSpecialization:
             passed = hf.uniform_chain_sides(r, hf.increasing_hook_sum(r)[0])
             assert passed == (lhs, rhs)
 
+    def test_a_dropped_vertex_constant_fails_postnikov_only(self, monkeypatch):
+        # x*n in place of x*n + 1 at every vertex with a child
+        monkeypatch.setattr(hf, "_vertex_factor", lambda n: {1: n})
+        assert failed_at_bound_6() == {
+            (check, r) for check in ("postnikov", "postnikov/chain") for r in range(2, 7)
+        }
+
 
 class TestBinaryShapes:
     def test_one_vertex_by_hand(self):
@@ -383,10 +405,12 @@ class TestLinearExtensions:
                     brute += all(at[p] < at[v] for v, p in t.parent.items())
                 assert hf.linear_extension_check(t)[0] == brute
 
-    def test_size_cap(self):
-        big = IncreasingTree(range(1, 11), {v: v - 1 for v in range(2, 11)})
-        with pytest.raises(ValueError):
-            hf.linear_extension_check(big)
+    def test_ten_vertices_by_hand(self):
+        # the count's cost follows the frontiers, not the size: 11 on the path
+        path = IncreasingTree(range(1, 11), {v: v - 1 for v in range(2, 11)})
+        star = IncreasingTree(range(1, 11), {v: 1 for v in range(2, 11)})
+        assert hf.linear_extension_check(path) == (1, 1)
+        assert hf.linear_extension_check(star) == (factorial(9), factorial(9))
 
 
 class TestTopWeight:
@@ -414,17 +438,7 @@ class TestTopWeight:
 
         monkeypatch.setattr(hf, "_linear_factor", with_constant)
         monkeypatch.setattr(rc, "_linear_factor", with_constant)
-        hf.tree_weight_sum.cache_clear()
-        try:
-            failed = {
-                (v.check, v.params.get("r"))
-                for name, family in cli.FAMILIES.items()
-                for v in cli.run_family(name, min(6, family.ceiling))
-                if not v.equal
-            }
-        finally:
-            hf.tree_weight_sum.cache_clear()
-        assert failed == {
+        assert failed_at_bound_6() == {
             (check, r)
             for check in ("cayley/top-weight-sum", "fibers/degree-sum", "fibers/top-of-weight")
             for r in range(3, 7)

@@ -127,9 +127,17 @@ class TestFactorizationCounts:
             docs.append([{**rec, "elapsed_ms": None} for rec in records])
         assert docs[0] == docs[1]
 
-    def test_size_cap(self):
-        with pytest.raises(ValueError):
-            kv.count_factorizations(IntPartition((5, 5)))
+    def test_the_walk_takes_sizes_past_the_sweep_bound(self):
+        mu = IntPartition((5, 5))
+        assert kv.count_factorizations(mu) == kv.factorization_count_closed_form(mu)
+
+    def test_the_sweep_past_its_bound_is_refused_before_any_long_cycle(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the enumeration started")
+
+        monkeypatch.setattr(kv, "_inverse_long_cycles", no_work)
+        with pytest.raises(ValueError, match="capped at size 9"):
+            kv.factorization_counts_by_type(IntPartition((5, 5)))
 
 
 class TestFactorizationSweep:
@@ -152,15 +160,14 @@ class TestFactorizationSweep:
             assert [kv.count_factorizations(mu) for mu in mus] == want
 
     def test_walk_past_the_bound_equals_the_closed_form(self):
-        # the size bound is the brute-force sweep's; the walk itself
-        # reaches sizes 10 and 11 in well under a second
+        # the size bound is the brute-force sweep's; the walk, which
+        # raises unless it covered (n-1)! long cycles, reaches sizes 10
+        # and 11 in well under a second
         for n, partitions in ((10, 42), (11, 56)):
             mus = list(kv.partitions_of(n))
             assert len(mus) == partitions
             for mu in mus:
-                hits, covered = kv._walk(kv._block_images(mu), mu.cycle_index - 1)
-                assert covered == factorial(n - 1)
-                assert hits == kv.factorization_count_closed_form(mu)
+                assert kv.count_factorizations(mu) == kv.factorization_count_closed_form(mu)
 
     def test_the_memo_needs_the_cycles_still_needed(self, monkeypatch):
         # keyed on the residual cycle type alone, a branch is credited

@@ -100,6 +100,9 @@ class TestIncreasing:
             IncreasingTree([1, 2, 3], {2: 1, 3: 4})
         with pytest.raises(ValueError):
             IncreasingTree([1, 2, 3], {2: 3, 3: 1})
+        for parent in (True, 1.0):
+            with pytest.raises(ValueError, match="not a vertex"):
+                IncreasingTree([1, 2], {2: parent})
 
     def test_json_round_trip(self):
         for t in enumerate_increasing(range(1, 5)):
@@ -293,6 +296,9 @@ class TestCayley:
     def test_out_of_range_entries_are_refused(self):
         with pytest.raises(ValueError, match="1..4"):
             prufer_edges((1, 5))
+        for entry in (True, 1.0):
+            with pytest.raises(ValueError, match="ints in 1..3"):
+                prufer_edges([entry])
 
     def test_degree_vector(self):
         star = CayleyTree([1, 2, 3, 4], [(1, 2), (1, 3), (1, 4)])
@@ -307,6 +313,9 @@ class TestCayley:
             CayleyTree([1, 2, 3, 4], [(1, 2), (3, 4), (1, 2)])
         with pytest.raises(ValueError):
             CayleyTree([1, 2], [(1, 1)])
+        for end in (True, 1.0):
+            with pytest.raises(ValueError, match="bad edge"):
+                CayleyTree([1, 2], [(end, 2)])
 
     def test_json_round_trip(self):
         for u in enumerate_cayley(4):
