@@ -68,6 +68,7 @@ from hooklab.trees import (
     IncreasingTree,
     _clean_labels,
     _collapse,
+    _is_int,
     _parent_positions,
     cayley_edge_lists,
     subtree_totals,
@@ -408,8 +409,8 @@ def binary_hook_sum(n: int) -> tuple:
     rhs: prod_{i=0}^{n-1} ((n+1+i)x + n+1-i) divided by n+1; the
     division is exact once the product is expanded.
     """
-    if n < 1:
-        raise ValueError("size must be at least 1")
+    if not _is_int(n) or n < 1:
+        raise ValueError(f"size must be an int of at least 1, got {n!r}")
     sums = [{0: 1}]
     for m in range(1, n + 1):
         hook, splits = _binary_split(m)

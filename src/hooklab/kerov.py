@@ -46,6 +46,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from hooklab.hookformula import hook_weight_closed_form, hook_weight_sum
 from hooklab.multipoly import specialize
+from hooklab.trees import _is_int
 
 __all__ = [
     "IntPartition",
@@ -134,8 +135,8 @@ def _partition_tuples(n: int, cap: int) -> Iterator[tuple]:
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[IntPartition]:
     """Partitions of n in reverse lexicographic order: (n) first, (1,..,1) last."""
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("n must be a non-negative int")
+    if not _is_int(n) or n < 0:
+        raise ValueError(f"n must be a non-negative int, got {n!r}")
     if max_part is None:
         max_part = n
     for parts in _partition_tuples(n, max_part):

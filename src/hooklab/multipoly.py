@@ -47,6 +47,7 @@ from hooklab._kernel_py import (
     unit,
     unpack,
 )
+from hooklab.trees import _is_int
 
 Coeff = Union[int, Fraction]
 
@@ -453,7 +454,7 @@ def falling_factorial(p: MultiPoly, m: int) -> MultiPoly:
     """
     if not isinstance(p, MultiPoly):
         raise TypeError("falling_factorial expects a MultiPoly")
-    if not isinstance(m, int) or m < 0:
+    if not _is_int(m) or m < 0:
         raise ValueError(f"falling factorial length must be a non-negative int, got {m}")
     out = MultiPoly.const(p.nvars, 1)
     for i in range(m):

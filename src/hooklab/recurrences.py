@@ -19,7 +19,8 @@ form for the inner sums turns it into a pure partition identity
 (lagrange_identity_sides), which is exactly what inverting the system
 w_i = t_i (1 + w_1 + ... + w_r)^{k_i} predicts for the coefficient of
 t_1...t_r in w_1.  An exact solver on coefficient lists indexed by
-subsets plays that inversion back as an independent oracle.
+subsets plays that inversion back as an independent oracle; it settles
+every coefficient in one pass, each subset after all of its subsets.
 
 Side-returning functions never assert; comparing is the caller's job
 (hooklab.cli sweeps each family).  Where a right side sums the output
@@ -215,12 +216,15 @@ def grafting_law_sides(
 def _graft_split(pv) -> tuple:
     """split_at_second_min on a parent vector: (host, shoot), each as
     (positions, parent vector on them).  The shoot is the subtree of
-    position 1; parents come first, so one forward pass marks it."""
+    position 1; parents come first, so one forward pass marks it, and
+    refuses any entry j-1 that is not an int in [0, j)."""
     if not pv:
         raise ValueError("need at least two vertices to split")
-    inside = [False, True]
-    for p in pv[1:]:
-        inside.append(inside[p])
+    inside = [False]
+    for j, p in enumerate(pv, 1):
+        if type(p) is not int or not 0 <= p < j:
+            raise ValueError(f"parent vector entry {j - 1} must be an int in [0, {j}), got {p!r}")
+        inside.append(j == 1 or inside[p])
     parts = []
     for side in (False, True):
         at = [j for j, s in enumerate(inside) if s is side]
@@ -253,7 +257,8 @@ def grafting_law_holds(pv) -> bool:
     the shoot's labels.  Sides with equal _law_forms multiply the same
     maps, so the law holds; any other tree is settled by
     grafting_law_sides on t.  The verdict is always that of
-    grafting_law_sides, but a passing tree multiplies nothing out.
+    grafting_law_sides, but a passing tree multiplies nothing out.  A pv
+    whose entry j-1 is not an int in [0, j) is refused with ValueError.
     """
     r = len(pv) + 1
     units = _label_keys(range(1, r + 1), r)
@@ -397,26 +402,22 @@ def lagrange_summands(r: int) -> Iterator[tuple[tuple, MultiPoly]]:
     return _partition_summands(r, factor)
 
 
-def _subset_product(a: list, b: list) -> list:
-    """Product of two series in t_1..t_r cut to exponent at most one per
-    variable, as coefficient lists indexed by subsets (bit i-1 for t_i):
-    entry m sums a[s] * b[m - s] over the subsets s of m.  A function of
-    its own so that a test can change it."""
-    out = [0] * len(a)
-    for m in range(len(a)):
-        acc = 0
-        s = m
-        while True:
-            ca = a[s]
-            if ca:
-                cb = b[m ^ s]
-                if cb:
-                    acc += ca * cb
-            if s == 0:
-                break
-            s = (s - 1) & m
-        out[m] = acc
-    return out
+def _subset_entry(a: list, b: list, m: int) -> int:
+    """Entry m of the product of two series in t_1..t_r cut to exponent
+    at most one per variable, as coefficient lists indexed by subsets
+    (bit i-1 for t_i): the sum of a[s] * b[m - s] over the subsets s of
+    m.  A function of its own so that a test can change it."""
+    acc = 0
+    s = m
+    while True:
+        ca = a[s]
+        if ca:
+            cb = b[m ^ s]
+            if cb:
+                acc += ca * cb
+        if s == 0:
+            return acc
+        s = (s - 1) & m
 
 
 def _oracle_exponents(r: int, kvals: Sequence[int]) -> list:
@@ -435,11 +436,18 @@ def _oracle_exponents(r: int, kvals: Sequence[int]) -> list:
 def lagrange_series_oracle(r: int, kvals: Sequence[int]) -> int:
     """Coefficient of t_1...t_r in w_1 for w_i = t_i (1 + sum w)^(k_i).
 
-    Solves the functional system by fixed point iteration in the
-    multilinear window; each pass extends correctness by one total
-    degree, so r passes settle every retained coefficient.  The result
-    must match k_1 (K-1)_(r-2) at the given integer values, which
-    oracle_closed_form computes; the comparison is the caller's.
+    Solves the functional system in the multilinear window, on
+    coefficient lists indexed by subsets, in one pass over the subsets
+    in increasing order, which reaches the subsets of a set first.
+    With nil = w_1 + ... + w_r, (1 + nil)^k is the sum over j < r of
+    C(k, j) nil^j, so a negative k needs no inverse.  At a set m, w_i[m]
+    is the sum over j of C(k_i, j) nil^j[m - {t_i}] for each t_i in m,
+    nil[m] is their sum, and nil^j[m] for 2 <= j <= min(|m|, r-1) is
+    _subset_entry(nil, nil^(j-1), m).  Each depends on proper subsets of
+    m only, so one pass settles every coefficient; at the full set only
+    w_1 is read.  The result must match k_1 (K-1)_(r-2) at the given
+    integer values, which oracle_closed_form computes; the comparison is
+    the caller's.
 
     Any integers are legal since the underlying identity is polynomial,
     but non-positive entries leave tree-counting territory, so they are
@@ -452,26 +460,25 @@ def lagrange_series_oracle(r: int, kvals: Sequence[int]) -> int:
             "statement, but the values no longer count trees",
             stacklevel=2,
         )
-    full = 1 << r
-    w = [[0] * full for _ in range(r)]
-    for _ in range(r):
-        # base = 1 + nil, nil = sum w with no constant term: base^k is the sum
-        # over j < r of C(k, j) nil^j (no inverse for a negative k), as w_i
-        # reads base off t_i and nil^j vanishes on sets of fewer than j t's
-        nil = list(map(sum, zip(*w)))
-        powers = [[1] + [0] * (full - 1), nil]
-        while len(powers) < r:
-            powers.append(_subset_product(powers[-1], nil))
-        base = {}
-        for k in set(kvals):
-            base[k], c = [0] * full, 1
-            for j, p in enumerate(powers):
-                base[k] = [a + c * b for a, b in zip(base[k], p)]
-                c = c * (k - j) // (j + 1)
-        # w_i = t_i base^k_i: each set without t_i moves onto the set with it
-        w = [[m >> i & 1 and base[k][m ^ 1 << i] for m in range(full)]
-             for i, k in enumerate(kvals)]
-    return w[0][full - 1]
+    rows = []  # C(k_i, j) for j < r, by the generalized binomial recurrence
+    for k in kvals:
+        row, c = [], 1
+        for j in range(r):
+            row.append(c)
+            c = c * (k - j) // (j + 1)
+        rows.append(row)
+    full = (1 << r) - 1
+    # powers[j] is nil^j, which vanishes on sets of fewer than j t's
+    nil = [0] * (full + 1)
+    powers = [[1] + [0] * full, nil] + [[0] * (full + 1) for _ in range(2, r)]
+    for m in range(1, full):
+        size = m.bit_count()
+        # w_i[m] for each t_i in m, summed: m less t_i has size - 1 t's
+        nil[m] = sum(c * p[m ^ 1 << i] for i, row in enumerate(rows) if m >> i & 1
+                     for c, p in zip(row, powers[:size]))
+        for j in range(2, min(size, r - 1) + 1):
+            powers[j][m] = _subset_entry(nil, powers[j - 1], m)
+    return sum(c * p[full ^ 1] for c, p in zip(rows[0], powers))
 
 
 def oracle_closed_form(r: int, kvals: Sequence[int]) -> int:

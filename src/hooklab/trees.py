@@ -166,8 +166,8 @@ class IncreasingTree:
 
 def increasing_count(n: int) -> int:
     """Number of increasing trees on n labels: (n-1)!."""
-    if n < 1:
-        raise ValueError("need at least one vertex")
+    if not _is_int(n) or n < 1:
+        raise ValueError(f"need an int count of at least one vertex, got {n!r}")
     return factorial(n - 1)
 
 
@@ -433,8 +433,8 @@ def degree_vector(u: CayleyTree) -> tuple[int, ...]:
 
 def cayley_count(r: int) -> int:
     """Number of labelled trees on r vertices: r^(r-2), with 1 for r <= 2."""
-    if r < 1:
-        raise ValueError("need at least one vertex")
+    if not _is_int(r) or r < 1:
+        raise ValueError(f"need an int count of at least one vertex, got {r!r}")
     return 1 if r <= 2 else r ** (r - 2)
 
 

@@ -191,6 +191,15 @@ class TestFactoredLaw:
         with pytest.raises(ValueError):
             rc.grafting_law_holds(())
 
+    @pytest.mark.parametrize(
+        "pv",
+        [(0, 2), (0, 1, 3), (0, -1), (0, True), (True,), (1,), (0, 1.0), (0, "1")],
+        ids=repr,
+    )
+    def test_a_malformed_parent_vector_is_refused(self, pv):
+        with pytest.raises(ValueError):
+            rc.grafting_law_holds(pv)
+
     def test_correct_code_decides_without_the_fallback(self, monkeypatch):
         calls = count_fallbacks(monkeypatch)
         assert all(rc.grafting_law_holds(pv) for r in range(2, 7) for pv in parent_vectors(r))
@@ -360,8 +369,51 @@ class TestSubsetProduct:
     def test_square_free_window(self):
         # coefficient lists on t1, t2 indexed by bitmask: 1, t1, t2, t1 t2
         t1, one = [0, 1, 0, 0], [1, 0, 0, 0]
-        assert rc._subset_product(t1, t1) == [0, 0, 0, 0]
-        assert rc._subset_product([1, 1, 0, 0], [1, -1, 0, 0]) == one
+        assert [rc._subset_entry(t1, t1, m) for m in range(4)] == [0, 0, 0, 0]
+        assert [rc._subset_entry([1, 1, 0, 0], [1, -1, 0, 0], m) for m in range(4)] == one
+
+
+def reference_product(a, b):
+    """The whole product of two subset-indexed series, entry by entry."""
+    out = [0] * len(a)
+    for m in range(len(a)):
+        s = m
+        while True:
+            out[m] += a[s] * b[m ^ s]
+            if s == 0:
+                break
+            s = (s - 1) & m
+    return out
+
+
+def reference_oracle(r, kvals):
+    """The fixed-point solver of w_i = t_i (1 + sum w)^(k_i): r passes over
+    every subset, pass p settling total degree p, each pass raising the
+    whole of nil = sum w to the powers below r."""
+    full = 1 << r
+    w = [[0] * full for _ in range(r)]
+    for _ in range(r):
+        nil = list(map(sum, zip(*w)))
+        powers = [[1] + [0] * (full - 1), nil]
+        while len(powers) < r:
+            powers.append(reference_product(powers[-1], nil))
+        base = {}
+        for k in set(kvals):
+            base[k], c = [0] * full, 1
+            for j, p in enumerate(powers):
+                base[k] = [a + c * b for a, b in zip(base[k], p)]
+                c = c * (k - j) // (j + 1)
+        w = [[m >> i & 1 and base[k][m ^ 1 << i] for m in range(full)]
+             for i, k in enumerate(kvals)]
+    return w[0][full - 1]
+
+
+def oracle_warnings(r, kvals):
+    """(oracle value, first words of each warning it raised)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = rc.lagrange_series_oracle(r, kvals)
+    return got, [str(w.message)[:12] for w in caught]
 
 
 class TestSeriesOracle:
@@ -371,11 +423,13 @@ class TestSeriesOracle:
         assert rc.lagrange_series_oracle(4, [1, 2, 3, 4]) == 72
 
     def test_matches_closed_form_on_random_inputs(self):
+        # and the fixed-point reference, negative exponents included
         rng = random.Random(424242)
-        for _ in range(30):
-            r = rng.randint(2, 5)
-            kvals = [rng.randint(1, 10) for _ in range(r)]
-            assert rc.lagrange_series_oracle(r, kvals) == rc.oracle_closed_form(r, kvals)
+        for _ in range(400):
+            r = rng.randint(1, 7)
+            kvals = [rng.randint(-4, 12) for _ in range(r)]
+            got, _ = oracle_warnings(r, kvals)
+            assert got == reference_oracle(r, kvals) == rc.oracle_closed_form(r, kvals), kvals
 
     def test_closed_form_examples(self):
         assert rc.oracle_closed_form(1, [5]) == 1
@@ -389,14 +443,32 @@ class TestSeriesOracle:
     @pytest.mark.parametrize("r", [2, 3, 4])
     def test_non_positive_grid_matches_closed_form(self, r):
         for kvals in product([-3, -1, 0, 2], repeat=r):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                got = rc.lagrange_series_oracle(r, kvals)
+            got, caught = oracle_warnings(r, kvals)
             assert got == rc.oracle_closed_form(r, kvals), kvals
             # exactly the calls with a non-positive exponent warn
-            assert [str(w.message)[:12] for w in caught] == (
-                ["non-positive"] if min(kvals) <= 0 else []
-            ), kvals
+            assert caught == (["non-positive"] if min(kvals) <= 0 else []), kvals
+
+    def test_the_r5_grid_matches_the_reference(self):
+        for kvals in product([-2, 0, 1, 3], repeat=5):
+            got, caught = oracle_warnings(5, kvals)
+            assert got == reference_oracle(5, kvals) == rc.oracle_closed_form(5, kvals), kvals
+            assert caught == (["non-positive"] if min(kvals) <= 0 else []), kvals
+
+    def test_one_entry_per_subset_and_power(self, monkeypatch):
+        # at r = 6 each proper subset m takes nil^j[m] for 2 <= j <= min(|m|, 5):
+        # 15 + 20 * 2 + 15 * 3 + 6 * 4 entries; the full set needs only w_1
+        calls = [0]
+        real = rc._subset_entry
+
+        def counted(a, b, m):
+            calls[0] += 1
+            return real(a, b, m)
+
+        monkeypatch.setattr(rc, "_subset_entry", counted)
+        assert rc.lagrange_series_oracle(6, [1, 2, 3, 4, 5, 6]) == rc.oracle_closed_form(
+            6, [1, 2, 3, 4, 5, 6]
+        )
+        assert calls[0] == 124
 
     def test_validation(self):
         for solve in (rc.lagrange_series_oracle, rc.oracle_closed_form):
@@ -408,22 +480,21 @@ class TestSeriesOracle:
 
     @pytest.mark.parametrize("mutant", ["hadamard", "no single-variable terms"])
     def test_a_changed_product_fails_the_oracle_only(self, monkeypatch, capsys, mutant):
-        real = rc._subset_product
+        real = rc._subset_entry
 
-        def without_single_variable_terms(a, b):
-            # the true product less a[s] * b[m - s] for every s of one variable
-            out = real(a, b)
-            for m in range(len(out)):
-                for i in range(len(out).bit_length() - 1):
-                    if m >> i & 1:
-                        out[m] -= a[1 << i] * b[m ^ 1 << i]
+        def without_single_variable_terms(a, b, m):
+            # the true entry less a[s] * b[m - s] for every s of one variable
+            out = real(a, b, m)
+            for i in range(m.bit_length()):
+                if m >> i & 1:
+                    out -= a[1 << i] * b[m ^ 1 << i]
             return out
 
-        product = {
-            "hadamard": lambda a, b: [x * y for x, y in zip(a, b)],
+        entry = {
+            "hadamard": lambda a, b, m: a[m] * b[m],
             "no single-variable terms": without_single_variable_terms,
         }[mutant]
-        monkeypatch.setattr(rc, "_subset_product", product)
+        monkeypatch.setattr(rc, "_subset_entry", entry)
         assert cli.main(["verify", "mvl", "--r", "6", "--json"]) == 1
         records = json.loads(capsys.readouterr().out)["checks"]
         assert [c["check"] for c in records if not c["equal"]] == ["mvl/oracle"]

@@ -9,7 +9,9 @@ from types import SimpleNamespace
 import pytest
 
 import hooklab.trees as tr
-from hooklab.hookformula import linear_extension_check
+from hooklab.hookformula import binary_hook_sum, linear_extension_check
+from hooklab.kerov import partitions_of
+from hooklab.multipoly import MultiPoly, falling_factorial
 from hooklab.trees import (
     BinaryTree,
     CayleyTree,
@@ -393,3 +395,19 @@ class TestBinary:
     def test_rejects_non_tree_children(self):
         with pytest.raises(TypeError):
             BinaryTree("leaf", None)
+
+
+SIZED = {
+    "partitions_of": lambda n: list(partitions_of(n)),
+    "cayley_count": cayley_count,
+    "increasing_count": increasing_count,
+    "binary_hook_sum": binary_hook_sum,
+    "falling_factorial": lambda n: falling_factorial(MultiPoly.variable(1, 0), n),
+}
+
+
+@pytest.mark.parametrize("size", [True, 2.5, 3.0])
+@pytest.mark.parametrize("name", SIZED)
+def test_a_size_must_be_an_int(name, size):
+    with pytest.raises(ValueError):
+        SIZED[name](size)
