@@ -36,7 +36,6 @@ from hooklab.kerov import (
 from hooklab.multipoly import (
     MultiPoly,
     falling_factorial,
-    specialize,
     top_homogeneous,
 )
 from hooklab.recurrences import (
@@ -75,7 +74,6 @@ __all__ = [
     # polynomials
     "MultiPoly",
     "falling_factorial",
-    "specialize",
     "top_homogeneous",
     # trees
     "IncreasingTree",

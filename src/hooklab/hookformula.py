@@ -63,12 +63,12 @@ from hooklab._kernel_py import (
     scale_terms,
     unit,
 )
-from hooklab.multipoly import MultiPoly, Var, falling_factorial, specialize
+from hooklab.multipoly import MultiPoly, falling_factorial
 from hooklab.trees import (
     IncreasingTree,
+    _check_int,
     _clean_labels,
     _collapse,
-    _is_int,
     _parent_positions,
     cayley_edge_lists,
     subtree_totals,
@@ -252,6 +252,7 @@ def _resolve_ambient(labels: tuple, ambient: int | None) -> int:
     refuses a label with no variable among the ambient ones."""
     if ambient is None:
         return labels[-1]
+    _check_int(ambient)
     if labels[-1] > ambient:
         raise ValueError(
             f"ambient ring with {ambient} variables cannot hold label {labels[-1]}"
@@ -314,6 +315,7 @@ tree_weight_sum.cache_clear = _swept.cache_clear
 
 def hook_weight_sum(r: int) -> MultiPoly:
     """Left side of the main identity: sum of weights over all trees on {1..r}."""
+    _check_int(r)
     return tree_weight_sum(tuple(range(1, r + 1)), r)
 
 
@@ -335,6 +337,7 @@ def subset_closed_form(labels: Iterable[int], ambient: int) -> MultiPoly:
 
 def hook_weight_closed_form(r: int) -> MultiPoly:
     """Right side of the main identity: k_1...k_r * (K-1)_(r-2)."""
+    _check_int(r)
     return subset_closed_form(range(1, r + 1), r)
 
 
@@ -350,8 +353,7 @@ def increasing_hook_sum(r: int) -> tuple:
     lhs: sum over trees of the product of (x*h + 1) over every vertex,
     root included.  rhs: (x+1) * prod_{i=1}^{r-1} (x*r + i).
     """
-    if r < 1:
-        raise ValueError("need at least one vertex")
+    _check_int(r)
 
     # whole[n]: the sum over trees on n vertices of the factors of the
     # non-root ones; planted[n]: that times the root's factor x*n + 1
@@ -385,9 +387,7 @@ def uniform_chain_sides(r: int, lhs_uni: MultiPoly | None = None) -> tuple:
         lhs_uni, _ = increasing_hook_sum(r)
     x = MultiPoly.variable(1, 0)
     left = lhs_uni * (x + 1) ** (r - 1)
-    collapsed = specialize(
-        hook_weight_sum(r), {i: Var(0) for i in range(r)}
-    )
+    collapsed = hook_weight_sum(r).substitute([x] * r, 1)
     right = collapsed.substitute([x + 1], 1) * (r * x + 1)
     return left, right
 
@@ -409,8 +409,7 @@ def binary_hook_sum(n: int) -> tuple:
     rhs: prod_{i=0}^{n-1} ((n+1+i)x + n+1-i) divided by n+1; the
     division is exact once the product is expanded.
     """
-    if not _is_int(n) or n < 1:
-        raise ValueError(f"size must be an int of at least 1, got {n!r}")
+    _check_int(n)
     sums = [{0: 1}]
     for m in range(1, n + 1):
         hook, splits = _binary_split(m)
@@ -430,8 +429,7 @@ def binary_reciprocal_hook_sum(n: int) -> Fraction:
     """Sum over binary shapes of the product of 1/h; the identity says 1.
     Its own recursion on binary_hook_sum's split, not that sum at x = 0:
     R_m = (1/m) * sum over i of R_i * R_(m-1-i), R_0 = 1."""
-    if n < 1:
-        raise ValueError("size must be at least 1")
+    _check_int(n)
     sums = [Fraction(1)]
     for m in range(1, n + 1):
         hook, splits = _binary_split(m)
@@ -500,8 +498,7 @@ def cayley_fiber_sums(r: int) -> Mapping:
     increasing trees on {1..r} (the map is onto), and the values sum the
     monomial prod k_v^(degree of v) over each group.
     """
-    if r < 1:
-        raise ValueError("need at least one vertex")
+    _check_int(r)
     if r == 1:
         return {(): MultiPoly.const(1, 1)}
     groups: dict = {}
@@ -532,5 +529,5 @@ def cayley_degree_identity(r: int) -> tuple:
 
 def top_weight_sum(r: int) -> MultiPoly:
     """Sum of top-degree weights over all increasing trees on {1..r}."""
-    labels = _clean_labels(range(1, r + 1))
-    return MultiPoly._raw(r, _weight_sum(labels, r, True))
+    _check_int(r)
+    return MultiPoly._raw(r, _weight_sum(tuple(range(1, r + 1)), r, True))

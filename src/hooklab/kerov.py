@@ -30,7 +30,7 @@ that the per-type sum collapses to.  The same total, carrying the sign
 (-1)^(l-1), is the top coefficient of a character polynomial; here it
 is certified purely through the counting.  tree_sum_at and closed_rhs_at
 tie the count to the tree weight sum: the expanded sum over trees and
-its closed form, each specialized to k_i = mu_i, must reproduce it for
+its closed form, each evaluated at k_i = mu_i, must reproduce it for
 partitions of at most TREE_BRIDGE_BOUND parts.
 
 Check functions compare and return; they never assert.
@@ -45,8 +45,8 @@ from math import comb, factorial
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from hooklab.hookformula import hook_weight_closed_form, hook_weight_sum
-from hooklab.multipoly import specialize
-from hooklab.trees import _is_int
+from hooklab.multipoly import MultiPoly
+from hooklab.trees import _check_int
 
 __all__ = [
     "IntPartition",
@@ -135,8 +135,7 @@ def _partition_tuples(n: int, cap: int) -> Iterator[tuple]:
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[IntPartition]:
     """Partitions of n in reverse lexicographic order: (n) first, (1,..,1) last."""
-    if not _is_int(n) or n < 0:
-        raise ValueError(f"n must be a non-negative int, got {n!r}")
+    _check_int(n, 0)
     if max_part is None:
         max_part = n
     for parts in _partition_tuples(n, max_part):
@@ -422,21 +421,21 @@ def signed_factorization_count(mu: IntPartition) -> int:
 def closed_rhs_at(mu: IntPartition) -> int:
     """Closed form of the hook weight identity, evaluated at k_i = mu_i.
 
-    The expanded polynomial in l(mu) variables is specialized, so this
+    The expanded polynomial in l(mu) variables is evaluated, so this
     goes through the same object the symbolic checks compare against
     rather than re-deriving the product.
     """
-    at_mu = dict(enumerate(mu))
-    return specialize(hook_weight_closed_form(mu.length), at_mu).coefficient(())
+    at_mu = [MultiPoly.const(0, p) for p in mu]
+    return hook_weight_closed_form(mu.length).substitute(at_mu, 0).coefficient(())
 
 
 def tree_sum_at(mu: IntPartition) -> int:
     """Hook weight sum over increasing trees on {1..l(mu)}, at k_i = mu_i.
 
-    The expanded sum over the (l(mu)-1)! trees is specialized; that sum
+    The expanded sum over the (l(mu)-1)! trees is evaluated; that sum
     is the expensive side, hence TREE_BRIDGE_BOUND on the lengths its
     callers pass.
     """
-    at_mu = dict(enumerate(mu))
-    return specialize(hook_weight_sum(mu.length), at_mu).coefficient(())
+    at_mu = [MultiPoly.const(0, p) for p in mu]
+    return hook_weight_sum(mu.length).substitute(at_mu, 0).coefficient(())
 

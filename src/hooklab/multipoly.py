@@ -32,13 +32,15 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from hashlib import sha256
+from operator import or_
 from types import MappingProxyType
 from typing import Union
 
 from hooklab._kernel_py import (
+    _FIELD,
     FIELD_MAX,
     iadd_terms,
     mul_terms,
@@ -47,7 +49,7 @@ from hooklab._kernel_py import (
     unit,
     unpack,
 )
-from hooklab.trees import _is_int
+from hooklab.trees import _check_int, _is_int
 
 Coeff = Union[int, Fraction]
 
@@ -55,22 +57,9 @@ __all__ = [
     "Coeff",
     "MonomialTable",
     "MultiPoly",
-    "Var",
     "falling_factorial",
-    "specialize",
     "top_homogeneous",
 ]
-
-
-@dataclass(frozen=True)
-class Var:
-    """Marker used in specialize() to send a variable to variable `index`."""
-
-    index: int
-
-    def __post_init__(self):
-        if not isinstance(self.index, int) or self.index < 0:
-            raise ValueError("Var index must be a non-negative int")
 
 
 def _check_coeff(c) -> Coeff:
@@ -89,15 +78,11 @@ def _check_exps(exps, nvars: int) -> tuple:
         )
     if any(isinstance(e, bool) or not isinstance(e, int) or e < 0 for e in exps):
         raise ValueError(f"exponents must be non-negative ints: {exps}")
-    _check_fit(exps)
-    return exps
-
-
-def _check_fit(exps) -> None:
     if exps and max(exps) > FIELD_MAX:
         raise OverflowError(
             f"exponent {max(exps)} exceeds {FIELD_MAX}, the largest a key field holds"
         )
+    return exps
 
 
 def _names(nvars: int, names: Sequence[str] | None) -> tuple:
@@ -132,6 +117,7 @@ class MonomialTable:
     __slots__ = ("nvars", "names", "_texts")
 
     def __init__(self, nvars: int, names: Sequence[str] | None = None):
+        _check_int(nvars, 0)
         self.nvars = nvars
         self.names = _names(nvars, names)
         self._texts: dict = {}
@@ -143,8 +129,7 @@ class MultiPoly:
     __slots__ = ("_nvars", "_terms")
 
     def __init__(self, nvars: int, terms: Mapping | Iterable | None = None):
-        if not isinstance(nvars, int) or nvars < 0:
-            raise ValueError("nvars must be a non-negative int")
+        _check_int(nvars, 0)
         clean: dict = {}
         items = () if terms is None else (
             terms.items() if isinstance(terms, Mapping) else terms
@@ -187,7 +172,8 @@ class MultiPoly:
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "MultiPoly":
-        if not 0 <= index < nvars:
+        _check_int(nvars, 0)
+        if not _is_int(index) or not 0 <= index < nvars:
             raise ValueError(f"variable index {index} out of range for {nvars} vars")
         return cls._raw(nvars, {unit(nvars, index): 1})
 
@@ -202,6 +188,7 @@ class MultiPoly:
         Repeated binary + copies the growing accumulator once per
         summand; this stays linear in the total number of terms.
         """
+        _check_int(nvars, 0)
         acc: dict = {}
         for p in polys:
             if p._nvars != nvars:
@@ -300,8 +287,7 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "MultiPoly":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("polynomial power requires a non-negative int")
+        _check_int(exponent, 0)
         result = {0: 1}
         base = self._terms
         e = exponent
@@ -317,9 +303,12 @@ class MultiPoly:
         """Compose: replace variable i by images[i], a polynomial in `nvars` vars.
 
         Needs one image per variable.  This is full polynomial
-        composition; for plain scalar or variable-to-variable
-        assignments use specialize(), which is much cheaper.
+        composition, and every change of variables goes through it: a
+        constant image evaluates (into 0 variables, if every image is a
+        constant), a variable image renames, and two variables sent to
+        one are identified.
         """
+        _check_int(nvars, 0)
         images = list(images)
         if len(images) != self._nvars:
             raise ValueError(
@@ -328,14 +317,22 @@ class MultiPoly:
         for q in images:
             if not isinstance(q, MultiPoly) or q.nvars != nvars:
                 raise ValueError("every image must be a MultiPoly in `nvars` variables")
-        # a single-monomial image c*m sends x_i^e to the key shift e*m and
+        # a zero image kills every term that holds its variable, and a
+        # single-monomial image c*m sends x_i^e to the key shift e*m and
         # the coefficient c^e; the other images are multiplied in by powers
-        shifts = {}
+        n = self._nvars
+        dead = 0
+        shifts = []
+        others = []
         for i, q in enumerate(images):
-            if len(q._terms) == 1:
+            if not q._terms:
+                dead |= unit(n, i) * _FIELD
+            elif len(q._terms) == 1:
                 (key, c), = q._terms.items()
-                shifts[i] = (key, c, max(unpack(key, nvars), default=0))
-        caches = [{0: {0: 1}, 1: q._terms} for q in images]
+                shifts.append((i, key, c, max(unpack(key, nvars), default=0)))
+            else:
+                others.append(i)
+        caches = {i: {0: {0: 1}, 1: images[i]._terms} for i in others}
 
         def power(i: int, e: int) -> dict:
             cache = caches[i]
@@ -346,25 +343,43 @@ class MultiPoly:
             return cache[e]
 
         guard = pack([FIELD_MAX + 1] * nvars)
+        # no field can overflow if the keys' OR, which bounds every
+        # exponent, times the images' largest fields stays in range
+        tops = unpack(reduce(or_, self._terms, 0), n)
+        checked = sum(tops[i] * field for i, _, _, field in shifts) > FIELD_MAX
         out: dict = {}
-        others = [i for i in range(self._nvars) if i not in shifts]
         for key, c in self._terms.items():
-            exps = unpack(key, self._nvars)
+            if key & dead:
+                continue
+            exps = unpack(key, n)
             shift = 0
-            for i, (k, ci, field) in shifts.items():
+            for i, k, ci, field in shifts:
                 e = exps[i]
                 if e:
                     # with e*field in range, shift and e*k have clear guard
                     # bits, so their sum cannot carry and the check is exact
                     shift += e * k
-                    if e * field > FIELD_MAX or shift & guard:
+                    if checked and (e * field > FIELD_MAX or shift & guard):
                         raise OverflowError(f"an exponent of the image exceeds {FIELD_MAX}")
-                    c = c * ci**e
-            term = {shift: c}
+                    if ci != 1:
+                        c = c * ci**e
+            term = None
             for i in others:
-                if exps[i]:
-                    term = mul_terms(term, power(i, exps[i]))
-            iadd_terms(out, term)
+                e = exps[i]
+                if e:
+                    term = mul_terms({shift: c} if term is None else term, power(i, e))
+            if term is not None:
+                iadd_terms(out, term)
+                continue
+            acc = out.get(shift)
+            if acc is None:
+                out[shift] = c
+            else:
+                acc = acc + c
+                if acc:
+                    out[shift] = acc
+                else:
+                    del out[shift]
         return MultiPoly._raw(nvars, out)
 
     def to_text(
@@ -454,64 +469,11 @@ def falling_factorial(p: MultiPoly, m: int) -> MultiPoly:
     """
     if not isinstance(p, MultiPoly):
         raise TypeError("falling_factorial expects a MultiPoly")
-    if not _is_int(m) or m < 0:
-        raise ValueError(f"falling factorial length must be a non-negative int, got {m}")
+    _check_int(m, 0)
     out = MultiPoly.const(p.nvars, 1)
     for i in range(m):
         out = out * (p - i)
     return out
-
-
-def specialize(p: MultiPoly, assignment: Mapping[int, "Coeff | Var"]) -> MultiPoly:
-    """Send each variable to a scalar or to a target variable slot.
-
-    `assignment` maps source variable indices to either an exact scalar
-    (int or Fraction) or Var(j), meaning variable j of the result.  A
-    variable not mentioned keeps its own index, as if Var(i) were given.
-    Several sources may share a target, which identifies those
-    variables.  The result has just enough variables to cover the
-    largest kept index; scalar-assigned variables disappear.
-    """
-    if not isinstance(p, MultiPoly):
-        raise TypeError("specialize expects a MultiPoly")
-    n = p.nvars
-    scalars: dict[int, Coeff] = {}
-    targets: list[tuple[int, int]] = []
-    for i in range(n):
-        v = assignment.get(i, Var(i))
-        if isinstance(v, Var):
-            targets.append((i, v.index))
-        else:
-            scalars[i] = _check_coeff(v)
-    for i in assignment:
-        if not (isinstance(i, int) and 0 <= i < n):
-            raise ValueError(f"assignment key {i!r} is not a variable of the input")
-    nvars_out = 1 + max(j for _, j in targets) if targets else 0
-    out: dict = {}
-    for k, c in p._terms.items():
-        exps = unpack(k, n)
-        coeff = c
-        for i, s in scalars.items():
-            e = exps[i]
-            if e:
-                coeff = coeff * s**e
-        if not coeff:
-            continue
-        image = [0] * nvars_out
-        for src, dst in targets:
-            image[dst] += exps[src]
-        _check_fit(image)
-        k = pack(image)
-        acc = out.get(k)
-        if acc is None:
-            out[k] = coeff
-        else:
-            acc = acc + coeff
-            if acc:
-                out[k] = acc
-            else:
-                del out[k]
-    return MultiPoly._raw(nvars_out, out)
 
 
 def top_homogeneous(p: MultiPoly) -> MultiPoly:

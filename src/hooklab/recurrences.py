@@ -36,7 +36,7 @@ import warnings
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
-from hooklab.multipoly import MultiPoly, falling_factorial, specialize
+from hooklab.multipoly import MultiPoly, falling_factorial
 from hooklab.hookformula import (
     _hook_factor,
     _kprod,
@@ -49,7 +49,7 @@ from hooklab.hookformula import (
     tree_weight,
     tree_weight_sum,
 )
-from hooklab.trees import IncreasingTree, split_at_second_min
+from hooklab.trees import IncreasingTree, _check_int, split_at_second_min
 
 __all__ = [
     "closed_polynomial",
@@ -158,7 +158,9 @@ def constant_term_sides(
     """
     if r < 2:
         raise ValueError("need at least two vertices")
-    at_zero = specialize(family(r), {0: 0})
+    at_zero = family(r).substitute(
+        [MultiPoly.zero(r)] + [_var(r, l) for l in range(2, r + 1)], r
+    )
     target = falling_factorial(_ksum(r, range(2, r + 1)) - 1, r - 2)
     return at_zero, target
 
@@ -422,8 +424,7 @@ def _subset_entry(a: list, b: list, m: int) -> int:
 
 def _oracle_exponents(r: int, kvals: Sequence[int]) -> list:
     """kvals as a list of r int exponents, refused otherwise."""
-    if r < 1:
-        raise ValueError("need at least one variable")
+    _check_int(r)
     kvals = list(kvals)
     if len(kvals) != r:
         raise ValueError(f"need {r} exponents, got {len(kvals)}")

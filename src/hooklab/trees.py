@@ -73,6 +73,13 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _check_int(n, least: int = 1) -> None:
+    """Refuse a size or count that is not an int of at least `least`;
+    a bool is not an int here."""
+    if not _is_int(n) or n < least:
+        raise ValueError(f"expected an int of at least {least}, got {n!r}")
+
+
 def _clean_labels(labels: Iterable[int]) -> tuple[int, ...]:
     out = tuple(sorted(labels))
     if not out:
@@ -166,8 +173,7 @@ class IncreasingTree:
 
 def increasing_count(n: int) -> int:
     """Number of increasing trees on n labels: (n-1)!."""
-    if not _is_int(n) or n < 1:
-        raise ValueError(f"need an int count of at least one vertex, got {n!r}")
+    _check_int(n)
     return factorial(n - 1)
 
 
@@ -177,6 +183,7 @@ def parent_vectors(n: int) -> Iterator[tuple]:
     Entry j-1 is the position, counted from 0 along the sorted labels,
     of the parent of the label at position j, so it lies in [0, j).
     """
+    _check_int(n)
     return itertools.product(*(range(j) for j in range(1, n)))
 
 
@@ -211,8 +218,7 @@ def shape_classes(n: int) -> dict:
     that shape, number of trees of that shape), in order of first
     appearance along parent_vectors.
     """
-    if n < 1:
-        raise ValueError("need at least one vertex")
+    _check_int(n)
     out: dict = {}
     for pv in parent_vectors(n):
         key = _shape_key(pv)
@@ -229,8 +235,7 @@ def rooted_shapes(n: int) -> Iterator[tuple]:
     The next shape repeats the depths from q, the parent of the last
     vertex p below depth 1, with period p - q to the end.  Preorder
     positions label the shape increasingly: the parent vector."""
-    if n < 1:
-        raise ValueError("need at least one vertex")
+    _check_int(n)
     levels = list(range(n))
     while True:
         last = [0] * n  # last[d]: latest position at depth d
@@ -433,8 +438,7 @@ def degree_vector(u: CayleyTree) -> tuple[int, ...]:
 
 def cayley_count(r: int) -> int:
     """Number of labelled trees on r vertices: r^(r-2), with 1 for r <= 2."""
-    if not _is_int(r) or r < 1:
-        raise ValueError(f"need an int count of at least one vertex, got {r!r}")
+    _check_int(r)
     return 1 if r <= 2 else r ** (r - 2)
 
 
@@ -513,8 +517,7 @@ def cayley_edge_lists(r: int) -> Iterator[list]:
 
 def enumerate_cayley(r: int) -> Iterator[CayleyTree]:
     """Yield all labelled trees on {1..r} in Pruefer-lexicographic order."""
-    if r < 1:
-        raise ValueError("need at least one vertex")
+    _check_int(r)
     if r == 1:
         yield CayleyTree([1], [])
         return
@@ -555,8 +558,7 @@ class BinaryTree:
 
 def binary_count(n: int) -> int:
     """Number of binary shapes with n vertices: the n-th Catalan number."""
-    if n < 0:
-        raise ValueError("size must be non-negative")
+    _check_int(n, 0)
     return comb(2 * n, n) // (n + 1)
 
 
@@ -566,8 +568,7 @@ def enumerate_binary(n: int) -> Iterator["BinaryTree | None"]:
     The shapes of every size up to n are built once per call, each
     from the smaller ones, and shared as subtrees of the larger.
     """
-    if n < 0:
-        raise ValueError("size must be non-negative")
+    _check_int(n, 0)
     shapes: list[tuple] = [(None,)]
     for m in range(1, n + 1):
         shapes.append(

@@ -7,18 +7,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hooklab.cli as cli
 from hooklab._kernel_py import FIELD_MAX, WIDTH
 from hooklab.multipoly import (
     MonomialTable,
     MultiPoly,
-    Var,
     falling_factorial,
-    specialize,
     top_homogeneous,
 )
 
 x = MultiPoly.variable(2, 0)
 y = MultiPoly.variable(2, 1)
+z = MultiPoly.variable(1, 0)
 
 
 def poly_strategy(nvars: int):
@@ -28,6 +28,15 @@ def poly_strategy(nvars: int):
 
 
 polys3 = poly_strategy(3)
+
+
+def images_into(nvars: int):
+    """Three images in nvars variables: whole polynomials, which multiply
+    in, single terms, which shift keys, and zero, which drops terms; in 0
+    variables every image is a constant."""
+    whole = poly_strategy(nvars)
+    single = whole.map(lambda q: MultiPoly(nvars, q.sorted_terms()[:1]))
+    return st.lists(st.one_of(whole, single), min_size=3, max_size=3)
 
 
 class TestConstruction:
@@ -65,12 +74,6 @@ class TestConstruction:
             MultiPoly(2, {(0, FIELD_MAX + 1): 1})
         with pytest.raises(OverflowError):
             MultiPoly.monomial(1, (FIELD_MAX + 1,))
-
-    def test_var_marker_validation(self):
-        with pytest.raises(ValueError):
-            Var(-1)
-        with pytest.raises(ValueError):
-            Var("0")
 
 
 class TestArithmetic:
@@ -143,39 +146,34 @@ class TestFallingFactorial:
 
 
 class TestSpecialize:
+    """Specializations of variables, each one call of substitute."""
+
     def test_scalar_kills_variable(self):
         p = x * y + x
-        assert specialize(p, {0: 3}) == MultiPoly(2, {(0, 1): 3, (0, 0): 3})
+        assert p.substitute([MultiPoly.const(2, 3), y], 2) == MultiPoly(
+            2, {(0, 1): 3, (0, 0): 3}
+        )
 
     def test_unmentioned_variables_keep_their_index(self):
-        assert specialize(x * y, {0: 1}).nvars == 2
+        assert (x * y).substitute([MultiPoly.const(2, 1), y], 2) == y
 
     def test_identifying_variables(self):
-        q = specialize(x * y, {0: Var(0), 1: Var(0)})
-        assert q == MultiPoly(1, {(2,): 1})
+        assert (x * y).substitute([z, z], 1) == MultiPoly(1, {(2,): 1})
 
     def test_identifying_past_the_key_field_raises(self):
         p = MultiPoly(2, {(FIELD_MAX, 1): 1})
         with pytest.raises(OverflowError):
-            specialize(p, {0: Var(0), 1: Var(0)})
+            p.substitute([z, z], 1)
 
     def test_all_scalar_gives_constant(self):
-        q = specialize(x + 2 * y, {0: 5, 1: Fraction(1, 2)})
+        q = (x + 2 * y).substitute([MultiPoly.const(0, 5), MultiPoly.const(0, Fraction(1, 2))], 0)
         assert q.nvars == 0 and q.coefficient(()) == 6
-
-    def test_rejects_foreign_keys(self):
-        with pytest.raises(ValueError):
-            specialize(x, {5: 1})
 
     @given(polys3, polys3, st.integers(-3, 3), st.integers(-3, 3))
     def test_homomorphism_on_scalars(self, p, q, a, b):
-        assignment = {0: a, 1: b}
-        assert specialize(p * q, assignment) == specialize(p, assignment) * specialize(
-            q, assignment
-        )
-        assert specialize(p + q, assignment) == specialize(p, assignment) + specialize(
-            q, assignment
-        )
+        images = [MultiPoly.const(3, a), MultiPoly.const(3, b), MultiPoly.variable(3, 2)]
+        assert (p * q).substitute(images, 3) == p.substitute(images, 3) * q.substitute(images, 3)
+        assert (p + q).substitute(images, 3) == p.substitute(images, 3) + q.substitute(images, 3)
 
 
 class TestSubstitute:
@@ -186,6 +184,11 @@ class TestSubstitute:
     def test_swap_variables(self):
         assert (x**2 + y).substitute([y, x], 2) == y**2 + x
 
+    def test_zero_image_drops_the_terms_of_its_variable(self):
+        p = x**2 * y + 3 * x + y + 1
+        assert p.substitute([MultiPoly.zero(2), y], 2) == y + 1
+        assert p.substitute([MultiPoly.zero(1)] * 2, 1) == MultiPoly.const(1, 1)
+
     def test_image_validation(self):
         with pytest.raises(ValueError):
             x.substitute([MultiPoly.variable(2, 0)], 2)
@@ -194,9 +197,10 @@ class TestSubstitute:
 
     @given(polys3, st.integers(-3, 3))
     def test_agrees_with_specialize_on_scalars(self, p, c):
+        # specializing every variable to c is evaluating p at (c, c, c)
         images = [MultiPoly.const(0, c)] * 3
-        assert p.substitute(images, 0) == specialize(p, {0: c, 1: c, 2: c})
-
+        want = sum(coeff * c ** sum(exps) for exps, coeff in p.sorted_terms())
+        assert p.substitute(images, 0) == MultiPoly.const(0, want)
 
     def test_overflow_raises(self):
         with pytest.raises(OverflowError):
@@ -214,20 +218,49 @@ class TestSubstitute:
         assert MultiPoly(3, {(1, 1, 0): 1}).substitute([image] * 3, 2) == MultiPoly(
             2, {(0, 24000): 1}
         )
+        # the keys' OR reaches 20000 in both fields, but no one term overflows
+        p = MultiPoly(2, {(20000, 0): 1, (0, 20000): 1})
+        assert p.substitute([z, z], 1) == MultiPoly(1, {(20000,): 2})
 
-    @given(polys3, st.lists(st.tuples(polys3, st.booleans()), min_size=3, max_size=3))
-    def test_agrees_with_term_by_term_composition(self, p, picks):
-        # single-monomial images take the key-shift path, the rest multiply
-        images = [
-            MultiPoly(3, q.sorted_terms()[:1]) if single else q for q, single in picks
-        ]
-        want = MultiPoly.zero(3)
+    # each defect of the images substitute receives, and the checks of
+    # `verify all` at its default bounds that it fails
+    MUTANTS = {
+        "single terms lose their coefficient": (
+            lambda q: MultiPoly(q.nvars, [(e, 1) for e, _ in q.sorted_terms()]) if len(q) == 1 else q,
+            {("kerov", (("size", n),)) for n in range(3, 9)},
+        ),
+        "zero images become 1": (
+            lambda q: MultiPoly.const(q.nvars, 1) if q.is_zero() else q,
+            {
+                ("pq/constant-term", (("family", family), ("r", r)))
+                for family in ("closed", "split")
+                for r in range(3, 8)
+            },
+        ),
+    }
+
+    @pytest.mark.parametrize("mutant", MUTANTS)
+    def test_a_changed_substitute_fails_the_checks_it_feeds(self, monkeypatch, capsys, mutant):
+        change, want = self.MUTANTS[mutant]
+        real = MultiPoly.substitute
+        monkeypatch.setattr(
+            MultiPoly, "substitute", lambda p, images, nvars: real(p, map(change, images), nvars)
+        )
+        assert cli.main(["verify", "all", "--json"]) == 1
+        records = json.loads(capsys.readouterr().out)["checks"]
+        failed = {(c["check"], tuple(sorted(c["params"].items()))) for c in records if not c["equal"]}
+        assert failed == want
+
+    @given(polys3, st.one_of(images_into(3), images_into(0)))
+    def test_agrees_with_term_by_term_composition(self, p, images):
+        nvars = images[0].nvars
+        want = MultiPoly.zero(nvars)
         for exps, c in p.sorted_terms():
-            term = MultiPoly.const(3, c)
+            term = MultiPoly.const(nvars, c)
             for image, e in zip(images, exps):
                 term = term * image**e
             want = want + term
-        assert p.substitute(images, 3) == want
+        assert p.substitute(images, nvars) == want
 
 
 class TestTopHomogeneous:

@@ -8,10 +8,12 @@ from types import SimpleNamespace
 
 import pytest
 
+import hooklab.hookformula as hf
 import hooklab.trees as tr
 from hooklab.hookformula import binary_hook_sum, linear_extension_check
 from hooklab.kerov import partitions_of
-from hooklab.multipoly import MultiPoly, falling_factorial
+from hooklab.multipoly import MonomialTable, MultiPoly, falling_factorial
+from hooklab.recurrences import lagrange_series_oracle, root_degree_sides
 from hooklab.trees import (
     BinaryTree,
     CayleyTree,
@@ -403,6 +405,27 @@ SIZED = {
     "increasing_count": increasing_count,
     "binary_hook_sum": binary_hook_sum,
     "falling_factorial": lambda n: falling_factorial(MultiPoly.variable(1, 0), n),
+    "rooted_shapes": lambda n: list(rooted_shapes(n)),
+    "shape_classes": shape_classes,
+    "enumerate_cayley": lambda n: list(enumerate_cayley(n)),
+    "parent_vectors": tr.parent_vectors,
+    "binary_count": binary_count,
+    "enumerate_binary": enumerate_binary,
+    "binary_reciprocal_hook_sum": hf.binary_reciprocal_hook_sum,
+    "increasing_hook_sum": hf.increasing_hook_sum,
+    "cayley_fiber_sums": hf.cayley_fiber_sums,
+    "lagrange_series_oracle": lambda n: lagrange_series_oracle(n, [1]),
+    "MultiPoly": MultiPoly,
+    "MonomialTable": MonomialTable,
+    "MultiPoly.variable": lambda n: MultiPoly.variable(2, n),
+    "MultiPoly.__pow__": lambda n: MultiPoly.variable(1, 0) ** n,
+    "MultiPoly.substitute": lambda n: MultiPoly.const(0, 1).substitute([], n),
+    "hook_weight_sum": hf.hook_weight_sum,
+    "top_weight_sum": hf.top_weight_sum,
+    "tree_weight_sum": lambda n: hf.tree_weight_sum((1,), n),
+    "hook_weight_closed_form": hf.hook_weight_closed_form,
+    "root_degree_sides": root_degree_sides,
+    "uniform_chain_sides": hf.uniform_chain_sides,
 }
 
 
