@@ -20,9 +20,10 @@ Term maps are unordered.  Every rendered form (to_text, to_json_dict,
 canonical_hash) sorts terms in descending lexicographic order of the
 exponent tuple, which is descending order of the packed key; that is
 what makes output byte-reproducible across runs.  to_text and
-canonical_hash share one routine.  The summand texts of a --trace run
-share one MonomialTable per summand stream, so each monomial's text is
-built once per stream; canonical_hash keeps no table.
+canonical_hash share one renderer: it builds the text of each distinct
+high and low half of a key once per call, and yields blocks of terms,
+which canonical_hash hashes one at a time.  A --trace summand stream
+shares one MonomialTable, which keeps each whole monomial's text.
 
 The hot arithmetic lives in hooklab._kernel_py; this module owns
 validation, construction and everything that is not a tight loop.
@@ -42,6 +43,7 @@ from typing import Union
 from hooklab._kernel_py import (
     _FIELD,
     FIELD_MAX,
+    WIDTH,
     iadd_terms,
     mul_terms,
     pack,
@@ -52,6 +54,7 @@ from hooklab._kernel_py import (
 from hooklab.trees import _check_int, _is_int
 
 Coeff = Union[int, Fraction]
+_BLOCK = 256  # terms per block of rendered text: one join and one hash update
 
 __all__ = [
     "Coeff",
@@ -97,13 +100,8 @@ def _names(nvars: int, names: Sequence[str] | None) -> tuple:
 
 def _monomial_text(key: int, nvars: int, names: tuple) -> str:
     """The factors of one monomial, as in k3^2*k5; empty for the constant."""
-    factors = []
-    for name, e in zip(names, unpack(key, nvars)):
-        if e == 1:
-            factors.append(name)
-        elif e > 1:
-            factors.append(f"{name}^{e}")
-    return "*".join(factors)
+    exps = unpack(key, nvars)
+    return "*".join([name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e])
 
 
 class MonomialTable:
@@ -387,52 +385,62 @@ class MultiPoly:
     ) -> str:
         """Deterministic human-readable form, leading term first; the same
         with or without a table."""
-        return "".join(self._text_chunks(names, table))
+        return "".join(self._text_blocks(names, table))
 
-    def _text_chunks(
+    def _text_blocks(
         self, names: Sequence[str] | None = None, table: MonomialTable | None = None
     ) -> Iterator[str]:
-        """The canonical text, one term at a time, in to_text's order.
-        Without a table nothing is kept from one term to the next."""
+        """The canonical text, _BLOCK terms at a time.  A key's low n//2
+        fields, and the rest, are monomials of the ring too: each is rendered
+        once per call or table, and a whole key from the two."""
         n = self._nvars
         names = _names(n, names)
-        texts = None if table is None else table._texts
         if table is not None and (table.nvars, table.names) != (n, names):
             raise ValueError(f"the monomial table is for {table.names}, not {names}")
         terms = self._terms
         if not terms:
             yield "0"
             return
-        first = True
-        for k in sorted(terms, reverse=True):
-            c = terms[k]
-            if texts is None:
-                factors = _monomial_text(k, n, names)
-            else:
-                factors = texts.get(k)
-                if factors is None:
-                    factors = texts[k] = _monomial_text(k, n, names)
-            mag = abs(c)
-            num, den = mag.numerator, mag.denominator
-            coeff_txt = str(num) if den == 1 else f"{num}/{den}"
-            if not factors:
-                body = coeff_txt
-            elif coeff_txt == "1":
-                body = factors
-            else:
-                body = f"{coeff_txt}*{factors}"
-            if first:
-                yield body if c > 0 else f"-{body}"
-                first = False
-            else:
-                yield f" + {body}" if c > 0 else f" - {body}"
+        mask = (1 << WIDTH * (n // 2)) - 1
+        texts = {} if table is None else table._texts
+        keys = sorted(terms, reverse=True)
+        for start in range(0, len(keys), _BLOCK):
+            parts = []
+            for k in keys[start : start + _BLOCK]:
+                mono = texts.get(k)
+                if mono is None:
+                    lk = k & mask
+                    hk = k - lk
+                    hi = texts.get(hk)
+                    if hi is None:
+                        hi = texts[hk] = _monomial_text(hk, n, names)
+                    lo = texts.get(lk)
+                    if lo is None:
+                        lo = texts[lk] = _monomial_text(lk, n, names)
+                    mono = f"{hi}*{lo}" if hi and lo else hi or lo
+                    if table is not None:
+                        texts[k] = mono
+                c = terms[k]
+                sign = " + " if c > 0 else " - "
+                c = abs(c)
+                if type(c) is not int:
+                    c = c.numerator if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+                if not mono:
+                    parts.append(f"{sign}{c}")
+                elif c == 1:
+                    parts.append(sign + mono)
+                else:
+                    parts.append(f"{sign}{c}*{mono}")
+            if not start:  # the leading term keeps its sign, not a separator
+                parts[0] = parts[0][3:] if parts[0][1] == "+" else "-" + parts[0][3:]
+            yield "".join(parts)
 
     def canonical_hash(self) -> str:
         """sha256 hex digest of the canonical text rendering, fed to the
-        hash term by term so that the whole text never exists at once."""
+        hash block by block so that the whole text never exists at once."""
         digest = sha256(f"{self._nvars}|".encode("utf-8"))
-        for chunk in self._text_chunks():
-            digest.update(chunk.encode("utf-8"))
+        for block in self._text_blocks():
+            digest.update(block.encode("utf-8"))
         return digest.hexdigest()
 
     def to_json_dict(self) -> dict:

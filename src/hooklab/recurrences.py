@@ -251,16 +251,17 @@ def _law_form(mono: int, factors) -> tuple:
 
 def grafting_law_holds(pv) -> bool:
     """Whether grafting_law_sides holds on the tree t on {1..len(pv)+1}
-    with parent vector pv, decided on factored weights.
+    with parent vector pv, decided on factored weights alone.
 
     The weights of t and of the host and shoot of its split
     (_graft_split) are each a monomial times linear factor maps
     (hookformula._weight_factors); the edge is k_1 times the factor of
-    the shoot's labels.  Sides with equal _law_forms multiply the same
-    maps, so the law holds; any other tree is settled by
-    grafting_law_sides on t.  The verdict is always that of
-    grafting_law_sides, but a passing tree multiplies nothing out.  A pv
-    whose entry j-1 is not an int in [0, j) is refused with ValueError.
+    the shoot's labels.  In Q[k_1..k_r], a unique factorization domain
+    (Gauss's lemma), each K_S - |S| + 1 with |S| >= 2 has degree 1, so
+    is irreducible, two with different S are not associates, and a
+    single-variable factor folds into the monomial; so the sides are
+    equal exactly when their _law_forms are.  A pv whose entry j-1 is
+    not an int in [0, j) is refused with ValueError.
     """
     r = len(pv) + 1
     units = _label_keys(range(1, r + 1), r)
@@ -270,11 +271,7 @@ def grafting_law_holds(pv) -> bool:
     shoot_mono, shoot_factors = _weight_factors(shoot_units, shoot_pv)
     edge = _linear_factor(shoot_units)
     rhs = _law_form(host_mono + shoot_mono + units[0], [*host_factors, *shoot_factors, edge])
-    if _law_form(*_weight_factors(units, pv)) == rhs:
-        return True
-    t = IncreasingTree(range(1, r + 1), {j + 1: p + 1 for j, p in enumerate(pv, 1)})
-    lhs, rhs = grafting_law_sides(t, r)
-    return lhs == rhs
+    return _law_form(*_weight_factors(units, pv)) == rhs
 
 
 def grafting_split_sides(

@@ -63,3 +63,13 @@ def test_theorem1_r9_matches_the_benchmark_reference(tmp_path):
     reference = json.loads(BENCH_REFERENCE.read_text())["workloads"]["theorem1-r9"]
     argv = ["theorem1", "--r", "9"]
     assert _benchmark_records(tmp_path / "theorem1.json", argv) == reference[0]
+
+
+def test_derivations_r8_trace_matches_the_benchmark_reference(tmp_path):
+    """verify {pq,root-recurrence,mvl} --r 8 --trace, the
+    derivations-r8-trace benchmark workload, gives the verdict records it
+    checks against, the hash of every traced summand text included."""
+    reference = json.loads(BENCH_REFERENCE.read_text())["workloads"]["derivations-r8-trace"]
+    for k, check in enumerate(("pq", "root-recurrence", "mvl")):
+        argv = [check, "--r", "8", "--trace"]
+        assert _benchmark_records(tmp_path / f"{check}.json", argv) == reference[k]

@@ -2,14 +2,16 @@
 
 import json
 from fractions import Fraction
+from hashlib import sha256
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hooklab.cli as cli
 from hooklab._kernel_py import FIELD_MAX, WIDTH
 from hooklab.multipoly import (
+    _BLOCK,
     MonomialTable,
     MultiPoly,
     falling_factorial,
@@ -306,6 +308,103 @@ class TestRendering:
     def test_fraction_survives_json(self):
         p = MultiPoly(1, {(1,): Fraction(3, 7)})
         assert MultiPoly.from_json_dict(p.to_json_dict()) == p
+
+
+def per_term_text(p: MultiPoly, names=None) -> str:
+    """The canonical text built one term at a time, each monomial's text
+    from scratch: the reference the block renderer must match byte for
+    byte."""
+    n = p.nvars
+    names = [f"k{i + 1}" for i in range(n)] if names is None else list(names)
+    pieces = []
+    for exps, c in p.sorted_terms():
+        factors = "*".join(
+            name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e
+        )
+        mag = abs(c)
+        num, den = mag.numerator, mag.denominator
+        coeff_txt = str(num) if den == 1 else f"{num}/{den}"
+        if not factors:
+            body = coeff_txt
+        elif coeff_txt == "1":
+            body = factors
+        else:
+            body = f"{coeff_txt}*{factors}"
+        if not pieces:
+            pieces.append(body if c > 0 else f"-{body}")
+        else:
+            pieces.append(f" + {body}" if c > 0 else f" - {body}")
+    return "".join(pieces) or "0"
+
+
+coeffs = st.one_of(
+    st.integers(-30, 30).filter(bool),
+    st.fractions(-5, 5, max_denominator=6).filter(bool),
+)
+ring_names = ["a", "b2", "x_", "k1", "t"]
+
+
+@st.composite
+def rings(draw, nvars=st.integers(0, 10)):
+    """(nvars, names): 0 to 10 variables, named k1..kn or drawn names."""
+    n = draw(nvars)
+    names = draw(st.none() | st.lists(st.sampled_from(ring_names), min_size=n, max_size=n))
+    return n, names
+
+
+@st.composite
+def ring_polys(draw, n: int):
+    """A polynomial in n variables with int and Fraction coefficients of
+    both signs; sometimes negated, sometimes with a constant added, and
+    sometimes with every int coefficient turned into a Fraction."""
+    term = st.tuples(st.tuples(*[st.integers(0, 3)] * n), coeffs)
+    p = MultiPoly(n, draw(st.lists(term, max_size=12)))
+    if draw(st.booleans()):
+        p = p + draw(coeffs)
+    if draw(st.booleans()):
+        p = -p
+    if draw(st.booleans()):
+        p = p * Fraction(1, 3) * 3
+    return p
+
+
+def assert_renders_like_the_reference(polys, names):
+    """Each text, with and without a table shared by the stream, and each
+    hash, against the reference."""
+    table = MonomialTable(polys[0].nvars, names)
+    for p in polys:
+        want = per_term_text(p, names)
+        assert p.to_text(names) == want
+        assert p.to_text(names, table=table) == want
+        text = p.to_text()
+        assert text == per_term_text(p)
+        assert p.canonical_hash() == sha256(f"{p.nvars}|{text}".encode("utf-8")).hexdigest()
+
+
+class TestRenderer:
+    """to_text and canonical_hash split each key into two halves and
+    render in blocks of _BLOCK terms; the bytes are those of the
+    per-term reference."""
+
+    @given(st.data())
+    def test_matches_the_per_term_reference(self, data):
+        n, names = data.draw(rings())
+        polys = data.draw(st.lists(ring_polys(n), min_size=1, max_size=4))
+        assert_renders_like_the_reference(polys, names)
+
+    @settings(max_examples=30)
+    @given(st.data())
+    def test_one_block_and_one_block_plus_a_term(self, data):
+        n, names = data.draw(rings(st.integers(1, 10)))
+        size = data.draw(st.sampled_from([_BLOCK, _BLOCK + 1]))
+        base = 2
+        while base**n < size:
+            base += 1
+        exps = [tuple(i // base**j % base for j in range(n)) for i in range(size)]
+        cycle = data.draw(st.lists(coeffs, min_size=1, max_size=8))
+        p = MultiPoly(n, [(e, cycle[i % len(cycle)]) for i, e in enumerate(exps)])
+        assert len(p) == size
+        assert_renders_like_the_reference([p, -p, p], names)
 
 
 class TestMonomialTable:

@@ -161,7 +161,7 @@ def law_verdicts(r_max=6):
     return out
 
 
-def count_fallbacks(monkeypatch):
+def count_expansions(monkeypatch):
     """Patch grafting_law_sides to count its calls; returns the counter."""
     calls = [0]
     real = rc.grafting_law_sides
@@ -175,9 +175,8 @@ def count_fallbacks(monkeypatch):
 
 
 class TestFactoredLaw:
-    """grafting_law_holds compares factored weights and settles any
-    mismatch with grafting_law_sides, so its verdict is always that of
-    the expanded sides."""
+    """grafting_law_holds compares factored weights alone; by unique
+    factorization its verdict is that of the expanded sides."""
 
     def test_the_split_is_split_at_second_min(self):
         for r in range(2, 7):
@@ -201,7 +200,7 @@ class TestFactoredLaw:
             rc.grafting_law_holds(pv)
 
     def test_correct_code_decides_without_the_fallback(self, monkeypatch):
-        calls = count_fallbacks(monkeypatch)
+        calls = count_expansions(monkeypatch)
         assert all(rc.grafting_law_holds(pv) for r in range(2, 7) for pv in parent_vectors(r))
         assert calls[0] == 0
 
@@ -218,28 +217,6 @@ class TestFactoredLaw:
         verdicts = law_verdicts()
         assert all(factored == expanded for factored, expanded in verdicts.values())
         assert hf._hook_factor(3, (1, 2, 3)).coefficient((0, 0, 0)) == -1
-
-    def test_a_label_moved_from_shoot_to_host_gives_the_expanded_verdict(self, monkeypatch):
-        real = rc._graft_split
-
-        def moved(pv):
-            (host, _), (shoot, shoot_pv) = real(pv)
-            if len(shoot) < 2:
-                return real(pv)
-            # the shoot's largest label is a leaf: hang it from the host's root
-            host = sorted([*host, shoot[-1]])
-            index = {p: i for i, p in enumerate(host)}
-            host_pv = tuple(index.get(pv[p - 1], 0) for p in host[1:])
-            return [(host, host_pv), (shoot[:-1], shoot_pv[:-1])]
-
-        monkeypatch.setattr(rc, "_graft_split", moved)
-        calls = count_fallbacks(monkeypatch)
-        verdicts = law_verdicts()
-        assert all(factored == expanded for factored, expanded in verdicts.values())
-        # every tree whose shoot lost a label went to the fallback, once
-        # for its factored verdict and once for its expanded one
-        moved_trees = sum(len(real(pv)[1][0]) > 1 for pv in verdicts)
-        assert moved_trees and calls[0] == moved_trees + len(verdicts)
 
     def test_dropped_leaf_factors_fail_the_law_and_the_fiber_sums(self, monkeypatch):
         # the factors of single vertices dropped, in both bindings: patched
@@ -262,9 +239,13 @@ class TestFactoredLaw:
             (check, r) for check in ("grafting/law", "fibers/degree-sum") for r in range(2, 7)
         }
 
-    def test_the_fallback_alone_gives_the_same_report(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(rc, "_law_form", lambda mono, factors: object())
-        calls = count_fallbacks(monkeypatch)
+    def test_the_expanded_sides_alone_give_the_same_report(self, monkeypatch, tmp_path):
+        def expanded(pv):
+            lhs, rhs = rc.grafting_law_sides(tree_of(pv))
+            return lhs == rhs
+
+        monkeypatch.setattr(rc, "grafting_law_holds", expanded)
+        calls = count_expansions(monkeypatch)
         out = tmp_path / "grafting.json"
         assert cli.main(["verify", "grafting", "--r", "6", "--json", "--out", str(out)]) == 0
         assert calls[0] == sum(factorial(r - 1) for r in range(2, 7))
