@@ -16,9 +16,7 @@ from hooklab.hookformula import (
     increasing_hook_sum,
     linear_extension_check,
     subset_closed_form,
-    top_weight,
     top_weight_sum,
-    tree_weight,
     tree_weight_sum,
     uniform_chain_sides,
 )
@@ -29,7 +27,6 @@ from hooklab.kerov import (
     block_cycle_permutation,
     count_factorizations,
     factorization_count_closed_form,
-    factorization_counts_by_type,
     partitions_of,
     signed_factorization_count,
 )
@@ -40,7 +37,6 @@ from hooklab.multipoly import (
 )
 from hooklab.recurrences import (
     closed_polynomial,
-    grafting_law_sides,
     lagrange_series_oracle,
     oracle_closed_form,
     set_partitions,
@@ -51,20 +47,12 @@ from hooklab.trees import (
     BinaryTree,
     CayleyTree,
     IncreasingTree,
-    binary_count,
     cayley_count,
-    degree_vector,
     enumerate_binary,
     enumerate_cayley,
     enumerate_increasing,
-    graft,
-    hooks,
     increasing_count,
-    increasing_from_cayley,
-    prufer_decode,
     prufer_edges,
-    prufer_encode,
-    split_at_second_min,
 )
 
 __version__ = "0.1.0"
@@ -84,18 +72,8 @@ __all__ = [
     "enumerate_binary",
     "increasing_count",
     "cayley_count",
-    "binary_count",
-    "hooks",
-    "graft",
-    "split_at_second_min",
-    "prufer_encode",
-    "prufer_decode",
     "prufer_edges",
-    "increasing_from_cayley",
-    "degree_vector",
     # hook weights and summation identities
-    "tree_weight",
-    "top_weight",
     "tree_weight_sum",
     "hook_weight_sum",
     "hook_weight_closed_form",
@@ -110,7 +88,6 @@ __all__ = [
     # recurrences
     "split_polynomial",
     "closed_polynomial",
-    "grafting_law_sides",
     "lagrange_series_oracle",
     "oracle_closed_form",
     "set_partitions",
@@ -120,7 +97,6 @@ __all__ = [
     "partitions_of",
     "block_cycle_permutation",
     "count_factorizations",
-    "factorization_counts_by_type",
     "factorization_count_closed_form",
     "bedard_goupil",
     "binomial_simplification_check",

@@ -71,16 +71,18 @@ def _option(flag: str) -> str:
 
 def _check_bound(what: str, bound: int, first: int, ceiling: int) -> int:
     """bound, refused unless it lies from first up to ceiling, or up to
-    HOOKLAB_BUDGET_CEILING when that is set: the one size check of both
-    subcommands."""
+    HOOKLAB_BUDGET_CEILING when that is set, to an int of at least 1:
+    the one size check of both subcommands."""
     raw = os.environ.get("HOOKLAB_BUDGET_CEILING")
     if raw is not None:
         try:
             ceiling = int(raw)
         except ValueError:
+            ceiling = 0  # not an integer: refused as values below 1 are
+        if ceiling < 1:
             raise UsageError(
-                f"HOOKLAB_BUDGET_CEILING must be an integer, got {raw!r}"
-            ) from None
+                f"HOOKLAB_BUDGET_CEILING must be an integer of at least 1, got {raw!r}"
+            )
     if bound < first:
         raise UsageError(f"{what} needs a bound of at least {first}, got {bound}")
     if bound > ceiling:

@@ -84,9 +84,7 @@ __all__ = [
     "increasing_hook_sum",
     "linear_extension_check",
     "subset_closed_form",
-    "top_weight",
     "top_weight_sum",
-    "tree_weight",
     "tree_weight_sum",
     "uniform_chain_sides",
 ]
@@ -258,30 +256,6 @@ def _resolve_ambient(labels: tuple, ambient: int | None) -> int:
             f"ambient ring with {ambient} variables cannot hold label {labels[-1]}"
         )
     return ambient
-
-
-def tree_weight(t: IncreasingTree, ambient: int | None = None) -> MultiPoly:
-    """Expanded hook weight of one increasing tree.
-
-    The ambient variable count defaults to the largest label; passing
-    it explicitly keeps subtree weights of a split comparable.
-    """
-    ambient = _resolve_ambient(t.labels, ambient)
-    units = _label_keys(t.labels, ambient)
-    return MultiPoly._raw(ambient, _weight_terms(units, _parent_positions(t)))
-
-
-def top_weight(t: IncreasingTree, ambient: int | None = None) -> MultiPoly:
-    """Top-degree part of the hook weight, computed directly.
-
-    Each non-root vertex contributes k_{f(v)} times the bare subtree
-    k-sum.  Summed over a fiber of the collapse map this is the degree
-    generating monomial total, and it coincides with taking the top
-    homogeneous component of tree_weight.
-    """
-    ambient = _resolve_ambient(t.labels, ambient)
-    units = _label_keys(t.labels, ambient)
-    return MultiPoly._raw(ambient, _weight_terms(units, _parent_positions(t), top_only=True))
 
 
 def _weight_sum(labels: tuple, ambient: int, top_only: bool) -> dict:

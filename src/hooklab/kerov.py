@@ -18,10 +18,7 @@ the cycle type of a residual permutation, with one cycle marked, and
 on the number of cycles still needed (the lemma in _walk), so each
 such residual subproblem is solved once and every other branch that
 reaches it is credited with its count.  The walk still accounts for
-exactly (n-1)! long cycles and raises unless it did.  The distribution
-over the cycle types of s1 is swept by brute force, every long cycle
-built in full, which keeps it an independent cross-check of the walk;
-that sweep is what FACTORIZATION_BOUND is for.
+exactly (n-1)! long cycles and raises unless it did.
 
 Three closed descriptions of that count are evaluated alongside:
 grouping by the cycle type of s1 (a per-type product formula), the
@@ -38,8 +35,6 @@ Check functions compare and return; they never assert.
 
 from __future__ import annotations
 
-import itertools
-import operator
 from fractions import Fraction
 from math import comb, factorial
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -56,13 +51,11 @@ __all__ = [
     "closed_rhs_at",
     "count_factorizations",
     "factorization_count_closed_form",
-    "factorization_counts_by_type",
     "partitions_of",
     "signed_factorization_count",
     "tree_sum_at",
 ]
 
-FACTORIZATION_BOUND = 9
 TREE_BRIDGE_BOUND = 7
 
 
@@ -133,12 +126,10 @@ def _partition_tuples(n: int, cap: int) -> Iterator[tuple]:
             yield (first,) + rest
 
 
-def partitions_of(n: int, max_part: int | None = None) -> Iterator[IntPartition]:
+def partitions_of(n: int) -> Iterator[IntPartition]:
     """Partitions of n in reverse lexicographic order: (n) first, (1,..,1) last."""
     _check_int(n, 0)
-    if max_part is None:
-        max_part = n
-    for parts in _partition_tuples(n, max_part):
+    for parts in _partition_tuples(n, n):
         yield IntPartition(parts)
 
 
@@ -159,37 +150,6 @@ def block_cycle_permutation(mu: IntPartition) -> tuple:
         images.extend(block)
         start += p
     return tuple(images)
-
-
-def _cycle_sizes(images: Sequence[int]) -> list:
-    """Cycle lengths of a permutation of 0..n-1 given by its images,
-    in order of each cycle's smallest element."""
-    seen = 0
-    sizes = []
-    for start, x in enumerate(images):
-        if not seen >> start & 1:
-            size = 1
-            while x != start:
-                seen |= 1 << x
-                x = images[x]
-                size += 1
-            sizes.append(size)
-    return sizes
-
-
-def _inverse_long_cycles(n: int) -> Iterator:
-    """s2^(-1) for the long cycles s2 of 0..n-1, the visiting orders from 0
-    in lexicographic order, each as a composer: compose(sigma) is the
-    images of sigma * s2^(-1)."""
-    inv = [0] * n
-    for tail in itertools.permutations(range(1, n)):
-        order = (0,) + tail
-        for i in range(n - 1):
-            inv[order[i + 1]] = order[i]
-        inv[0] = order[n - 1]
-        # itemgetter of one index returns the item, not a 1-tuple; the
-        # one long cycle of size 1 is the identity
-        yield operator.itemgetter(*inv) if n > 1 else tuple
 
 
 def _check_size(n: int) -> None:
@@ -316,35 +276,12 @@ def count_factorizations(mu: IntPartition) -> int:
     The walk accounts for every long cycle s2, (n-1)! of them, solving
     each residual subproblem once, and raises RuntimeError unless it
     accounted for exactly that many.  Its work grows far more slowly
-    than (n-1)!, so only the empty partition is refused; the size bound
-    is the brute-force sweep's (factorization_counts_by_type).
+    than (n-1)!, so only the empty partition is refused.
     """
     _check_size(mu.size)
     hits, covered = _walk(_block_images(mu), mu.cycle_index - 1)
     _check_coverage(covered, mu.size)
     return hits
-
-
-def factorization_counts_by_type(mu: IntPartition) -> Mapping[IntPartition, int]:
-    """All pairs (s1, s2) with s1*s2 = sigma and s2 an n-cycle, grouped
-    by the cycle type of s1.
-
-    No cycle-count filter: the full distribution comes back, so the
-    per-type closed formula can be checked type by type and the
-    filtered total recovered by restricting to types of length j-1.
-    Every long cycle is built in full, so sizes past FACTORIZATION_BOUND
-    are refused before the first.
-    """
-    _check_size(mu.size)
-    if mu.size > FACTORIZATION_BOUND:
-        raise ValueError(f"long-cycle enumeration is capped at size {FACTORIZATION_BOUND}")
-    sigma = _block_images(mu)
-    out: dict = {}
-    for compose in _inverse_long_cycles(mu.size):
-        key = IntPartition(_cycle_sizes(compose(sigma)))
-        out[key] = out.get(key, 0) + 1
-    _check_coverage(sum(out.values()), mu.size)
-    return out
 
 
 def bedard_goupil(lam: IntPartition, mu: IntPartition) -> int:

@@ -7,22 +7,22 @@ layout is hooklab._kernel_py's: variable i owns a WIDTH-bit field
 field is a guard that stored keys keep clear, so an exponent is at most
 FIELD_MAX (32767).  A monomial product is one integer add.  Exponent
 tuples (length n, non-negative ints) stay the only format at the API:
-the constructor, monomial, coefficient and from_json_dict pack them;
-terms, sorted_terms and the rendered forms unpack them.  An exponent
-the field cannot hold raises OverflowError; none wraps.
+the constructor and coefficient pack them; terms and the rendered
+forms unpack them.  An exponent the field cannot hold raises
+OverflowError; none wraps.
 
 Coefficients are exact, either int or fractions.Fraction; the two mix
 freely because Python's numeric tower makes them agree under ==, hash
 and arithmetic.  The term map is kept canonical at all times (no zero
 coefficients), so polynomial equality is plain dict equality.
 
-Term maps are unordered.  Every rendered form (to_text, to_json_dict,
-canonical_hash) sorts terms in descending lexicographic order of the
+Term maps are unordered.  Both rendered forms (to_text and
+canonical_hash) sort terms in descending lexicographic order of the
 exponent tuple, which is descending order of the packed key; that is
-what makes output byte-reproducible across runs.  to_text and
-canonical_hash share one renderer: it builds the text of each distinct
-high and low half of a key once per call, and yields blocks of terms,
-which canonical_hash hashes one at a time.  A --trace summand stream
+what makes output byte-reproducible across runs.  They share one
+renderer, which names the variables k1..kn: it builds the text of each
+distinct high and low half of a key once per call, and yields blocks of
+terms, which canonical_hash hashes one at a time.  A --trace summand stream
 shares one MonomialTable, which keeps each whole monomial's text.
 
 The hot arithmetic lives in hooklab._kernel_py; this module owns
@@ -31,7 +31,6 @@ validation, construction and everything that is not a tight loop.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import reduce
@@ -88,17 +87,7 @@ def _check_exps(exps, nvars: int) -> tuple:
     return exps
 
 
-def _names(nvars: int, names: Sequence[str] | None) -> tuple:
-    """The variable names a rendering uses: k1..kn unless given."""
-    if names is None:
-        return tuple(f"k{i + 1}" for i in range(nvars))
-    names = tuple(names)
-    if len(names) != nvars:
-        raise ValueError("need one name per variable")
-    return names
-
-
-def _monomial_text(key: int, nvars: int, names: tuple) -> str:
+def _monomial_text(key: int, nvars: int, names: list) -> str:
     """The factors of one monomial, as in k3^2*k5; empty for the constant."""
     exps = unpack(key, nvars)
     return "*".join([name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e])
@@ -107,17 +96,16 @@ def _monomial_text(key: int, nvars: int, names: tuple) -> str:
 class MonomialTable:
     """The monomial texts met so far by the to_text calls that share it.
 
-    Bound to one variable count and one set of names: rendering any
-    other ring through it raises ValueError.  It keeps every monomial it
-    met, so it should not outlive the renders that share it.
+    Bound to one variable count: rendering any other ring through it
+    raises ValueError.  It keeps every monomial it met, so it should not
+    outlive the renders that share it.
     """
 
-    __slots__ = ("nvars", "names", "_texts")
+    __slots__ = ("nvars", "_texts")
 
-    def __init__(self, nvars: int, names: Sequence[str] | None = None):
+    def __init__(self, nvars: int):
         _check_int(nvars, 0)
         self.nvars = nvars
-        self.names = _names(nvars, names)
         self._texts: dict = {}
 
 
@@ -176,10 +164,6 @@ class MultiPoly:
         return cls._raw(nvars, {unit(nvars, index): 1})
 
     @classmethod
-    def monomial(cls, nvars: int, exps: Sequence[int], coeff: Coeff = 1) -> "MultiPoly":
-        return cls(nvars, {tuple(exps): coeff})
-
-    @classmethod
     def sum(cls, nvars: int, polys: Iterable["MultiPoly"]) -> "MultiPoly":
         """Sum an iterable of polynomials in a single in-place fold.
 
@@ -203,11 +187,6 @@ class MultiPoly:
         """Read-only map from exponent tuples to coefficients."""
         n = self._nvars
         return MappingProxyType({unpack(k, n): c for k, c in self._terms.items()})
-
-    def sorted_terms(self) -> list:
-        """Terms as (exponents, coeff) pairs in descending lex order."""
-        n, terms = self._nvars, self._terms
-        return [(unpack(k, n), terms[k]) for k in sorted(terms, reverse=True)]
 
     def coefficient(self, exps: Sequence[int]) -> Coeff:
         """Coefficient of one monomial; exps is checked like the constructor's."""
@@ -380,27 +359,23 @@ class MultiPoly:
                     del out[shift]
         return MultiPoly._raw(nvars, out)
 
-    def to_text(
-        self, names: Sequence[str] | None = None, table: MonomialTable | None = None
-    ) -> str:
+    def to_text(self, table: MonomialTable | None = None) -> str:
         """Deterministic human-readable form, leading term first; the same
         with or without a table."""
-        return "".join(self._text_blocks(names, table))
+        return "".join(self._text_blocks(table))
 
-    def _text_blocks(
-        self, names: Sequence[str] | None = None, table: MonomialTable | None = None
-    ) -> Iterator[str]:
+    def _text_blocks(self, table: MonomialTable | None = None) -> Iterator[str]:
         """The canonical text, _BLOCK terms at a time.  A key's low n//2
         fields, and the rest, are monomials of the ring too: each is rendered
         once per call or table, and a whole key from the two."""
         n = self._nvars
-        names = _names(n, names)
-        if table is not None and (table.nvars, table.names) != (n, names):
-            raise ValueError(f"the monomial table is for {table.names}, not {names}")
+        if table is not None and table.nvars != n:
+            raise ValueError(f"the monomial table is for {table.nvars} variables, not {n}")
         terms = self._terms
         if not terms:
             yield "0"
             return
+        names = [f"k{i + 1}" for i in range(n)]
         mask = (1 << WIDTH * (n // 2)) - 1
         texts = {} if table is None else table._texts
         keys = sorted(terms, reverse=True)
@@ -442,27 +417,6 @@ class MultiPoly:
         for block in self._text_blocks():
             digest.update(block.encode("utf-8"))
         return digest.hexdigest()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "nvars": self._nvars,
-            "terms": [
-                {"exp": list(exps), "num": c.numerator, "den": c.denominator}
-                for exps, c in self.sorted_terms()
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "MultiPoly":
-        nvars = data["nvars"]
-        pairs = []
-        for t in data["terms"]:
-            c = Fraction(t["num"], t.get("den", 1))
-            pairs.append((tuple(t["exp"]), c))
-        return cls(nvars, pairs)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
     def __repr__(self) -> str:
         return f"MultiPoly({self._nvars}, {self.to_text()!r})"

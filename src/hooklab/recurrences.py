@@ -46,17 +46,15 @@ from hooklab.hookformula import (
     _weight_factors,
     hook_weight_closed_form,
     hook_weight_sum,
-    tree_weight,
     tree_weight_sum,
 )
-from hooklab.trees import IncreasingTree, _check_int, split_at_second_min
+from hooklab.trees import _check_int
 
 __all__ = [
     "closed_polynomial",
     "constant_term_sides",
     "finite_difference_sides",
     "grafting_law_holds",
-    "grafting_law_sides",
     "grafting_split_sides",
     "grafting_split_summands",
     "lagrange_identity_sides",
@@ -192,34 +190,12 @@ def finite_difference_sides(
     return lhs, rhs
 
 
-def grafting_law_sides(
-    t: IncreasingTree, ambient: int | None = None
-) -> tuple[MultiPoly, MultiPoly]:
-    """One tree's weight against the product form over its split.
-
-    Splitting t above its second-smallest label leaves host and shoot;
-    the weight of t is the product of their weights times the factor
-    the new edge contributes,
-
-        k_(host root) * (K_(shoot labels) - |shoot| + 1),
-
-    because the shoot hangs under the host's root and so disturbs no
-    other vertex's subtree.
-    """
-    if ambient is None:
-        ambient = t.labels[-1]
-    host, shoot = split_at_second_min(t)
-    edge = _var(ambient, host.root) * _hook_factor(ambient, shoot.labels)
-    lhs = tree_weight(t, ambient)
-    rhs = tree_weight(host, ambient) * tree_weight(shoot, ambient) * edge
-    return lhs, rhs
-
-
 def _graft_split(pv) -> tuple:
-    """split_at_second_min on a parent vector: (host, shoot), each as
-    (positions, parent vector on them).  The shoot is the subtree of
-    position 1; parents come first, so one forward pass marks it, and
-    refuses any entry j-1 that is not an int in [0, j)."""
+    """The tree with parent vector pv cut above its second-smallest
+    label: (host, shoot), each as (positions, parent vector on them).
+    The shoot is the subtree of position 1; parents come first, so one
+    forward pass marks it, and refuses any entry j-1 that is not an int
+    in [0, j)."""
     if not pv:
         raise ValueError("need at least two vertices to split")
     inside = [False]
@@ -250,11 +226,15 @@ def _law_form(mono: int, factors) -> tuple:
 
 
 def grafting_law_holds(pv) -> bool:
-    """Whether grafting_law_sides holds on the tree t on {1..len(pv)+1}
+    """Whether the grafting law holds on the tree t on {1..len(pv)+1}
     with parent vector pv, decided on factored weights alone.
 
-    The weights of t and of the host and shoot of its split
-    (_graft_split) are each a monomial times linear factor maps
+    Cut t above its second-smallest label (_graft_split): the shoot
+    hangs under the host's root and so disturbs no other vertex's
+    subtree, and the law says the weight of t is the product of the
+    host's and the shoot's weights times k_(host root) * (K_(shoot
+    labels) - |shoot| + 1), the factor of the new edge.  The three
+    weights are each a monomial times linear factor maps
     (hookformula._weight_factors); the edge is k_1 times the factor of
     the shoot's labels.  In Q[k_1..k_r], a unique factorization domain
     (Gauss's lemma), each K_S - |S| + 1 with |S| >= 2 has degree 1, so

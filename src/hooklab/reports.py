@@ -15,7 +15,6 @@ contract is elapsed_ms.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Mapping
@@ -69,9 +68,6 @@ class VerdictReport:
         if self.trace is not None:
             out["trace"] = self.trace
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
     def format_line(self) -> str:
         verdict = "PASS" if self.equal else "FAIL"

@@ -6,13 +6,13 @@ Three shapes of object live here.
   labels in which every non-root vertex has a parent with a smaller
   label.  The root is forced to be the minimum label, and the whole
   tree is determined by the parent map.  There are (n-1)! of them on
-  any n labels; shape_classes groups them by unordered shape, and
-  rooted_shapes generates those shapes directly.
+  any n labels; rooted_shapes generates their unordered shapes, once
+  each.
 
 * CayleyTree: an unrooted labelled tree on vertices {1..r}, stored as a
   sorted edge list.  There are r^(r-2) of them, and the Pruefer code
   gives the explicit bijection with sequences that the enumerator
-  decodes.
+  decodes (prufer_edges).
 
 * BinaryTree: an unlabelled rooted binary shape (each vertex has an
   optional left and right child).  The empty shape is represented by
@@ -31,39 +31,26 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
-from math import comb, factorial, prod
+from math import factorial, prod
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "BinaryTree",
     "CayleyTree",
-    "HookTable",
     "IncreasingTree",
     "automorphisms",
-    "binary_count",
-    "binary_from_json_dict",
     "binary_to_dot",
     "binary_to_json_dict",
     "cayley_count",
     "cayley_edge_lists",
-    "degree_vector",
     "enumerate_binary",
     "enumerate_cayley",
     "enumerate_increasing",
-    "graft",
-    "hooks",
     "increasing_count",
-    "increasing_from_cayley",
     "parent_vectors",
-    "prufer_decode",
     "prufer_edges",
-    "prufer_encode",
     "rooted_shapes",
-    "shape_classes",
-    "split_at_second_min",
-    "subtree_sizes",
     "subtree_totals",
 ]
 
@@ -127,13 +114,6 @@ class IncreasingTree:
     def __len__(self) -> int:
         return len(self._labels)
 
-    def children(self) -> dict[int, tuple[int, ...]]:
-        """Map each label to its children in ascending order."""
-        out: dict[int, list[int]] = {v: [] for v in self._labels}
-        for v in self._labels[1:]:
-            out[self._parent[v]].append(v)
-        return {v: tuple(cs) for v, cs in out.items()}
-
     def _key(self):
         return (self._labels, tuple(self._parent[v] for v in self._labels[1:]))
 
@@ -153,11 +133,6 @@ class IncreasingTree:
             "labels": list(self._labels),
             "parent": {str(v): self._parent[v] for v in self._labels[1:]},
         }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "IncreasingTree":
-        parent = {int(v): p for v, p in data["parent"].items()}
-        return cls(data["labels"], parent)
 
     def to_dot(self, graph_name: str = "increasing_tree") -> str:
         """Edges parent -> child, children declared in ascending label
@@ -211,22 +186,6 @@ def _shape_key(pv: Sequence[int]) -> tuple:
     return tuple(sorted(kids[0]))
 
 
-def shape_classes(n: int) -> dict:
-    """The increasing trees on n labels grouped by unordered shape.
-
-    Maps each shape's AHU key (_shape_key) to (first parent vector of
-    that shape, number of trees of that shape), in order of first
-    appearance along parent_vectors.
-    """
-    _check_int(n)
-    out: dict = {}
-    for pv in parent_vectors(n):
-        key = _shape_key(pv)
-        first, mult = out.get(key, (pv, 0))
-        out[key] = (first, mult + 1)
-    return out
-
-
 def rooted_shapes(n: int) -> Iterator[tuple]:
     """(AHU key, parent vector) of each unordered rooted shape on n
     vertices, once each, as in Beyer and Hedetniemi, "Constant time
@@ -276,77 +235,16 @@ def enumerate_increasing(labels: Iterable[int]) -> Iterator[IncreasingTree]:
         yield IncreasingTree(labs, {labs[j]: labs[p] for j, p in enumerate(pv, 1)})
 
 
-@dataclass
-class HookTable:
-    """Per-vertex descendant data for a rooted tree.
-
-    sets[v] is the set of labels in the subtree rooted at v, v
-    included; sizes[v] is its cardinality.  Treat both as read-only.
-    """
-
-    sets: dict[int, frozenset[int]]
-    sizes: dict[int, int]
-
-
 def _parent_positions(t: IncreasingTree) -> tuple:
     """The parent-position vector of t, as parent_vectors yields it."""
     pos = {v: i for i, v in enumerate(t.labels)}
     return tuple(pos[t.parent[v]] for v in t.labels[1:])
 
 
-def hooks(t: IncreasingTree) -> HookTable:
-    """Descendant sets and sizes for every vertex of an increasing tree."""
-    found = subtree_totals([(v,) for v in t.labels], _parent_positions(t))
-    sets = {v: frozenset(h) for v, h in zip(t.labels, found)}
-    return HookTable(sets=sets, sizes={v: len(h) for v, h in zip(t.labels, found)})
-
-
-def split_at_second_min(t: IncreasingTree) -> tuple[IncreasingTree, IncreasingTree]:
-    """Cut the edge above the second-smallest label.
-
-    Returns (host, shoot): shoot is the subtree rooted at the
-    second-smallest label s (whose parent is always the root, since no
-    other label is small enough), host is what remains.  graft(shoot,
-    host) restores the original tree.
-    """
-    if len(t) < 2:
-        raise ValueError("need at least two vertices to split")
-    s = t.labels[1]
-    shoot_set = hooks(t).sets[s]
-    host_labels = [v for v in t.labels if v not in shoot_set]
-    shoot_labels = sorted(shoot_set)
-    host = IncreasingTree(
-        host_labels, {v: t.parent[v] for v in host_labels if v != t.root}
-    )
-    shoot = IncreasingTree(
-        shoot_labels, {v: t.parent[v] for v in shoot_labels if v != s}
-    )
-    return host, shoot
-
-
-def graft(shoot: IncreasingTree, host: IncreasingTree) -> IncreasingTree:
-    """Attach shoot's root as a new child of host's root.
-
-    Labels must be disjoint and shoot's root must exceed host's root.
-    This inverts split_at_second_min exactly when shoot's root is
-    smaller than every non-root label of host, which is the regime the
-    splitting recurrences work in.
-    """
-    if set(host.labels) & set(shoot.labels):
-        raise ValueError("graft needs disjoint label sets")
-    if shoot.root <= host.root:
-        raise ValueError("shoot root must exceed host root")
-    labels = host.labels + shoot.labels
-    parent = dict(host.parent)
-    parent.update(shoot.parent)
-    parent[shoot.root] = host.root
-    return IncreasingTree(labels, parent)
-
-
 class CayleyTree:
     """Unrooted labelled tree on {1..r}, stored as a sorted edge list."""
 
-    __slots__ = ("_vertices", "_edges", "_adj")
+    __slots__ = ("_vertices", "_edges")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[Sequence[int]]):
         self._vertices = _clean_labels(vertices)
@@ -379,7 +277,6 @@ class CayleyTree:
         if len(seen) != len(self._vertices):
             raise ValueError("edge list is not connected")
         self._edges = tuple(norm)
-        self._adj = {v: tuple(sorted(ws)) for v, ws in adj.items()}
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -388,9 +285,6 @@ class CayleyTree:
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         return self._edges
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
 
     def __len__(self) -> int:
         return len(self._vertices)
@@ -415,12 +309,6 @@ class CayleyTree:
             return {"r": n, "edges": edges}
         return {"vertices": list(self._vertices), "edges": edges}
 
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "CayleyTree":
-        if "vertices" in data:
-            return cls(data["vertices"], data["edges"])
-        return cls(range(1, data["r"] + 1), data["edges"])
-
     def to_dot(self, graph_name: str = "cayley_tree") -> str:
         lines = [f"graph {graph_name} {{"]
         for v in self._vertices:
@@ -431,35 +319,10 @@ class CayleyTree:
         return "\n".join(lines)
 
 
-def degree_vector(u: CayleyTree) -> tuple[int, ...]:
-    """Vertex degrees in ascending vertex order."""
-    return tuple(len(u.neighbors(v)) for v in u.vertices)
-
-
 def cayley_count(r: int) -> int:
     """Number of labelled trees on r vertices: r^(r-2), with 1 for r <= 2."""
     _check_int(r)
     return 1 if r <= 2 else r ** (r - 2)
-
-
-def prufer_encode(u: CayleyTree) -> tuple[int, ...]:
-    """Pruefer sequence of a tree on {1..r}, r >= 2 (length r-2)."""
-    r = len(u)
-    if r < 2:
-        raise ValueError("Pruefer codes need at least two vertices")
-    if u.vertices != tuple(range(1, r + 1)):
-        raise ValueError("Pruefer codec works on vertex set {1..r}")
-    deg = {v: len(u.neighbors(v)) for v in u.vertices}
-    adj = {v: set(u.neighbors(v)) for v in u.vertices}
-    seq = []
-    for _ in range(r - 2):
-        leaf = min(v for v in u.vertices if deg[v] == 1)
-        (nb,) = adj[leaf]
-        seq.append(nb)
-        deg[leaf] = 0
-        deg[nb] -= 1
-        adj[nb].discard(leaf)
-    return tuple(seq)
 
 
 def prufer_edges(seq: Sequence[int]) -> list:
@@ -499,12 +362,6 @@ def prufer_edges(seq: Sequence[int]) -> list:
             raise ValueError(f"decoded edges of {tuple(seq)} close a cycle")
         root[a] = b
     return edges
-
-
-def prufer_decode(seq: Sequence[int]) -> CayleyTree:
-    """Tree on {1..len(seq)+2} with the given Pruefer sequence: the
-    edges prufer_edges decodes, validated once more by CayleyTree."""
-    return CayleyTree(range(1, len(seq) + 3), prufer_edges(seq))
 
 
 def cayley_edge_lists(r: int) -> Iterator[list]:
@@ -556,12 +413,6 @@ class BinaryTree:
         return f"BinaryTree(size={self.size})"
 
 
-def binary_count(n: int) -> int:
-    """Number of binary shapes with n vertices: the n-th Catalan number."""
-    _check_int(n, 0)
-    return comb(2 * n, n) // (n + 1)
-
-
 def enumerate_binary(n: int) -> Iterator["BinaryTree | None"]:
     """Yield all binary shapes with n vertices, left subtree size ascending.
 
@@ -582,34 +433,11 @@ def enumerate_binary(n: int) -> Iterator["BinaryTree | None"]:
     return iter(shapes[n])
 
 
-def subtree_sizes(t: "BinaryTree | None") -> tuple[int, ...]:
-    """Subtree sizes in preorder; empty tuple for the empty shape."""
-    out: list[int] = []
-
-    def walk(node: "BinaryTree | None") -> None:
-        if node is None:
-            return
-        out.append(node.size)
-        walk(node.left)
-        walk(node.right)
-
-    walk(t)
-    return tuple(out)
-
-
 def binary_to_json_dict(t: "BinaryTree | None") -> "dict | None":
     """Nested {"left": …, "right": …} objects; the empty shape is None."""
     if t is None:
         return None
     return {"left": binary_to_json_dict(t.left), "right": binary_to_json_dict(t.right)}
-
-
-def binary_from_json_dict(data: "Mapping | None") -> "BinaryTree | None":
-    if data is None:
-        return None
-    return BinaryTree(
-        binary_from_json_dict(data["left"]), binary_from_json_dict(data["right"])
-    )
 
 
 def binary_to_dot(t: "BinaryTree | None", graph_name: str = "binary_tree") -> str:
@@ -656,11 +484,3 @@ def _collapse(r: int, edges) -> tuple:
         parent[w] = v
     return tuple(p - 1 for p in parent[2:])
 
-
-def increasing_from_cayley(u: CayleyTree) -> IncreasingTree:
-    """Collapse an unrooted labelled tree to an increasing tree: the
-    tree whose parent vector _collapse gives, on u's vertices."""
-    labs = u.vertices
-    pos = {v: i for i, v in enumerate(labs, 1)}
-    pv = _collapse(len(labs), [(pos[a], pos[b]) for a, b in u.edges])
-    return IncreasingTree(labs, {labs[j]: labs[p] for j, p in enumerate(pv, 1)})

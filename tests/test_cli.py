@@ -13,6 +13,7 @@ from argparse import Namespace
 from pathlib import Path
 
 import pytest
+from test_mutants import apply_mutant
 
 import hooklab.cli as cli
 from hooklab.reports import side_summary
@@ -80,6 +81,14 @@ class TestEnumerate:
         monkeypatch.setenv("HOOKLAB_BUDGET_CEILING", "lots")
         code, _, err = run_main(["enumerate", "increasing", "3"], capsys)
         assert code == 2 and "must be an integer" in err
+
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_a_ceiling_below_one_is_a_bad_value(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("HOOKLAB_BUDGET_CEILING", value)
+        code, out, err = run_main(["verify", "theorem1", "--r", "1"], capsys)
+        assert code == 2 and out == ""
+        assert f"HOOKLAB_BUDGET_CEILING must be an integer of at least 1, got '{value}'" in err
+        assert "to raise the cap" not in err
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "trees.jsonl"
@@ -392,9 +401,8 @@ class TestLabellingCount:
         assert labelling_counts(7) == {n: per_tree_counts(n) for n in range(1, 8)}
 
     def test_a_wrong_extension_count_fails_as_it_would_per_tree(self, monkeypatch, capsys):
-        real = cli.hf._lext_count
         # one too many extensions for every tree whose root has two children
-        monkeypatch.setattr(cli.hf, "_lext_count", lambda pv: real(pv) + (pv.count(0) == 2))
+        apply_mutant(monkeypatch, "_lext_count")
         code, out, _ = run_main(["verify", "binary-hooks", "--n", "6", "--json"], capsys)
         assert code == 1
         assert failed_checks(out) == [
@@ -405,26 +413,15 @@ class TestLabellingCount:
         assert counts[6][1] < counts[6][0]
 
     def test_a_dropped_star_fails_the_tree_count(self, monkeypatch, capsys):
-        real = cli.tr.rooted_shapes
-
-        def dropping(n):
-            # the star stands for one tree: the shapes then cover 23 of 24
-            return [(key, pv) for key, pv in real(n) if n != 5 or any(pv)]
-
-        monkeypatch.setattr(cli.tr, "rooted_shapes", dropping)
+        # the star stands for one tree: the shapes then cover 23 of 24
+        apply_mutant(monkeypatch, "rooted_shapes: star dropped at 5")
         code, out, _ = run_main(["verify", "binary-hooks", "--n", "6", "--json"], capsys)
         assert code == 1
         assert failed_checks(out) == [("binary-hooks/labelling-count", {"n": 5})]
         assert labelling_counts(5)[5] == (24, 23)
 
     def test_a_doubled_shape_fails_the_tree_count(self, monkeypatch, capsys):
-        real = cli.tr.rooted_shapes
-
-        def doubling(n):
-            shapes = list(real(n))
-            return shapes + shapes[-1:] if n == 5 else shapes
-
-        monkeypatch.setattr(cli.tr, "rooted_shapes", doubling)
+        apply_mutant(monkeypatch, "rooted_shapes: shape doubled at 5")
         code, out, _ = run_main(["verify", "binary-hooks", "--n", "6", "--json"], capsys)
         assert code == 1
         assert failed_checks(out) == [("binary-hooks/labelling-count", {"n": 5})]
@@ -432,7 +429,7 @@ class TestLabellingCount:
         assert agreed > trees == 24
 
     def test_trivial_automorphism_groups_fail_from_three_vertices(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli.tr, "automorphisms", lambda key: 1)
+        apply_mutant(monkeypatch, "automorphisms")
         code, out, _ = run_main(["verify", "binary-hooks", "--n", "5", "--json"], capsys)
         assert code == 1
         assert failed_checks(out) == [

@@ -3,27 +3,27 @@
 import json
 from fractions import Fraction
 from itertools import permutations
-from math import comb, factorial, prod
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import subtree_sizes, tree_weight
+from test_mutants import apply_mutant, failed_at_bound_6
 
 import hooklab.cli as cli
 import hooklab.hookformula as hf
-import hooklab.recurrences as rc
 from hooklab._kernel_py import pack
 from hooklab.multipoly import MultiPoly, top_homogeneous
 from hooklab.trees import (
     CayleyTree,
     IncreasingTree,
+    _collapse,
     _parent_positions,
     enumerate_binary,
     enumerate_increasing,
-    hooks,
-    increasing_from_cayley,
     parent_vectors,
-    subtree_sizes,
+    subtree_totals,
 )
 
 
@@ -35,38 +35,28 @@ def k(r, label):
     return MultiPoly.variable(r, label - 1)
 
 
-def failed_at_bound_6():
-    """(check, r) of each comparison that fails with every family swept
-    to min(6, ceiling), the sweep cache cleared before and after."""
-    hf.tree_weight_sum.cache_clear()
-    try:
-        return {
-            (v.check, v.params.get("r"))
-            for name, family in cli.FAMILIES.items()
-            for v in cli.run_family(name, min(6, family.ceiling))
-            if not v.equal
-        }
-    finally:
-        hf.tree_weight_sum.cache_clear()
+def top_weight(t, ambient=None):
+    """The top homogeneous part of t's expanded weight."""
+    return top_homogeneous(tree_weight(t, ambient))
 
 
 class TestTreeWeight:
     def test_single_vertex(self):
         t = IncreasingTree([1], {})
-        assert hf.tree_weight(t) == MultiPoly.const(1, 1)
+        assert tree_weight(t) == MultiPoly.const(1, 1)
 
     def test_edge(self):
         t = IncreasingTree([1, 2], {2: 1})
-        assert hf.tree_weight(t) == k(2, 1) * k(2, 2)
+        assert tree_weight(t) == k(2, 1) * k(2, 2)
 
     def test_path_of_three(self):
         t = IncreasingTree([1, 2, 3], {2: 1, 3: 2})
         want = k(3, 1) * k(3, 2) * k(3, 3) * (k(3, 2) + k(3, 3) - 1)
-        assert hf.tree_weight(t) == want
+        assert tree_weight(t) == want
 
     def test_star_of_three(self):
         t = IncreasingTree([1, 2, 3], {2: 1, 3: 1})
-        assert hf.tree_weight(t) == k(3, 1) ** 2 * k(3, 2) * k(3, 3)
+        assert tree_weight(t) == k(3, 1) ** 2 * k(3, 2) * k(3, 3)
 
     def test_nine_vertex_fixture(self):
         t = IncreasingTree(
@@ -84,20 +74,20 @@ class TestTreeWeight:
             * v(5) * v(8)
             * v(2) * v(9)
         )
-        assert hf.tree_weight(t) == want
+        assert tree_weight(t) == want
 
     def test_every_weight_is_divisible_by_the_variable_product(self):
         for r in range(2, 6):
             for t in enumerate_increasing(range(1, r + 1)):
-                w = hf.tree_weight(t)
+                w = tree_weight(t)
                 assert all(min(e) >= 1 for e in w.terms)
 
     def test_ambient_padding(self):
         t = IncreasingTree([1, 2], {2: 1})
-        w = hf.tree_weight(t, ambient=4)
+        w = tree_weight(t, ambient=4)
         assert w.nvars == 4 and w == k(4, 1) * k(4, 2)
         with pytest.raises(ValueError):
-            hf.tree_weight(t, ambient=1)
+            tree_weight(t, ambient=1)
 
 
 class TestHookWeightSum:
@@ -141,7 +131,7 @@ class TestPendingSweep:
     def test_sweep_matches_the_per_tree_sum(self, labels, pad, top_only):
         labels = tuple(sorted(labels))
         ambient = labels[-1] + pad
-        weight = hf.top_weight if top_only else hf.tree_weight
+        weight = top_weight if top_only else tree_weight
         want = MultiPoly.sum(
             ambient, (weight(t, ambient) for t in enumerate_increasing(labels))
         )
@@ -164,7 +154,7 @@ class TestPendingSweep:
     def test_every_size_matches_the_per_tree_sum(self, n, pad, top_only):
         labels = tuple(range(1, n + 1))
         ambient = n + pad
-        weight = hf.top_weight if top_only else hf.tree_weight
+        weight = top_weight if top_only else tree_weight
         want = MultiPoly.sum(
             ambient, (weight(t, ambient) for t in enumerate_increasing(labels))
         )
@@ -246,15 +236,7 @@ class TestPendingSweep:
     ):
         # 2 - |B| for 1 - |B| in the recursion only: the closed-form pq
         # checks cannot see it, the regrouped sums must
-        real = hf._edge_factor
-
-        def mutant(size, top_only):
-            factor = dict(real(size, top_only))
-            if 0 in factor:
-                factor[0] += 1
-            return factor
-
-        monkeypatch.setattr(hf, "_edge_factor", mutant)
+        apply_mutant(monkeypatch, "_edge_factor")
         hf.tree_weight_sum.cache_clear()
         try:
             for check in ("theorem1", "grafting", "root-recurrence", "pq"):
@@ -298,7 +280,7 @@ class TestUniformSpecialization:
 
     def test_a_dropped_vertex_constant_fails_postnikov_only(self, monkeypatch):
         # x*n in place of x*n + 1 at every vertex with a child
-        monkeypatch.setattr(hf, "_vertex_factor", lambda n: {1: n})
+        apply_mutant(monkeypatch, "_vertex_factor")
         assert failed_at_bound_6() == {
             (check, r) for check in ("postnikov", "postnikov/chain") for r in range(2, 7)
         }
@@ -342,27 +324,22 @@ class TestBinaryShapes:
             with pytest.raises(ValueError):
                 hf.binary_reciprocal_hook_sum(n)
 
-    # each mutant of the split and the checks it fails at n = 1..6; a
-    # root hook of 0 would divide by zero, so the hook mutant starts at 2
+    # each mutant of the split (rows of test_mutants.MUTANTS) and the
+    # checks it fails at n = 1..6; the hook mutant keeps the root hook 1
     SPLIT_MUTANTS = {
-        "wrong binomial": (
-            lambda m: (m, [(i, comb(m, i)) for i in range(m)]),
-            [("shape-identity", n) for n in range(2, 7)],
-        ),
-        "dropped split": (
-            lambda m: (m, [(i, comb(m - 1, i)) for i in range(1, m)]),
-            [(check, n) for n in range(1, 7) for check in ("shape-identity", "reciprocal-sum")],
-        ),
-        "root hook m - 1": (
-            lambda m: (m - 1 if m > 1 else m, [(i, comb(m - 1, i)) for i in range(m)]),
-            [(check, n) for n in range(2, 7) for check in ("shape-identity", "reciprocal-sum")],
-        ),
+        "wrong binomial": [("shape-identity", n) for n in range(2, 7)],
+        "dropped split": [
+            (check, n) for n in range(1, 7) for check in ("shape-identity", "reciprocal-sum")
+        ],
+        "root hook m - 1": [
+            (check, n) for n in range(2, 7) for check in ("shape-identity", "reciprocal-sum")
+        ],
     }
 
     @pytest.mark.parametrize("mutant", SPLIT_MUTANTS)
     def test_a_changed_split_fails_the_sums_it_feeds(self, monkeypatch, capsys, mutant):
-        split, want = self.SPLIT_MUTANTS[mutant]
-        monkeypatch.setattr(hf, "_binary_split", split)
+        want = self.SPLIT_MUTANTS[mutant]
+        apply_mutant(monkeypatch, "_binary_split: " + mutant)
         assert cli.main(["verify", "binary-hooks", "--n", "6", "--json"]) == 1
         records = json.loads(capsys.readouterr().out)["checks"]
         failed = [(c["check"], c["params"]["n"]) for c in records if not c["equal"]]
@@ -382,12 +359,9 @@ class TestLinearExtensions:
         for r in range(1, 7):
             for t in enumerate_increasing(range(1, r + 1)):
                 lext, quotient = hf.linear_extension_check(t)
-                sizes = hooks(t).sizes
-                prod = 1
-                for h in sizes.values():
-                    prod *= h
+                sizes = subtree_totals([1] * r, _parent_positions(t))
                 assert lext == quotient
-                assert lext * prod == factorial(r)
+                assert lext * prod(sizes) == factorial(r)
 
     def test_path_and_star_by_hand(self):
         # a path has one order; a star orders its n-1 leaves freely
@@ -414,49 +388,36 @@ class TestLinearExtensions:
 
 
 class TestTopWeight:
+    """The weight with each factor's constant dropped, as _weight_terms
+    gives it under top_only, is the top homogeneous part of the weight."""
+
+    @staticmethod
+    def top_only(t):
+        units = hf._label_keys(t.labels, len(t))
+        return MultiPoly._raw(len(t), hf._weight_terms(units, _parent_positions(t), True))
+
     def test_path_drops_only_the_constant(self):
         t = IncreasingTree([1, 2, 3], {2: 1, 3: 2})
         want = k(3, 1) * k(3, 2) * k(3, 3) * (k(3, 2) + k(3, 3))
-        assert hf.top_weight(t) == want
+        assert self.top_only(t) == top_weight(t) == want
 
     def test_homogeneous_weight_is_unchanged(self):
         t = IncreasingTree([1, 2, 3], {2: 1, 3: 1})
-        assert hf.top_weight(t) == hf.tree_weight(t)
+        assert self.top_only(t) == top_weight(t) == tree_weight(t)
 
     def test_agrees_with_top_homogeneous(self):
         for r in range(1, 6):
             for t in enumerate_increasing(range(1, r + 1)):
-                assert hf.top_weight(t) == top_homogeneous(hf.tree_weight(t))
+                assert self.top_only(t) == top_weight(t)
 
     def test_a_kept_constant_fails_the_top_weight_checks(self, monkeypatch):
         # _linear_factor ignores top_only, in both bindings
-        def with_constant(keys, top_only=False):
-            lin = dict.fromkeys(keys, 1)
-            if len(keys) != 1:
-                lin[0] = 1 - len(keys)
-            return lin
-
-        monkeypatch.setattr(hf, "_linear_factor", with_constant)
-        monkeypatch.setattr(rc, "_linear_factor", with_constant)
+        apply_mutant(monkeypatch, "_linear_factor")
         assert failed_at_bound_6() == {
             (check, r)
             for check in ("cayley/top-weight-sum", "fibers/degree-sum", "fibers/top-of-weight")
             for r in range(3, 7)
         }
-
-
-def double_the_first_edge_list(monkeypatch):
-    """Patch the decoded Cayley edge lists so the first tree comes twice."""
-    real = hf.cayley_edge_lists
-
-    def doubled(r):
-        lists = real(r)
-        first = next(lists)
-        yield first
-        yield first
-        yield from lists
-
-    monkeypatch.setattr(hf, "cayley_edge_lists", doubled)
 
 
 class TestCayleyIdentity:
@@ -486,12 +447,6 @@ class TestCayleyIdentity:
         with pytest.raises(ValueError):
             hf.cayley_degree_identity(1)
 
-    def test_a_doubled_tree_fails_the_cayley_check_only(self, monkeypatch, tmp_path):
-        double_the_first_edge_list(monkeypatch)
-        out = tmp_path / "c.json"
-        assert cli.main(["verify", "cayley", "--r", "4", "--json", "--out", str(out)]) == 1
-        records = json.loads(out.read_text())["checks"]
-        assert {rec["check"] for rec in records if not rec["equal"]} == {"cayley"}
 
 
 class TestFibers:
@@ -513,7 +468,7 @@ class TestFibers:
             sums = hf.cayley_fiber_sums(r)
             assert set(sums) == set(parent_vectors(r))
             for t in enumerate_increasing(range(1, r + 1)):
-                assert sums[_parent_positions(t)] == hf.top_weight(t, r)
+                assert sums[_parent_positions(t)] == top_weight(t, r)
 
     def test_a_changed_mapping_does_not_reach_the_next_call(self):
         sums = hf.cayley_fiber_sums(4)
@@ -536,14 +491,14 @@ class TestFibers:
         u = CayleyTree([1, 2, 3], [(1, 2), (2, 3)])
         # the fiber polynomial of phi(u), the path 1-2-3, collects one
         # monomial per preimage
-        poly = hf.cayley_fiber_sums(3)[_parent_positions(increasing_from_cayley(u))]
+        poly = hf.cayley_fiber_sums(3)[_collapse(3, u.edges)]
         assert all(sum(e) == 2 * (3 - 1) for e in poly.terms)
         assert poly.coefficient((1, 2, 1)) == 1
 
     def test_a_doubled_tree_fails_the_degree_sum_and_the_partition(
         self, monkeypatch, tmp_path
     ):
-        double_the_first_edge_list(monkeypatch)
+        apply_mutant(monkeypatch, "cayley_edge_lists")
         out = tmp_path / "f.json"
         assert cli.main(["verify", "fibers", "--r", "5", "--json", "--out", str(out)]) == 1
         records = json.loads(out.read_text())["checks"]

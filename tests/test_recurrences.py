@@ -7,7 +7,10 @@ from itertools import combinations, product
 from math import factorial
 from pathlib import Path
 
+import oracles
 import pytest
+from oracles import split_at_second_min, tree_weight
+from test_mutants import apply_mutant, failed_at_bound_6
 
 import hooklab.cli as cli
 import hooklab.hookformula as hf
@@ -16,7 +19,6 @@ from hooklab.hookformula import (
     hook_weight_closed_form,
     hook_weight_sum,
     subset_closed_form,
-    tree_weight,
 )
 from hooklab.multipoly import MultiPoly, falling_factorial
 from hooklab.trees import (
@@ -24,7 +26,6 @@ from hooklab.trees import (
     _parent_positions,
     enumerate_increasing,
     parent_vectors,
-    split_at_second_min,
 )
 
 GOLDEN = Path(__file__).parent / "golden" / "verify_all.json"
@@ -120,18 +121,18 @@ class TestFiniteDifference:
 class TestGrafting:
     def test_edge_by_hand(self):
         t = IncreasingTree([1, 2], {2: 1})
-        lhs, rhs = rc.grafting_law_sides(t)
+        lhs, rhs = oracles.grafting_law_sides(t)
         assert lhs == rhs == k(2, 1) * k(2, 2)
 
     def test_law_holds_for_every_tree(self):
         for r in range(2, 7):
             for t in enumerate_increasing(range(1, r + 1)):
-                lhs, rhs = rc.grafting_law_sides(t)
+                lhs, rhs = oracles.grafting_law_sides(t)
                 assert lhs == rhs
 
     def test_single_vertex_cannot_split(self):
         with pytest.raises(ValueError):
-            rc.grafting_law_sides(IncreasingTree([1], {}))
+            oracles.grafting_law_sides(IncreasingTree([1], {}))
 
     def test_split_three_by_hand(self):
         lhs, rhs = rc.grafting_split_sides(3)
@@ -156,21 +157,22 @@ def law_verdicts(r_max=6):
     out = {}
     for r in range(2, r_max + 1):
         for pv in parent_vectors(r):
-            lhs, rhs = rc.grafting_law_sides(tree_of(pv), r)
+            lhs, rhs = oracles.grafting_law_sides(tree_of(pv), r)
             out[pv] = (rc.grafting_law_holds(pv), lhs == rhs)
     return out
 
 
 def count_expansions(monkeypatch):
-    """Patch grafting_law_sides to count its calls; returns the counter."""
+    """Patch the expanded sides, oracles.grafting_law_sides, to count
+    their calls; returns the counter."""
     calls = [0]
-    real = rc.grafting_law_sides
+    real = oracles.grafting_law_sides
 
     def counted(t, ambient=None):
         calls[0] += 1
         return real(t, ambient)
 
-    monkeypatch.setattr(rc, "grafting_law_sides", counted)
+    monkeypatch.setattr(oracles, "grafting_law_sides", counted)
     return calls
 
 
@@ -200,9 +202,17 @@ class TestFactoredLaw:
             rc.grafting_law_holds(pv)
 
     def test_correct_code_decides_without_the_fallback(self, monkeypatch):
-        calls = count_expansions(monkeypatch)
+        # no polynomial is multiplied out: the factored forms decide
+        products = [0]
+        real = hf.mul_terms
+
+        def counted(a, b):
+            products[0] += 1
+            return real(a, b)
+
+        monkeypatch.setattr(hf, "mul_terms", counted)
         assert all(rc.grafting_law_holds(pv) for r in range(2, 7) for pv in parent_vectors(r))
-        assert calls[0] == 0
+        assert products[0] == 0
 
     def test_a_changed_factor_constant_gives_the_expanded_verdict(self, monkeypatch):
         def shifted(keys, top_only=False):
@@ -221,27 +231,14 @@ class TestFactoredLaw:
     def test_dropped_leaf_factors_fail_the_law_and_the_fiber_sums(self, monkeypatch):
         # the factors of single vertices dropped, in both bindings: patched
         # in hookformula alone the law's two sides lose the same factors
-        real = hf._weight_factors
-
-        def leafless(units, pv, top_only=False):
-            mono, factors = real(units, pv, top_only)
-            return mono, [f for f in factors if len(f) != 1]
-
-        monkeypatch.setattr(hf, "_weight_factors", leafless)
-        monkeypatch.setattr(rc, "_weight_factors", leafless)
-        failed = {
-            (v.check, v.params.get("r"))
-            for name, family in cli.FAMILIES.items()
-            for v in cli.run_family(name, min(6, family.ceiling))
-            if not v.equal
-        }
-        assert failed == {
+        apply_mutant(monkeypatch, "_weight_factors")
+        assert failed_at_bound_6() == {
             (check, r) for check in ("grafting/law", "fibers/degree-sum") for r in range(2, 7)
         }
 
     def test_the_expanded_sides_alone_give_the_same_report(self, monkeypatch, tmp_path):
         def expanded(pv):
-            lhs, rhs = rc.grafting_law_sides(tree_of(pv))
+            lhs, rhs = oracles.grafting_law_sides(tree_of(pv))
             return lhs == rhs
 
         monkeypatch.setattr(rc, "grafting_law_holds", expanded)
@@ -458,24 +455,3 @@ class TestSeriesOracle:
             for r, kvals in [(2, [1, "2"]), (2, [1.5, 2]), (3, [True, 2, 2])]:
                 with pytest.raises(TypeError):
                     solve(r, kvals)
-
-    @pytest.mark.parametrize("mutant", ["hadamard", "no single-variable terms"])
-    def test_a_changed_product_fails_the_oracle_only(self, monkeypatch, capsys, mutant):
-        real = rc._subset_entry
-
-        def without_single_variable_terms(a, b, m):
-            # the true entry less a[s] * b[m - s] for every s of one variable
-            out = real(a, b, m)
-            for i in range(m.bit_length()):
-                if m >> i & 1:
-                    out -= a[1 << i] * b[m ^ 1 << i]
-            return out
-
-        entry = {
-            "hadamard": lambda a, b, m: a[m] * b[m],
-            "no single-variable terms": without_single_variable_terms,
-        }[mutant]
-        monkeypatch.setattr(rc, "_subset_entry", entry)
-        assert cli.main(["verify", "mvl", "--r", "6", "--json"]) == 1
-        records = json.loads(capsys.readouterr().out)["checks"]
-        assert [c["check"] for c in records if not c["equal"]] == ["mvl/oracle"]

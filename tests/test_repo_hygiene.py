@@ -1,7 +1,8 @@
 """The repository tracks no file that its own .gitignore excludes,
-exports no name it does not define, and keeps each benchmark record
-whole."""
+exports no name it does not define, keeps each benchmark record whole,
+and keeps in src only code that the command line reaches."""
 
+import ast
 import importlib
 import json
 import pkgutil
@@ -53,3 +54,50 @@ def test_every_bench_record_is_a_whole_pair():
         assert doc["pairs"] == len(doc["runs"]), path.name
     assert records
     assert all(found == {"parent", "change"} for found in sides.values()), sides
+
+
+
+def test_every_function_and_class_in_src_is_reached_from_main():
+    """Walk the name and module-attribute references from cli.main: a
+    function or class that no verdict or enumerate reaches is API that
+    only tests would use, and belongs with the tests."""
+    src = ROOT / "src" / "hooklab"
+    defs = {}  # (module, name): the top-level def or assignment
+    imports = {}  # (module, name): (source module, name), or (module, None)
+    for path in src.glob("*.py"):
+        module = "hooklab" if path.stem == "__init__" else f"hooklab.{path.stem}"
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[module, node.name] = node
+            elif isinstance(node, ast.Assign):
+                defs.update(((module, t.id), node) for t in node.targets if isinstance(t, ast.Name))
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("hooklab"):
+                for a in node.names:
+                    whole = node.module == "hooklab" and (src / f"{a.name}.py").is_file()
+                    source = (f"hooklab.{a.name}", None) if whole else (node.module, a.name)
+                    imports[module, a.asname or a.name] = source
+
+    def resolve(key):
+        while key in imports:
+            key = imports[key]
+        return key
+
+    seen, todo = set(), [("hooklab.cli", "main")]
+    while todo:
+        key = todo.pop()
+        if key in seen or key not in defs:
+            continue
+        seen.add(key)
+        for node in ast.walk(defs[key]):
+            if isinstance(node, ast.Name):
+                todo.append(resolve((key[0], node.id)))
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                module, whole = resolve((key[0], node.value.id))
+                if whole is None:
+                    todo.append(resolve((module, node.attr)))
+    unreached = sorted(
+        f"{module}:{name}"
+        for (module, name), node in defs.items()
+        if not isinstance(node, ast.Assign) and (module, name) not in seen
+    )
+    assert unreached == []

@@ -1,4 +1,4 @@
-"""Tree families: enumeration, counting, hooks, grafting, encodings."""
+"""Tree families: enumeration, counting, hooks, splitting, encodings."""
 
 import heapq
 import itertools
@@ -7,6 +7,7 @@ from math import factorial
 from types import SimpleNamespace
 
 import pytest
+from oracles import prufer_encode, shape_classes, split_at_second_min, subtree_sizes
 
 import hooklab.hookformula as hf
 import hooklab.trees as tr
@@ -21,27 +22,17 @@ from hooklab.trees import (
     _collapse,
     _parent_positions,
     automorphisms,
-    binary_count,
-    binary_from_json_dict,
     binary_to_dot,
     binary_to_json_dict,
     cayley_count,
     cayley_edge_lists,
-    degree_vector,
     enumerate_binary,
     enumerate_cayley,
     enumerate_increasing,
-    graft,
-    hooks,
     increasing_count,
-    increasing_from_cayley,
-    prufer_decode,
     prufer_edges,
-    prufer_encode,
     rooted_shapes,
-    shape_classes,
-    split_at_second_min,
-    subtree_sizes,
+    subtree_totals,
 )
 
 
@@ -58,6 +49,10 @@ def collapse_by_definition(u):
     remove the minimum vertex, hang the minimum of each remaining
     component under it, and do the same inside each component."""
     parent = {}
+    neighbors = {v: set() for v in u.vertices}
+    for a, b in u.edges:
+        neighbors[a].add(b)
+        neighbors[b].add(a)
 
     def hang(part):
         root = min(part)
@@ -67,7 +62,7 @@ def collapse_by_definition(u):
             while stack:
                 v = stack.pop()
                 seen.add(v)
-                stack.extend(w for w in u.neighbors(v) if w in rest and w not in seen)
+                stack.extend(w for w in neighbors[v] if w in rest and w not in seen)
             parent[min(seen)] = root
             hang(seen)
             rest -= seen
@@ -109,8 +104,11 @@ class TestIncreasing:
                 IncreasingTree([1, 2], {2: parent})
 
     def test_json_round_trip(self):
+        # the record `enumerate increasing` writes determines its tree
         for t in enumerate_increasing(range(1, 5)):
-            assert IncreasingTree.from_json_dict(t.to_json_dict()) == t
+            data = t.to_json_dict()
+            parent = {int(v): p for v, p in data["parent"].items()}
+            assert IncreasingTree(data["labels"], parent) == t
 
     def test_dot_golden(self):
         t = star_tree(3)
@@ -123,8 +121,8 @@ class TestIncreasing:
 
 
 def shape_string(t):
-    """Canonical form of t's unordered shape, built from children() alone."""
-    kids = t.children()
+    """Canonical form of t's unordered shape, built from the parent map alone."""
+    kids = {v: [c for c, p in t.parent.items() if p == v] for v in t.labels}
 
     def walk(v):
         return "(" + "".join(sorted(walk(c) for c in kids[v])) + ")"
@@ -200,22 +198,28 @@ class TestShapes:
                 assert lext == automorphisms(key) * classes[key][1]
 
 
+def hook_sets(t):
+    """The label set of each vertex's subtree, by subtree_totals."""
+    found = subtree_totals([(v,) for v in t.labels], _parent_positions(t))
+    return {v: frozenset(h) for v, h in zip(t.labels, found)}
+
+
 class TestHooks:
     def test_path_and_star(self):
-        h = hooks(path_tree(3))
-        assert h.sizes == {1: 3, 2: 2, 3: 1}
-        assert h.sets[2] == frozenset({2, 3})
-        h = hooks(star_tree(4))
-        assert h.sizes == {1: 4, 2: 1, 3: 1, 4: 1}
+        pv = _parent_positions(path_tree(3))
+        assert subtree_totals([1, 1, 1], pv) == [3, 2, 1]
+        assert hook_sets(path_tree(3))[2] == frozenset({2, 3})
+        assert subtree_totals([1] * 4, _parent_positions(star_tree(4))) == [4, 1, 1, 1]
 
     def test_hook_contains_vertex_and_nests(self):
         for t in enumerate_increasing(range(1, 6)):
-            h = hooks(t)
-            for v in t.labels:
-                assert v in h.sets[v]
-                assert h.sizes[v] == len(h.sets[v])
+            sets = hook_sets(t)
+            sizes = subtree_totals([1] * len(t), _parent_positions(t))
+            for v, size in zip(t.labels, sizes):
+                assert v in sets[v]
+                assert size == len(sets[v])
             for v, p in t.parent.items():
-                assert h.sets[v] < h.sets[p]
+                assert sets[v] < sets[p]
 
 
 class TestGrafting:
@@ -228,21 +232,12 @@ class TestGrafting:
             for t in enumerate_increasing(range(1, r + 1)):
                 host, shoot = split_at_second_min(t)
                 assert shoot.root == 2
-                assert graft(shoot, host) == t
-
-    def test_graft_hangs_shoot_under_host_root(self):
-        host = path_tree(2)
-        shoot = IncreasingTree([3, 4], {4: 3})
-        joined = graft(shoot, host)
-        assert joined.parent == {2: 1, 3: 1, 4: 3}
+                parent = {**host.parent, **shoot.parent, shoot.root: host.root}
+                assert IncreasingTree(host.labels + shoot.labels, parent) == t
 
     def test_single_vertex_cannot_split(self):
         with pytest.raises(ValueError):
             split_at_second_min(IncreasingTree([1], {}))
-
-    def test_graft_rejects_label_overlap(self):
-        with pytest.raises(ValueError):
-            graft(path_tree(2), path_tree(3))
 
 
 class TestCayley:
@@ -257,7 +252,7 @@ class TestCayley:
             for u in enumerate_cayley(r):
                 code = prufer_encode(u)
                 assert len(code) == r - 2
-                assert prufer_decode(code) == u
+                assert CayleyTree(range(1, r + 1), prufer_edges(code)) == u
 
     def test_prufer_examples(self):
         star = CayleyTree([1, 2, 3, 4], [(1, 2), (1, 3), (1, 4)])
@@ -304,12 +299,6 @@ class TestCayley:
             with pytest.raises(ValueError, match="ints in 1..3"):
                 prufer_edges([entry])
 
-    def test_degree_vector(self):
-        star = CayleyTree([1, 2, 3, 4], [(1, 2), (1, 3), (1, 4)])
-        assert degree_vector(star) == (3, 1, 1, 1)
-        path = CayleyTree([1, 2, 3], [(1, 2), (2, 3)])
-        assert degree_vector(path) == (1, 2, 1)
-
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
             CayleyTree([1, 2, 3], [(1, 2)])
@@ -323,42 +312,41 @@ class TestCayley:
 
     def test_json_round_trip(self):
         for u in enumerate_cayley(4):
-            again = CayleyTree.from_json_dict(u.to_json_dict())
-            assert again == u
+            data = u.to_json_dict()
+            assert CayleyTree(range(1, data["r"] + 1), data["edges"]) == u
 
 
 class TestCollapse:
+    """_collapse gives the parent vector of the increasing tree that an
+    edge list on {1..r} collapses to."""
+
     def test_single_vertex(self):
-        t = increasing_from_cayley(CayleyTree([7], []))
-        assert t.labels == (7,) and t.parent == {}
+        assert _collapse(1, []) == ()
 
     def test_centered_path_flattens(self):
-        u = CayleyTree([1, 2, 3], [(1, 2), (1, 3)])
-        assert increasing_from_cayley(u).parent == {2: 1, 3: 1}
+        assert _collapse(3, [(1, 2), (1, 3)]) == (0, 0)
 
     def test_monotone_path_survives(self):
-        u = CayleyTree([1, 2, 3], [(1, 2), (2, 3)])
-        assert increasing_from_cayley(u).parent == {2: 1, 3: 2}
+        assert _collapse(3, [(1, 2), (2, 3)]) == (0, 1)
 
     def test_a_child_is_its_component_minimum(self):
         # 1's neighbour is 4, but the component {2, 4} hangs its minimum
-        u = CayleyTree([1, 2, 3, 4], [(1, 3), (1, 4), (4, 2)])
-        assert increasing_from_cayley(u).parent == {2: 1, 3: 1, 4: 2}
+        assert _collapse(4, [(1, 3), (1, 4), (4, 2)]) == (0, 0, 1)
 
     def test_each_edge_list_collapses_as_its_tree_does(self):
         for r in range(2, 7):
             for edges in cayley_edge_lists(r):
                 u = CayleyTree(range(1, r + 1), edges)
                 pv = _collapse(r, edges)
-                assert pv == _parent_positions(increasing_from_cayley(u))
+                assert pv == _collapse(r, u.edges)
                 assert pv == collapse_by_definition(u)
 
     def test_surjective_with_fibers_partitioning(self):
         for r in range(1, 6):
             fibers = {}
             for u in enumerate_cayley(r):
-                fibers.setdefault(increasing_from_cayley(u), []).append(u)
-            assert set(fibers) == set(enumerate_increasing(range(1, r + 1)))
+                fibers.setdefault(_collapse(r, u.edges), []).append(u)
+            assert set(fibers) == set(tr.parent_vectors(r))
             assert sum(len(v) for v in fibers.values()) == cayley_count(r)
 
 
@@ -367,12 +355,11 @@ class TestBinary:
         expected = [1, 1, 2, 5, 14, 42, 132]
         for n, want in enumerate(expected):
             shapes = list(enumerate_binary(n))
-            assert len(set(shapes)) == len(shapes) == binary_count(n) == want
+            assert len(set(shapes)) == len(shapes) == want
 
     def test_empty_shape(self):
         assert list(enumerate_binary(0)) == [None]
         assert binary_to_json_dict(None) is None
-        assert binary_from_json_dict(None) is None
 
     def test_order_by_left_size(self):
         sizes = [t.left.size if t.left else 0 for t in enumerate_binary(3)]
@@ -384,8 +371,13 @@ class TestBinary:
         assert sorted(subtree_sizes(t)) == [1, 1, 2, 4]
 
     def test_json_round_trip(self):
+        def build(data):
+            if data is None:
+                return None
+            return BinaryTree(build(data["left"]), build(data["right"]))
+
         for t in enumerate_binary(4):
-            assert binary_from_json_dict(binary_to_json_dict(t)) == t
+            assert build(binary_to_json_dict(t)) == t
 
     def test_dot_golden(self):
         t = BinaryTree(BinaryTree(), None)
@@ -409,7 +401,6 @@ SIZED = {
     "shape_classes": shape_classes,
     "enumerate_cayley": lambda n: list(enumerate_cayley(n)),
     "parent_vectors": tr.parent_vectors,
-    "binary_count": binary_count,
     "enumerate_binary": enumerate_binary,
     "binary_reciprocal_hook_sum": hf.binary_reciprocal_hook_sum,
     "increasing_hook_sum": hf.increasing_hook_sum,
