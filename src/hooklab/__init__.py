@@ -44,13 +44,8 @@ from hooklab.recurrences import (
 )
 from hooklab.reports import VerdictReport, compare_sides
 from hooklab.trees import (
-    BinaryTree,
-    CayleyTree,
-    IncreasingTree,
     cayley_count,
     enumerate_binary,
-    enumerate_cayley,
-    enumerate_increasing,
     increasing_count,
     prufer_edges,
 )
@@ -64,11 +59,6 @@ __all__ = [
     "falling_factorial",
     "top_homogeneous",
     # trees
-    "IncreasingTree",
-    "CayleyTree",
-    "BinaryTree",
-    "enumerate_increasing",
-    "enumerate_cayley",
     "enumerate_binary",
     "increasing_count",
     "cayley_count",

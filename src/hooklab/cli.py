@@ -129,10 +129,8 @@ def _binary_hooks(sizes: range, trace: bool):
     # size, which the family's ceiling bounds.
     for n in sizes:
         agreed = 0
-        labels = range(1, n + 1)
         for key, pv in tr.rooted_shapes(n):
-            rep = tr.IncreasingTree(labels, {j + 1: p + 1 for j, p in enumerate(pv, 1)})
-            lext, quotient = hf.linear_extension_check(rep)
+            lext, quotient = hf.linear_extension_check(pv)
             trees, rem = divmod(lext, tr.automorphisms(key))
             agreed += trees * (lext == quotient and not rem)
         yield "binary-hooks/labelling-count", {"n": n}, tr.increasing_count(n), agreed, None
@@ -403,11 +401,11 @@ def cmd_enumerate(args) -> int:
     first = 0 if family == "binary" else 1
     _check_bound(f"enumerate {family}", size, first, ENUMERATE_BUDGETS[family])
     if family == "increasing":
-        items = tr.enumerate_increasing(range(1, size + 1))
-        to_json, to_dot = tr.IncreasingTree.to_json_dict, tr.IncreasingTree.to_dot
+        items = tr.parent_vectors(size)
+        to_json, to_dot = tr.increasing_to_json_dict, tr.increasing_to_dot
     elif family == "cayley":
-        items = tr.enumerate_cayley(size)
-        to_json, to_dot = tr.CayleyTree.to_json_dict, tr.CayleyTree.to_dot
+        items = tr.cayley_edge_lists(size)
+        to_json, to_dot = tr.cayley_to_json_dict, tr.cayley_to_dot
     else:
         items = tr.enumerate_binary(size)
         to_json, to_dot = tr.binary_to_json_dict, tr.binary_to_dot

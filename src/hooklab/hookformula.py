@@ -65,11 +65,10 @@ from hooklab._kernel_py import (
 )
 from hooklab.multipoly import MultiPoly, falling_factorial
 from hooklab.trees import (
-    IncreasingTree,
     _check_int,
+    _check_parent_vector,
     _clean_labels,
     _collapse,
-    _parent_positions,
     cayley_edge_lists,
     subtree_totals,
 )
@@ -432,17 +431,19 @@ def _lext_count(pv) -> int:
     return count(1)
 
 
-def linear_extension_check(t: IncreasingTree) -> tuple:
-    """Labelling count of one tree against its hook quotient.
+def linear_extension_check(pv) -> tuple:
+    """Labelling count of the tree T with parent vector pv against its
+    hook quotient.
 
     Returns (extension count, |T|!/prod of hook sizes); the classical
     formula says they match.  The quotient is checked to divide
     exactly.  The count places the vertices one at a time, memoised on
     the set of vertices ready to place, so its cost follows the number
-    of such frontiers, not |T|: |T| + 1 on a path, at most 2^|T|.
+    of such frontiers, not |T|: |T| + 1 on a path, at most 2^|T|.  A pv
+    whose entry j-1 is not an int in [0, j) is refused with ValueError.
     """
-    n = len(t)
-    pv = _parent_positions(t)
+    _check_parent_vector(pv)
+    n = len(pv) + 1
     lext = _lext_count(pv)
     prod_h = prod(subtree_totals([1] * n, pv))
     quotient, rem = divmod(factorial(n), prod_h)
@@ -453,8 +454,8 @@ def linear_extension_check(t: IncreasingTree) -> tuple:
 
 def _degree_keys(r: int):
     """(edges, key of prod k_v^(deg v)) of each labelled tree on {1..r},
-    r >= 2, from the decoded edge lists of cayley_edge_lists: each edge
-    adds the key of k_v for both of its endpoints v."""
+    from the decoded edge lists of cayley_edge_lists: each edge adds the
+    key of k_v for both of its endpoints v."""
     units = [0, *(unit(r, v) for v in range(r))]  # units[v]: key of k_v
     for edges in cayley_edge_lists(r):
         key = 0
@@ -473,8 +474,6 @@ def cayley_fiber_sums(r: int) -> Mapping:
     monomial prod k_v^(degree of v) over each group.
     """
     _check_int(r)
-    if r == 1:
-        return {(): MultiPoly.const(1, 1)}
     groups: dict = {}
     for edges, key in _degree_keys(r):
         acc = groups.setdefault(_collapse(r, edges), {})

@@ -35,7 +35,6 @@ Check functions compare and return; they never assert.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, factorial
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -306,10 +305,10 @@ def bedard_goupil(lam: IntPartition, mu: IntPartition) -> int:
     den = 1
     for m in lam.multiplicities().values():
         den *= factorial(m)
-    value = Fraction(num, den)
-    if value.denominator != 1:
+    value, rem = divmod(num, den)
+    if rem:
         raise ArithmeticError(f"count for {lam!r}, {mu!r} is not an integer")
-    return int(value)
+    return value
 
 
 def binomial_simplification_check(mu: IntPartition) -> bool:
@@ -338,10 +337,10 @@ def factorization_count_closed_form(mu: IntPartition) -> int:
     num = factorial(n - 1)
     for p in mu.parts:
         num *= p
-    value = Fraction(num, factorial(n - mu.length + 1))
-    if value.denominator != 1:
+    value, rem = divmod(num, factorial(n - mu.length + 1))
+    if rem:
         raise ArithmeticError(f"closed form for {mu!r} is not an integer")
-    return int(value)
+    return value
 
 
 def signed_factorization_count(mu: IntPartition) -> int:

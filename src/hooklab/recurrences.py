@@ -48,7 +48,7 @@ from hooklab.hookformula import (
     hook_weight_sum,
     tree_weight_sum,
 )
-from hooklab.trees import _check_int
+from hooklab.trees import _check_int, _check_parent_vector
 
 __all__ = [
     "closed_polynomial",
@@ -194,14 +194,11 @@ def _graft_split(pv) -> tuple:
     """The tree with parent vector pv cut above its second-smallest
     label: (host, shoot), each as (positions, parent vector on them).
     The shoot is the subtree of position 1; parents come first, so one
-    forward pass marks it, and refuses any entry j-1 that is not an int
-    in [0, j)."""
+    forward pass marks it."""
     if not pv:
         raise ValueError("need at least two vertices to split")
     inside = [False]
     for j, p in enumerate(pv, 1):
-        if type(p) is not int or not 0 <= p < j:
-            raise ValueError(f"parent vector entry {j - 1} must be an int in [0, {j}), got {p!r}")
         inside.append(j == 1 or inside[p])
     parts = []
     for side in (False, True):
@@ -243,6 +240,7 @@ def grafting_law_holds(pv) -> bool:
     equal exactly when their _law_forms are.  A pv whose entry j-1 is
     not an int in [0, j) is refused with ValueError.
     """
+    _check_parent_vector(pv)
     r = len(pv) + 1
     units = _label_keys(range(1, r + 1), r)
     (host, host_pv), (shoot, shoot_pv) = _graft_split(pv)

@@ -1,28 +1,29 @@
 """Labelled tree families: increasing trees, Cayley trees, binary shapes.
 
-Three shapes of object live here.
+Each family lives in the encoding its generator yields; no tree object
+is built.
 
-* IncreasingTree: a rooted tree on a finite set of positive integer
-  labels in which every non-root vertex has a parent with a smaller
-  label.  The root is forced to be the minimum label, and the whole
-  tree is determined by the parent map.  There are (n-1)! of them on
-  any n labels; rooted_shapes generates their unordered shapes, once
-  each.
+* Increasing trees on {1..n}: rooted trees in which every non-root
+  vertex has a parent with a smaller label, so the root is 1.  A tree
+  is its parent-position vector (parent_vectors); there are (n-1)! of
+  them, and rooted_shapes generates their unordered shapes, once each.
 
-* CayleyTree: an unrooted labelled tree on vertices {1..r}, stored as a
-  sorted edge list.  There are r^(r-2) of them, and the Pruefer code
-  gives the explicit bijection with sequences that the enumerator
-  decodes (prufer_edges).
+* Cayley trees: unrooted labelled trees on {1..r}, as edge lists.
+  There are r^(r-2) of them, and the Pruefer code gives the explicit
+  bijection with sequences that the enumerator decodes (prufer_edges,
+  cayley_edge_lists); r = 1 has the one empty edge list.
 
-* BinaryTree: an unlabelled rooted binary shape (each vertex has an
-  optional left and right child).  The empty shape is represented by
-  None throughout; the module-level helpers all accept it.
+* Binary shapes: unlabelled rooted binary trees, each the nested pair
+  (left, right) of its subtrees, with None for the empty shape
+  (enumerate_binary).
+
+The *_to_json_dict and *_to_dot functions render each encoding for
+`hooklab enumerate`.
 
 Enumeration order is part of the contract: callers rely on it being
 deterministic, and each family is one in-order pass.  For increasing
 trees the order is lexicographic in the parent-position vector
-(non-root labels ascending, the choice for the largest label varying
-fastest), and parent_vectors is the one sweep of it; for Cayley trees
+(the choice for the largest label varying fastest); for Cayley trees
 it is lexicographic in the Pruefer sequence; for binary shapes left
 subtree size ascends first.
 """
@@ -32,22 +33,20 @@ from __future__ import annotations
 import heapq
 import itertools
 from math import factorial, prod
-from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
-    "BinaryTree",
-    "CayleyTree",
-    "IncreasingTree",
     "automorphisms",
     "binary_to_dot",
     "binary_to_json_dict",
     "cayley_count",
     "cayley_edge_lists",
+    "cayley_to_dot",
+    "cayley_to_json_dict",
     "enumerate_binary",
-    "enumerate_cayley",
-    "enumerate_increasing",
     "increasing_count",
+    "increasing_to_dot",
+    "increasing_to_json_dict",
     "parent_vectors",
     "prufer_edges",
     "rooted_shapes",
@@ -78,74 +77,6 @@ def _clean_labels(labels: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
-class IncreasingTree:
-    """Rooted tree where every non-root label exceeds its parent's label."""
-
-    __slots__ = ("_labels", "_parent")
-
-    def __init__(self, labels: Iterable[int], parent: Mapping[int, int]):
-        self._labels = _clean_labels(labels)
-        expected = set(self._labels[1:])
-        if set(parent) != expected:
-            raise ValueError(
-                "parent map must cover exactly the non-root labels "
-                f"{sorted(expected)}, got {sorted(parent)}"
-            )
-        label_set = set(self._labels)
-        for v, p in parent.items():
-            if not _is_int(p) or p not in label_set:
-                raise ValueError(f"parent {p!r} of {v} is not a vertex")
-            if p >= v:
-                raise ValueError(f"parent {p} of {v} must carry a smaller label")
-        self._parent = {v: parent[v] for v in self._labels[1:]}
-
-    @property
-    def labels(self) -> tuple[int, ...]:
-        return self._labels
-
-    @property
-    def parent(self) -> Mapping[int, int]:
-        return MappingProxyType(self._parent)
-
-    @property
-    def root(self) -> int:
-        return self._labels[0]
-
-    def __len__(self) -> int:
-        return len(self._labels)
-
-    def _key(self):
-        return (self._labels, tuple(self._parent[v] for v in self._labels[1:]))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IncreasingTree):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return f"IncreasingTree({list(self._labels)}, {self._parent})"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "labels": list(self._labels),
-            "parent": {str(v): self._parent[v] for v in self._labels[1:]},
-        }
-
-    def to_dot(self, graph_name: str = "increasing_tree") -> str:
-        """Edges parent -> child, children declared in ascending label
-        order per parent so renderers draw them left to right."""
-        lines = [f"digraph {graph_name} {{", "  ordering=out;"]
-        for v in self._labels:
-            lines.append(f"  {v};")
-        for v in self._labels[1:]:
-            lines.append(f"  {self._parent[v]} -> {v};")
-        lines.append("}")
-        return "\n".join(lines)
-
-
 def increasing_count(n: int) -> int:
     """Number of increasing trees on n labels: (n-1)!."""
     _check_int(n)
@@ -160,6 +91,32 @@ def parent_vectors(n: int) -> Iterator[tuple]:
     """
     _check_int(n)
     return itertools.product(*(range(j) for j in range(1, n)))
+
+
+def _check_parent_vector(pv: Sequence) -> None:
+    """Refuse a parent vector whose entry j-1 is not an int in [0, j)."""
+    for j, p in enumerate(pv, 1):
+        if not _is_int(p) or not 0 <= p < j:
+            raise ValueError(f"parent vector entry {j - 1} must be an int in [0, {j}), got {p!r}")
+
+
+def increasing_to_json_dict(pv: Sequence[int]) -> dict:
+    """{"labels": …, "parent": {label: parent label}} of the increasing
+    tree on {1..len(pv)+1} with parent vector pv; JSON keys are strings."""
+    return {
+        "labels": list(range(1, len(pv) + 2)),
+        "parent": {str(j + 1): p + 1 for j, p in enumerate(pv, 1)},
+    }
+
+
+def increasing_to_dot(pv: Sequence[int], graph_name: str = "increasing_tree") -> str:
+    """Edges parent -> child in label order, so each parent's children
+    are declared in ascending order and renderers draw them left to right."""
+    lines = [f"digraph {graph_name} {{", "  ordering=out;"]
+    lines.extend(f"  {v};" for v in range(1, len(pv) + 2))
+    lines.extend(f"  {p + 1} -> {j + 1};" for j, p in enumerate(pv, 1))
+    lines.append("}")
+    return "\n".join(lines)
 
 
 def subtree_totals(values: Sequence, pv: Sequence[int]) -> list:
@@ -228,97 +185,6 @@ def automorphisms(key: tuple) -> int:
     return aut(key)
 
 
-def enumerate_increasing(labels: Iterable[int]) -> Iterator[IncreasingTree]:
-    """Yield increasing trees on the given labels in enumeration order."""
-    labs = _clean_labels(labels)
-    for pv in parent_vectors(len(labs)):
-        yield IncreasingTree(labs, {labs[j]: labs[p] for j, p in enumerate(pv, 1)})
-
-
-def _parent_positions(t: IncreasingTree) -> tuple:
-    """The parent-position vector of t, as parent_vectors yields it."""
-    pos = {v: i for i, v in enumerate(t.labels)}
-    return tuple(pos[t.parent[v]] for v in t.labels[1:])
-
-
-class CayleyTree:
-    """Unrooted labelled tree on {1..r}, stored as a sorted edge list."""
-
-    __slots__ = ("_vertices", "_edges")
-
-    def __init__(self, vertices: Iterable[int], edges: Iterable[Sequence[int]]):
-        self._vertices = _clean_labels(vertices)
-        vset = set(self._vertices)
-        norm = []
-        for e in edges:
-            a, b = e
-            if not (_is_int(a) and _is_int(b)) or a == b or a not in vset or b not in vset:
-                raise ValueError(f"bad edge {e!r}")
-            norm.append((a, b) if a < b else (b, a))
-        norm.sort()
-        if len(set(norm)) != len(norm):
-            raise ValueError("repeated edge")
-        if len(norm) != len(self._vertices) - 1:
-            raise ValueError(
-                f"{len(self._vertices)} vertices need {len(self._vertices) - 1} edges, "
-                f"got {len(norm)}"
-            )
-        adj: dict[int, list[int]] = {v: [] for v in self._vertices}
-        for a, b in norm:
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = {self._vertices[0]}
-        stack = [self._vertices[0]]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != len(self._vertices):
-            raise ValueError("edge list is not connected")
-        self._edges = tuple(norm)
-
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return self._vertices
-
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        return self._edges
-
-    def __len__(self) -> int:
-        return len(self._vertices)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CayleyTree):
-            return NotImplemented
-        return self._vertices == other._vertices and self._edges == other._edges
-
-    def __hash__(self) -> int:
-        return hash((self._vertices, self._edges))
-
-    def __repr__(self) -> str:
-        return f"CayleyTree({list(self._vertices)}, {[list(e) for e in self._edges]})"
-
-    def to_json_dict(self) -> dict:
-        """{"r": …, "edges": …} on vertex set {1..r}; general vertex sets
-        carry an explicit "vertices" list instead."""
-        n = len(self._vertices)
-        edges = [list(e) for e in self._edges]
-        if self._vertices == tuple(range(1, n + 1)):
-            return {"r": n, "edges": edges}
-        return {"vertices": list(self._vertices), "edges": edges}
-
-    def to_dot(self, graph_name: str = "cayley_tree") -> str:
-        lines = [f"graph {graph_name} {{"]
-        for v in self._vertices:
-            lines.append(f"  {v};")
-        for a, b in self._edges:
-            lines.append(f"  {a} -- {b};")
-        lines.append("}")
-        return "\n".join(lines)
-
-
 def cayley_count(r: int) -> int:
     """Number of labelled trees on r vertices: r^(r-2), with 1 for r <= 2."""
     _check_int(r)
@@ -365,66 +231,48 @@ def prufer_edges(seq: Sequence[int]) -> list:
 
 
 def cayley_edge_lists(r: int) -> Iterator[list]:
-    """Edge lists of all r^(r-2) labelled trees on {1..r}, r >= 2, in
-    Pruefer-lexicographic order, as prufer_edges decodes them."""
-    if r < 2:
-        raise ValueError("Pruefer codes need at least two vertices")
+    """Edge lists of all r^(r-2) labelled trees on {1..r} in
+    Pruefer-lexicographic order, as prufer_edges decodes them; the one
+    tree on {1} has the empty list."""
+    _check_int(r)
+    if r == 1:
+        return iter([[]])
     return map(prufer_edges, itertools.product(range(1, r + 1), repeat=r - 2))
 
 
-def enumerate_cayley(r: int) -> Iterator[CayleyTree]:
-    """Yield all labelled trees on {1..r} in Pruefer-lexicographic order."""
-    _check_int(r)
-    if r == 1:
-        yield CayleyTree([1], [])
-        return
-    for edges in cayley_edge_lists(r):
-        yield CayleyTree(range(1, r + 1), edges)
+def _low_first(edges) -> list:
+    """The edges, each low end first, in ascending order."""
+    return sorted((a, b) if a < b else (b, a) for a, b in edges)
 
 
-class BinaryTree:
-    """Non-empty rooted binary shape; children are BinaryTree or None."""
-
-    __slots__ = ("left", "right", "size")
-
-    def __init__(self, left: "BinaryTree | None" = None, right: "BinaryTree | None" = None):
-        for c in (left, right):
-            if c is not None and not isinstance(c, BinaryTree):
-                raise TypeError("children must be BinaryTree or None")
-        self.left = left
-        self.right = right
-        self.size = 1 + (left.size if left else 0) + (right.size if right else 0)
-
-    def _key(self):
-        return (
-            self.left._key() if self.left else None,
-            self.right._key() if self.right else None,
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BinaryTree):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return f"BinaryTree(size={self.size})"
+def cayley_to_json_dict(edges) -> dict:
+    """{"r": …, "edges": …} of the tree on {1..r} with the given edges,
+    each edge low end first, the edges sorted."""
+    return {"r": len(edges) + 1, "edges": [list(e) for e in _low_first(edges)]}
 
 
-def enumerate_binary(n: int) -> Iterator["BinaryTree | None"]:
+def cayley_to_dot(edges, graph_name: str = "cayley_tree") -> str:
+    lines = [f"graph {graph_name} {{"]
+    lines.extend(f"  {v};" for v in range(1, len(edges) + 2))
+    lines.extend(f"  {a} -- {b};" for a, b in _low_first(edges))
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def enumerate_binary(n: int) -> Iterator["tuple | None"]:
     """Yield all binary shapes with n vertices, left subtree size ascending.
 
-    The shapes of every size up to n are built once per call, each
-    from the smaller ones, and shared as subtrees of the larger.
+    A shape is the pair (left, right) of its subtrees, and the empty
+    shape is None.  The shapes of every size up to n are built once per
+    call, each from the smaller ones, and shared as subtrees of the
+    larger.
     """
     _check_int(n, 0)
     shapes: list[tuple] = [(None,)]
     for m in range(1, n + 1):
         shapes.append(
             tuple(
-                BinaryTree(left, right)
+                (left, right)
                 for left_size in range(m)
                 for left in shapes[left_size]
                 for right in shapes[m - 1 - left_size]
@@ -433,14 +281,14 @@ def enumerate_binary(n: int) -> Iterator["BinaryTree | None"]:
     return iter(shapes[n])
 
 
-def binary_to_json_dict(t: "BinaryTree | None") -> "dict | None":
+def binary_to_json_dict(t: "tuple | None") -> "dict | None":
     """Nested {"left": …, "right": …} objects; the empty shape is None."""
     if t is None:
         return None
-    return {"left": binary_to_json_dict(t.left), "right": binary_to_json_dict(t.right)}
+    return {"left": binary_to_json_dict(t[0]), "right": binary_to_json_dict(t[1])}
 
 
-def binary_to_dot(t: "BinaryTree | None", graph_name: str = "binary_tree") -> str:
+def binary_to_dot(t: "tuple | None", graph_name: str = "binary_tree") -> str:
     lines = [f"digraph {graph_name} {{"]
     counter = [0]
 
@@ -448,12 +296,10 @@ def binary_to_dot(t: "BinaryTree | None", graph_name: str = "binary_tree") -> st
         my_id = counter[0]
         counter[0] += 1
         lines.append(f"  n{my_id};")
-        if node.left:
-            cid = walk(node.left)
-            lines.append(f'  n{my_id} -> n{cid} [label="L"];')
-        if node.right:
-            cid = walk(node.right)
-            lines.append(f'  n{my_id} -> n{cid} [label="R"];')
+        for child, side in zip(node, "LR"):
+            if child is not None:
+                cid = walk(child)
+                lines.append(f'  n{my_id} -> n{cid} [label="{side}"];')
         return my_id
 
     if t is not None:
@@ -478,7 +324,7 @@ def _collapse(r: int, edges) -> tuple:
     its own one, whose root becomes a child of v.
     """
     parent = [0] * (r + 1)  # parent[w]: label of w's father, 0 for none yet
-    for v, w in sorted([(a, b) if a < b else (b, a) for a, b in edges], reverse=True):
+    for v, w in reversed(_low_first(edges)):
         while parent[w]:
             w = parent[w]
         parent[w] = v

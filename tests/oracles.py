@@ -1,20 +1,28 @@
 """Brute-force references that tests hold hooklab's fast paths to.
 
 No `hooklab verify` or `enumerate` run reaches these; each builds its
-answer the slow, direct way:
+answer the slow, direct way.  Trees come in the encodings of
+hooklab.trees: an increasing tree as (labels, pv), its sorted labels
+and its parent-position vector; a binary shape as nested (left, right)
+tuples with None for the empty shape; a labelled tree on {1..r} as an
+edge list.
 
-* tree_weight expands one tree's hook weight.  Summed over the trees,
-  it checks the one-sum-per-size recursion of hook_weight_sum and
-  tree_weight_sum; its top homogeneous part checks the top_only weights.
-* split_at_second_min and grafting_law_sides split a tree into host and
-  shoot and expand both sides of the grafting law: they check
-  recurrences.grafting_law_holds, which decides on factored weights.
-* shape_classes groups the (n-1)! increasing trees by unordered shape:
-  it checks trees.rooted_shapes and the automorphism counts.
-* subtree_sizes lists a binary shape's hooks: it checks the split sums
-  of binary_hook_sum and binary_reciprocal_hook_sum shape by shape.
-* prufer_encode reads off a tree's Pruefer sequence: it checks
-  prufer_edges and the order of enumerate_cayley.
+* increasing_trees(labels) lists the (labels, pv) of the trees on any
+  label set, for the references below.
+* tree_weight(labels, pv, ambient) expands one tree's hook weight.
+  Summed over the trees, it checks the one-sum-per-size recursion of
+  hook_weight_sum and tree_weight_sum; its top homogeneous part checks
+  the top_only weights.
+* split_at_second_min(labels, pv) and grafting_law_sides(labels, pv,
+  ambient) split a tree into host and shoot and expand both sides of
+  the grafting law: they check recurrences.grafting_law_holds, which
+  decides on factored weights.
+* shape_classes(n) groups the (n-1)! increasing trees by unordered
+  shape: it checks trees.rooted_shapes and the automorphism counts.
+* subtree_sizes(t) lists a binary shape's hooks: it checks the split
+  sums of binary_hook_sum and binary_reciprocal_hook_sum shape by shape.
+* prufer_encode(edges) reads off a tree's Pruefer sequence: it checks
+  prufer_edges and the order of cayley_edge_lists.
 * factorization_counts_by_type builds every long cycle: it checks the
   pruned walk of kerov.count_factorizations and, type by type,
   kerov.bedard_goupil.  Sizes past FACTORIZATION_BOUND are refused.
@@ -33,42 +41,48 @@ from hooklab.multipoly import MultiPoly
 FACTORIZATION_BOUND = 9
 
 
-def tree_weight(t: tr.IncreasingTree, ambient: int | None = None) -> MultiPoly:
-    """Expanded hook weight of one increasing tree.
+def increasing_trees(labels) -> Iterator[tuple]:
+    """(labels, pv) of each increasing tree on the given labels, sorted,
+    in the order of trees.parent_vectors."""
+    labels = tuple(sorted(labels))
+    return ((labels, pv) for pv in tr.parent_vectors(len(labels)))
+
+
+def tree_weight(labels: tuple, pv: tuple, ambient: int | None = None) -> MultiPoly:
+    """Expanded hook weight of the increasing tree on the sorted labels
+    with parent vector pv.
 
     The ambient variable count defaults to the largest label; passing
     it explicitly keeps subtree weights of a split comparable.
     """
-    ambient = hf._resolve_ambient(t.labels, ambient)
-    units = hf._label_keys(t.labels, ambient)
-    return MultiPoly._raw(ambient, hf._weight_terms(units, tr._parent_positions(t)))
+    ambient = hf._resolve_ambient(labels, ambient)
+    units = hf._label_keys(labels, ambient)
+    return MultiPoly._raw(ambient, hf._weight_terms(units, pv))
 
 
-def split_at_second_min(t: tr.IncreasingTree) -> tuple:
+def split_at_second_min(labels: tuple, pv: tuple) -> tuple:
     """Cut the edge above the second-smallest label.
 
-    Returns (host, shoot): shoot is the subtree rooted at the
-    second-smallest label s (whose parent is always the root, since no
-    other label is small enough), host is what remains.  Hanging
-    shoot's root under host's root restores the original tree.
+    Returns (host, shoot), each as (labels, parent vector): shoot is the
+    subtree rooted at the second-smallest label (whose parent is always
+    the root, since no other label is small enough), host is what
+    remains.  Hanging shoot's root under host's root restores the
+    original tree.
     """
-    if len(t) < 2:
+    if not pv:
         raise ValueError("need at least two vertices to split")
-    s = t.labels[1]
-    hooks = tr.subtree_totals([(v,) for v in t.labels], tr._parent_positions(t))
-    shoot_set = set(hooks[1])
-    host_labels = [v for v in t.labels if v not in shoot_set]
-    shoot_labels = sorted(shoot_set)
-    host = tr.IncreasingTree(
-        host_labels, {v: t.parent[v] for v in host_labels if v != t.root}
-    )
-    shoot = tr.IncreasingTree(
-        shoot_labels, {v: t.parent[v] for v in shoot_labels if v != s}
-    )
-    return host, shoot
+    shoot_set = set(tr.subtree_totals([(v,) for v in labels], pv)[1])
+    parent = {labels[j]: labels[p] for j, p in enumerate(pv, 1)}
+
+    def part(inside: bool) -> tuple:
+        sub = [v for v in labels if (v in shoot_set) is inside]
+        at = {v: i for i, v in enumerate(sub)}
+        return tuple(sub), tuple(at[parent[v]] for v in sub[1:])
+
+    return part(False), part(True)
 
 
-def grafting_law_sides(t: tr.IncreasingTree, ambient: int | None = None) -> tuple:
+def grafting_law_sides(labels: tuple, pv: tuple, ambient: int | None = None) -> tuple:
     """One tree's weight against the product form over its split.
 
     Splitting t above its second-smallest label leaves host and shoot;
@@ -81,11 +95,11 @@ def grafting_law_sides(t: tr.IncreasingTree, ambient: int | None = None) -> tupl
     other vertex's subtree.
     """
     if ambient is None:
-        ambient = t.labels[-1]
-    host, shoot = split_at_second_min(t)
-    edge = rc._var(ambient, host.root) * hf._hook_factor(ambient, shoot.labels)
-    lhs = tree_weight(t, ambient)
-    rhs = tree_weight(host, ambient) * tree_weight(shoot, ambient) * edge
+        ambient = labels[-1]
+    host, shoot = split_at_second_min(labels, pv)
+    edge = rc._var(ambient, host[0][0]) * hf._hook_factor(ambient, shoot[0])
+    lhs = tree_weight(labels, pv, ambient)
+    rhs = tree_weight(*host, ambient) * tree_weight(*shoot, ambient) * edge
     return lhs, rhs
 
 
@@ -105,36 +119,31 @@ def shape_classes(n: int) -> dict:
     return out
 
 
-def subtree_sizes(t: "tr.BinaryTree | None") -> tuple:
-    """Subtree sizes in preorder; empty tuple for the empty shape."""
-    out: list = []
-
-    def walk(node: "tr.BinaryTree | None") -> None:
-        if node is None:
-            return
-        out.append(node.size)
-        walk(node.left)
-        walk(node.right)
-
-    walk(t)
-    return tuple(out)
+def subtree_sizes(t: "tuple | None") -> tuple:
+    """Subtree sizes of a binary shape in preorder; empty tuple for the
+    empty shape.  Each vertex adds one entry, so a subtree's size is the
+    length of its own list."""
+    if t is None:
+        return ()
+    left, right = subtree_sizes(t[0]), subtree_sizes(t[1])
+    return (1 + len(left) + len(right), *left, *right)
 
 
-def prufer_encode(u: tr.CayleyTree) -> tuple:
-    """Pruefer sequence of a tree on {1..r}, r >= 2 (length r-2)."""
-    r = len(u)
+def prufer_encode(edges: Sequence) -> tuple:
+    """Pruefer sequence of the tree on {1..r} with the given r-1 edges,
+    r >= 2 (length r-2)."""
+    r = len(edges) + 1
     if r < 2:
         raise ValueError("Pruefer codes need at least two vertices")
-    if u.vertices != tuple(range(1, r + 1)):
-        raise ValueError("Pruefer codec works on vertex set {1..r}")
-    adj: dict = {v: set() for v in u.vertices}
-    for a, b in u.edges:
+    vertices = range(1, r + 1)
+    adj: dict = {v: set() for v in vertices}
+    for a, b in edges:
         adj[a].add(b)
         adj[b].add(a)
-    deg = {v: len(adj[v]) for v in u.vertices}
+    deg = {v: len(adj[v]) for v in vertices}
     seq = []
     for _ in range(r - 2):
-        leaf = min(v for v in u.vertices if deg[v] == 1)
+        leaf = min(v for v in vertices if deg[v] == 1)
         (nb,) = adj[leaf]
         seq.append(nb)
         deg[leaf] = 0

@@ -106,6 +106,64 @@ class TestEnumerate:
         assert code == 2 and "cannot write" in err
 
 
+# sha256 of each `enumerate` output, recorded when the three families were
+# rendered from their classes: every edge, label and line must stay put
+ENUMERATE_SHA256 = {
+    ("increasing", 1, "json"): "5a0a2b321c714d0b92157383d9fcfaea169e5cc86ccc1b8a3a468229a753ef9a",
+    ("increasing", 1, "dot"): "3ce6a5fa2338faf48f2cedc113ea1c467ad58e9903d3e18bd76e4c2561cd259c",
+    ("increasing", 2, "json"): "6fb8ad7b67fad86fb5acb47ccf5a69a7fddec81a64400a3564710277af4743fa",
+    ("increasing", 2, "dot"): "f12260deb08b49dcfe116f95f0b0409b98ab42fd625342698be7b4904deac8f2",
+    ("increasing", 3, "json"): "55198e079392b302ef341f3b521c517830be59cb7a86713f75df97734a2280d3",
+    ("increasing", 3, "dot"): "b8fd816067f36604992af9e68a8e906581b5c084c7e33bd6d93bcac92938efda",
+    ("increasing", 4, "json"): "e5434e0390d589757b901cce42697aa56877c840f6afdeda3a62eac4ed9b5933",
+    ("increasing", 4, "dot"): "670a856546bfcabe26a69e2bfc824edf4c9842bc4d98a3be454f6b4ec58249e9",
+    ("increasing", 5, "json"): "d688596c42cefa78530a657d08d891961ce02ef961988a7f2cfc389bb1622fc0",
+    ("increasing", 5, "dot"): "7666d268e075da4b9d0f688f3816259dc5bbcd320654a9b3c6de4eea1506b093",
+    ("increasing", 6, "json"): "e942b81aa5112a89a95e67884d733da1f60e5db2a0da044ff89d93f9accc23ca",
+    ("increasing", 6, "dot"): "4cc9736501c552244c55d31abd7445449005a98e5e775256e8444a8e44cb8c89",
+    ("increasing", 7, "json"): "1990794cc31c664f05e30d88040f510106214acc5799bd19376086bf920c64d1",
+    ("increasing", 7, "dot"): "0f7cd853a6272f8497ae8117f1f86cb5e855aa727a203471313f5fca9f9bc2cf",
+    ("cayley", 1, "json"): "0706a04a5a1e680370a5daaa84225817ac1da9203b6ca5dfcfd570d5f0ee40b3",
+    ("cayley", 1, "dot"): "b4f3143eec921e2eef1ddeb7dd43df6b5a8b2eaade863886da06e0d218258ff2",
+    ("cayley", 2, "json"): "6237544692d6f55b4919cd310e3a4df9b5794dc144313d27a94513452dbe28d3",
+    ("cayley", 2, "dot"): "0705e8149d8dd08a0d363f591fd70e1895d65a8833116edb78679d2afc7c3716",
+    ("cayley", 3, "json"): "0265d99587be42bf0c948a6a7328b2ab5d2351679db58aca0579a1b95e121e4d",
+    ("cayley", 3, "dot"): "ff85c9895168ff64918cc70f35fec5b1d29b6bc9777c70fca6853e69be7e8da4",
+    ("cayley", 4, "json"): "99a473a7323f0670b512751a3c4cea710aff214da19a06cd8a11bcd8f95fbcb7",
+    ("cayley", 4, "dot"): "d7e08896f5e195e17e19336ac0c3555489ed2bd37728eaa104e627742d378dea",
+    ("cayley", 5, "json"): "c908768bc2982d74b4aa174f43a72993d3db95dc346e7ffa4acecc7fba3f7153",
+    ("cayley", 5, "dot"): "bfc90c592be9ad0fd1d6039171e37efb0d43734ef12e1c61095ad3b1c35a3d8d",
+    ("cayley", 6, "json"): "fcac53cddec4c1019036b720a853ce7493b3f5dfdbf594d9489d8fdfd4e0f7c7",
+    ("cayley", 6, "dot"): "4417241c2e1996d19a84473a29905558ab47d9ce49506c31ce64ff70c11a953a",
+    ("binary", 0, "json"): "38e0b9de817f645c4bec37c0d4a3e58baecccb040f5718dc069a72c7385a0bed",
+    ("binary", 0, "dot"): "387ec54e542274cfbba6a7689baa9fb5613d792d5a5e576775ae8889c53cc059",
+    ("binary", 1, "json"): "05072c4ce173c536417a9a8ed04446414c2f12d43ef3616c9383b4e899ad5193",
+    ("binary", 1, "dot"): "8ce8ca6aae12ca09ec0d3abc5a10f02efcbc850639e1ed2b29562ff1543441b6",
+    ("binary", 2, "json"): "a0f811e7010b6e81b375c1e7d024ac91408808969671fd51a6906d72900f8bf5",
+    ("binary", 2, "dot"): "6303629c745daf8abf39362dfea234fcbda2789a317c5e278ce4c9a4e6c024f6",
+    ("binary", 3, "json"): "97f66be43cf13afd639403ace0366edc8bb36e97b31036fe1dadca86463d7a3d",
+    ("binary", 3, "dot"): "80d785e57e5ce1940e2f03499f7c71b767be822104ac30edd436279826bb10b5",
+    ("binary", 4, "json"): "072dd05234bff3c347714a559e9bfd066fe378e8741728509b89bc8f6e6db298",
+    ("binary", 4, "dot"): "a66047b23a4e69c032c540fe3b96397d844cf0cc6fd316d3af1d709e3e4cf224",
+    ("binary", 5, "json"): "b5347b360b14f9f78173ea1cf26302c67a1976ec79373138c4edda625fbfc6f5",
+    ("binary", 5, "dot"): "bb916549c26d3292e0f696a0b5dfab0019386d933d05bc93f9a1fed94dfc0711",
+    ("binary", 6, "json"): "534c01399cab0e82c19933e7fce8f8a02de7b14e9d97b9f8307cdcc5b6978b54",
+    ("binary", 6, "dot"): "9a970bd59b5256fd4919018f96e83bce735fd0b09b6326e8cc76bd55eb352280",
+    ("binary", 7, "json"): "ea9696d6d14755a5d2f57416a87d49a4db341d4eff2554a8e883a853cb93c0f6",
+    ("binary", 7, "dot"): "745e5a5068953efa448a4b02d0d2cca1dc71fc73b3a344cd2e68618dff6ff65b",
+    ("binary", 8, "json"): "a10b020c535ffa55a355528c76da0399b2eef55fb32f3005dcaeffe7932e05f6",
+    ("binary", 8, "dot"): "4299f33a7a61bb3280e518136973b28361642838ef1f8cb50092b93a8ebd7b6d",
+}
+
+
+@pytest.mark.parametrize("family,size,form", sorted(ENUMERATE_SHA256))
+def test_enumerate_output_is_pinned(capsys, family, size, form):
+    argv = ["enumerate", family, str(size)] + (["--dot"] if form == "dot" else [])
+    code, out, _ = run_main(argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_SHA256[family, size, form]
+
+
 class TestBoundResolution:
     def test_default_keyword(self):
         assert cli._verify_bound("theorem1", verify_args()) == 8
@@ -380,8 +438,7 @@ def labelling_counts(bound):
 
 def per_tree_counts(n):
     """(trees, agreed) of the labelling count checked on every tree."""
-    trees = cli.tr.enumerate_increasing(range(1, n + 1))
-    sides = [cli.hf.linear_extension_check(t) for t in trees]
+    sides = [cli.hf.linear_extension_check(pv) for pv in cli.tr.parent_vectors(n)]
     return len(sides), sum(lext == quotient for lext, quotient in sides)
 
 

@@ -8,7 +8,7 @@ from math import factorial, prod
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import subtree_sizes, tree_weight
+from oracles import increasing_trees, subtree_sizes, tree_weight
 from test_mutants import apply_mutant, failed_at_bound_6
 
 import hooklab.cli as cli
@@ -16,12 +16,8 @@ import hooklab.hookformula as hf
 from hooklab._kernel_py import pack
 from hooklab.multipoly import MultiPoly, top_homogeneous
 from hooklab.trees import (
-    CayleyTree,
-    IncreasingTree,
     _collapse,
-    _parent_positions,
     enumerate_binary,
-    enumerate_increasing,
     parent_vectors,
     subtree_totals,
 )
@@ -35,34 +31,42 @@ def k(r, label):
     return MultiPoly.variable(r, label - 1)
 
 
-def top_weight(t, ambient=None):
-    """The top homogeneous part of t's expanded weight."""
-    return top_homogeneous(tree_weight(t, ambient))
+def top_weight(labels, pv, ambient=None):
+    """The top homogeneous part of the tree's expanded weight."""
+    return top_homogeneous(tree_weight(labels, pv, ambient))
+
+
+def on_labels(pv):
+    """(labels, pv) of the tree on {1..len(pv)+1} with parent vector pv."""
+    return tuple(range(1, len(pv) + 2)), pv
+
+
+# the parent vector of the path and the star on {1..n}
+def path(n):
+    return tuple(range(n - 1))
+
+
+def star(n):
+    return (0,) * (n - 1)
 
 
 class TestTreeWeight:
     def test_single_vertex(self):
-        t = IncreasingTree([1], {})
-        assert tree_weight(t) == MultiPoly.const(1, 1)
+        assert tree_weight((1,), ()) == MultiPoly.const(1, 1)
 
     def test_edge(self):
-        t = IncreasingTree([1, 2], {2: 1})
-        assert tree_weight(t) == k(2, 1) * k(2, 2)
+        assert tree_weight((1, 2), (0,)) == k(2, 1) * k(2, 2)
 
     def test_path_of_three(self):
-        t = IncreasingTree([1, 2, 3], {2: 1, 3: 2})
         want = k(3, 1) * k(3, 2) * k(3, 3) * (k(3, 2) + k(3, 3) - 1)
-        assert tree_weight(t) == want
+        assert tree_weight(*on_labels(path(3))) == want
 
     def test_star_of_three(self):
-        t = IncreasingTree([1, 2, 3], {2: 1, 3: 1})
-        assert tree_weight(t) == k(3, 1) ** 2 * k(3, 2) * k(3, 3)
+        assert tree_weight(*on_labels(star(3))) == k(3, 1) ** 2 * k(3, 2) * k(3, 3)
 
     def test_nine_vertex_fixture(self):
-        t = IncreasingTree(
-            range(1, 10),
-            {2: 1, 3: 2, 4: 1, 5: 2, 6: 5, 7: 4, 8: 5, 9: 2},
-        )
+        # parents of labels 2..9: 1, 2, 1, 2, 5, 4, 5, 2
+        t = on_labels((0, 1, 0, 1, 4, 3, 4, 1))
         v = lambda i: k(9, i)
         want = (
             v(1) * (v(2) + v(3) + v(5) + v(6) + v(8) + v(9) - 5)
@@ -74,20 +78,19 @@ class TestTreeWeight:
             * v(5) * v(8)
             * v(2) * v(9)
         )
-        assert tree_weight(t) == want
+        assert tree_weight(*t) == want
 
     def test_every_weight_is_divisible_by_the_variable_product(self):
         for r in range(2, 6):
-            for t in enumerate_increasing(range(1, r + 1)):
-                w = tree_weight(t)
+            for pv in parent_vectors(r):
+                w = tree_weight(*on_labels(pv))
                 assert all(min(e) >= 1 for e in w.terms)
 
     def test_ambient_padding(self):
-        t = IncreasingTree([1, 2], {2: 1})
-        w = tree_weight(t, ambient=4)
+        w = tree_weight((1, 2), (0,), ambient=4)
         assert w.nvars == 4 and w == k(4, 1) * k(4, 2)
         with pytest.raises(ValueError):
-            tree_weight(t, ambient=1)
+            tree_weight((1, 2), (0,), ambient=1)
 
 
 class TestHookWeightSum:
@@ -133,7 +136,7 @@ class TestPendingSweep:
         ambient = labels[-1] + pad
         weight = top_weight if top_only else tree_weight
         want = MultiPoly.sum(
-            ambient, (weight(t, ambient) for t in enumerate_increasing(labels))
+            ambient, (weight(*t, ambient) for t in increasing_trees(labels))
         )
         got = hf._weight_sum(labels, ambient, top_only)
         assert MultiPoly._raw(ambient, got) == want
@@ -156,7 +159,7 @@ class TestPendingSweep:
         ambient = n + pad
         weight = top_weight if top_only else tree_weight
         want = MultiPoly.sum(
-            ambient, (weight(t, ambient) for t in enumerate_increasing(labels))
+            ambient, (weight(*t, ambient) for t in increasing_trees(labels))
         )
         got = hf._weight_sum(labels, ambient, top_only)
         assert MultiPoly._raw(ambient, got) == want
@@ -348,43 +351,36 @@ class TestBinaryShapes:
 
 class TestLinearExtensions:
     def test_examples(self):
-        single = IncreasingTree([1], {})
-        assert hf.linear_extension_check(single) == (1, 1)
-        path = IncreasingTree([1, 2, 3], {2: 1, 3: 2})
-        assert hf.linear_extension_check(path) == (1, 1)
-        fork = IncreasingTree([1, 2, 3], {2: 1, 3: 1})
-        assert hf.linear_extension_check(fork) == (2, 2)
+        assert hf.linear_extension_check(()) == (1, 1)
+        assert hf.linear_extension_check(path(3)) == (1, 1)
+        assert hf.linear_extension_check(star(3)) == (2, 2)
 
     def test_count_equals_hook_quotient(self):
         for r in range(1, 7):
-            for t in enumerate_increasing(range(1, r + 1)):
-                lext, quotient = hf.linear_extension_check(t)
-                sizes = subtree_totals([1] * r, _parent_positions(t))
+            for pv in parent_vectors(r):
+                lext, quotient = hf.linear_extension_check(pv)
+                sizes = subtree_totals([1] * r, pv)
                 assert lext == quotient
                 assert lext * prod(sizes) == factorial(r)
 
     def test_path_and_star_by_hand(self):
         # a path has one order; a star orders its n-1 leaves freely
-        path = IncreasingTree(range(1, 7), {v: v - 1 for v in range(2, 7)})
-        star = IncreasingTree(range(1, 7), {v: 1 for v in range(2, 7)})
-        assert hf.linear_extension_check(path) == (1, 1)
-        assert hf.linear_extension_check(star) == (120, 120)
+        assert hf.linear_extension_check(path(6)) == (1, 1)
+        assert hf.linear_extension_check(star(6)) == (120, 120)
 
     def test_count_matches_filtered_permutations(self):
         for r in range(1, 7):
-            for t in enumerate_increasing(range(1, r + 1)):
+            for pv in parent_vectors(r):
                 brute = 0
-                for order in permutations(t.labels):
+                for order in permutations(range(r)):
                     at = {v: i for i, v in enumerate(order)}
-                    brute += all(at[p] < at[v] for v, p in t.parent.items())
-                assert hf.linear_extension_check(t)[0] == brute
+                    brute += all(at[p] < at[j] for j, p in enumerate(pv, 1))
+                assert hf.linear_extension_check(pv)[0] == brute
 
     def test_ten_vertices_by_hand(self):
         # the count's cost follows the frontiers, not the size: 11 on the path
-        path = IncreasingTree(range(1, 11), {v: v - 1 for v in range(2, 11)})
-        star = IncreasingTree(range(1, 11), {v: 1 for v in range(2, 11)})
-        assert hf.linear_extension_check(path) == (1, 1)
-        assert hf.linear_extension_check(star) == (factorial(9), factorial(9))
+        assert hf.linear_extension_check(path(10)) == (1, 1)
+        assert hf.linear_extension_check(star(10)) == (factorial(9), factorial(9))
 
 
 class TestTopWeight:
@@ -392,23 +388,23 @@ class TestTopWeight:
     gives it under top_only, is the top homogeneous part of the weight."""
 
     @staticmethod
-    def top_only(t):
-        units = hf._label_keys(t.labels, len(t))
-        return MultiPoly._raw(len(t), hf._weight_terms(units, _parent_positions(t), True))
+    def top_only(pv):
+        r = len(pv) + 1
+        units = hf._label_keys(range(1, r + 1), r)
+        return MultiPoly._raw(r, hf._weight_terms(units, pv, True))
 
     def test_path_drops_only_the_constant(self):
-        t = IncreasingTree([1, 2, 3], {2: 1, 3: 2})
         want = k(3, 1) * k(3, 2) * k(3, 3) * (k(3, 2) + k(3, 3))
-        assert self.top_only(t) == top_weight(t) == want
+        assert self.top_only(path(3)) == top_weight(*on_labels(path(3))) == want
 
     def test_homogeneous_weight_is_unchanged(self):
-        t = IncreasingTree([1, 2, 3], {2: 1, 3: 1})
-        assert self.top_only(t) == top_weight(t) == tree_weight(t)
+        t = on_labels(star(3))
+        assert self.top_only(star(3)) == top_weight(*t) == tree_weight(*t)
 
     def test_agrees_with_top_homogeneous(self):
         for r in range(1, 6):
-            for t in enumerate_increasing(range(1, r + 1)):
-                assert self.top_only(t) == top_weight(t)
+            for pv in parent_vectors(r):
+                assert self.top_only(pv) == top_weight(*on_labels(pv))
 
     def test_a_kept_constant_fails_the_top_weight_checks(self, monkeypatch):
         # _linear_factor ignores top_only, in both bindings
@@ -467,8 +463,8 @@ class TestFibers:
         for r in range(1, 6):
             sums = hf.cayley_fiber_sums(r)
             assert set(sums) == set(parent_vectors(r))
-            for t in enumerate_increasing(range(1, r + 1)):
-                assert sums[_parent_positions(t)] == top_weight(t, r)
+            for pv in parent_vectors(r):
+                assert sums[pv] == top_weight(*on_labels(pv), r)
 
     def test_a_changed_mapping_does_not_reach_the_next_call(self):
         sums = hf.cayley_fiber_sums(4)
@@ -488,10 +484,9 @@ class TestFibers:
         assert (0, 0, 0) not in sums and (0, 2) not in sums
 
     def test_degree_monomials_only(self):
-        u = CayleyTree([1, 2, 3], [(1, 2), (2, 3)])
-        # the fiber polynomial of phi(u), the path 1-2-3, collects one
-        # monomial per preimage
-        poly = hf.cayley_fiber_sums(3)[_collapse(3, u.edges)]
+        # the fiber polynomial of phi(u) for the path u = 1-2-3, which
+        # phi fixes, collects one monomial per preimage
+        poly = hf.cayley_fiber_sums(3)[_collapse(3, [(1, 2), (2, 3)])]
         assert all(sum(e) == 2 * (3 - 1) for e in poly.terms)
         assert poly.coefficient((1, 2, 1)) == 1
 
@@ -503,5 +498,5 @@ class TestFibers:
         assert cli.main(["verify", "fibers", "--r", "5", "--json", "--out", str(out)]) == 1
         records = json.loads(out.read_text())["checks"]
         assert [(rec["check"], rec["params"]["r"]) for rec in records if not rec["equal"]] == [
-            (check, r) for r in range(2, 6) for check in ("fibers/degree-sum", "fibers/partition")
+            (check, r) for r in range(1, 6) for check in ("fibers/degree-sum", "fibers/partition")
         ]

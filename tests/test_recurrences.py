@@ -9,7 +9,7 @@ from pathlib import Path
 
 import oracles
 import pytest
-from oracles import split_at_second_min, tree_weight
+from oracles import increasing_trees, split_at_second_min, tree_weight
 from test_mutants import apply_mutant, failed_at_bound_6
 
 import hooklab.cli as cli
@@ -21,12 +21,7 @@ from hooklab.hookformula import (
     subset_closed_form,
 )
 from hooklab.multipoly import MultiPoly, falling_factorial
-from hooklab.trees import (
-    IncreasingTree,
-    _parent_positions,
-    enumerate_increasing,
-    parent_vectors,
-)
+from hooklab.trees import parent_vectors
 
 GOLDEN = Path(__file__).parent / "golden" / "verify_all.json"
 
@@ -120,19 +115,18 @@ class TestFiniteDifference:
 
 class TestGrafting:
     def test_edge_by_hand(self):
-        t = IncreasingTree([1, 2], {2: 1})
-        lhs, rhs = oracles.grafting_law_sides(t)
+        lhs, rhs = oracles.grafting_law_sides((1, 2), (0,))
         assert lhs == rhs == k(2, 1) * k(2, 2)
 
     def test_law_holds_for_every_tree(self):
         for r in range(2, 7):
-            for t in enumerate_increasing(range(1, r + 1)):
-                lhs, rhs = oracles.grafting_law_sides(t)
+            for pv in parent_vectors(r):
+                lhs, rhs = oracles.grafting_law_sides(labels_of(pv), pv)
                 assert lhs == rhs
 
     def test_single_vertex_cannot_split(self):
         with pytest.raises(ValueError):
-            oracles.grafting_law_sides(IncreasingTree([1], {}))
+            oracles.grafting_law_sides((1,), ())
 
     def test_split_three_by_hand(self):
         lhs, rhs = rc.grafting_split_sides(3)
@@ -146,9 +140,9 @@ class TestGrafting:
         assert all(v.equal for v in reports)
 
 
-def tree_of(pv):
-    """The increasing tree on {1..len(pv)+1} with parent vector pv."""
-    return IncreasingTree(range(1, len(pv) + 2), {j + 1: p + 1 for j, p in enumerate(pv, 1)})
+def labels_of(pv):
+    """The labels {1..len(pv)+1} of the tree with parent vector pv."""
+    return tuple(range(1, len(pv) + 2))
 
 
 def law_verdicts(r_max=6):
@@ -157,7 +151,7 @@ def law_verdicts(r_max=6):
     out = {}
     for r in range(2, r_max + 1):
         for pv in parent_vectors(r):
-            lhs, rhs = oracles.grafting_law_sides(tree_of(pv), r)
+            lhs, rhs = oracles.grafting_law_sides(labels_of(pv), pv, r)
             out[pv] = (rc.grafting_law_holds(pv), lhs == rhs)
     return out
 
@@ -168,9 +162,9 @@ def count_expansions(monkeypatch):
     calls = [0]
     real = oracles.grafting_law_sides
 
-    def counted(t, ambient=None):
+    def counted(labels, pv, ambient=None):
         calls[0] += 1
-        return real(t, ambient)
+        return real(labels, pv, ambient)
 
     monkeypatch.setattr(oracles, "grafting_law_sides", counted)
     return calls
@@ -183,10 +177,10 @@ class TestFactoredLaw:
     def test_the_split_is_split_at_second_min(self):
         for r in range(2, 7):
             for pv in parent_vectors(r):
-                halves = split_at_second_min(tree_of(pv))
-                for (at, sub_pv), tree in zip(rc._graft_split(pv), halves):
-                    assert tuple(p + 1 for p in at) == tree.labels
-                    assert sub_pv == _parent_positions(tree)
+                halves = split_at_second_min(labels_of(pv), pv)
+                for (at, sub_pv), (labels, want_pv) in zip(rc._graft_split(pv), halves):
+                    assert tuple(p + 1 for p in at) == labels
+                    assert sub_pv == want_pv
 
     def test_a_single_vertex_cannot_split(self):
         with pytest.raises(ValueError):
@@ -198,8 +192,9 @@ class TestFactoredLaw:
         ids=repr,
     )
     def test_a_malformed_parent_vector_is_refused(self, pv):
-        with pytest.raises(ValueError):
-            rc.grafting_law_holds(pv)
+        for check in (rc.grafting_law_holds, hf.linear_extension_check):
+            with pytest.raises(ValueError, match=r"parent vector entry \d+ must be an int"):
+                check(pv)
 
     def test_correct_code_decides_without_the_fallback(self, monkeypatch):
         # no polynomial is multiplied out: the factored forms decide
@@ -238,7 +233,7 @@ class TestFactoredLaw:
 
     def test_the_expanded_sides_alone_give_the_same_report(self, monkeypatch, tmp_path):
         def expanded(pv):
-            lhs, rhs = oracles.grafting_law_sides(tree_of(pv))
+            lhs, rhs = oracles.grafting_law_sides(labels_of(pv), pv)
             return lhs == rhs
 
         monkeypatch.setattr(rc, "grafting_law_holds", expanded)
@@ -269,7 +264,7 @@ class TestSubsetClosedForm:
     def test_matches_the_tree_sum_on_sublabels(self):
         for labels in combinations(range(1, 6), 3):
             total = MultiPoly.sum(
-                5, (tree_weight(t, 5) for t in enumerate_increasing(labels))
+                5, (tree_weight(*t, 5) for t in increasing_trees(labels))
             )
             assert subset_closed_form(labels, 5) == total
 

@@ -101,3 +101,30 @@ def test_every_function_and_class_in_src_is_reached_from_main():
         if not isinstance(node, ast.Assign) and (module, name) not in seen
     )
     assert unreached == []
+
+
+def test_no_src_module_imports_a_name_it_never_reads():
+    """An import that no line reads and __all__ does not export is left
+    over from code that went."""
+    unread = []
+    for path in sorted((ROOT / "src" / "hooklab").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name.partition(".")[0], node.lineno) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update((a.asname or a.name, node.lineno) for a in node.names)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported.update(ast.literal_eval(node.value))
+        unread += [
+            f"{path.name}:{line} {name}"
+            for name, line in imported.items()
+            if name not in read and name not in exported
+        ]
+    assert unread == []

@@ -16,41 +16,53 @@ from hooklab.kerov import partitions_of
 from hooklab.multipoly import MonomialTable, MultiPoly, falling_factorial
 from hooklab.recurrences import lagrange_series_oracle, root_degree_sides
 from hooklab.trees import (
-    BinaryTree,
-    CayleyTree,
-    IncreasingTree,
     _collapse,
-    _parent_positions,
     automorphisms,
     binary_to_dot,
     binary_to_json_dict,
     cayley_count,
     cayley_edge_lists,
+    cayley_to_json_dict,
     enumerate_binary,
-    enumerate_cayley,
-    enumerate_increasing,
     increasing_count,
+    increasing_to_dot,
+    increasing_to_json_dict,
+    parent_vectors,
     prufer_edges,
     rooted_shapes,
     subtree_totals,
 )
 
+LEAF = (None, None)
+
 
 def path_tree(r):
-    return IncreasingTree(range(1, r + 1), {v: v - 1 for v in range(2, r + 1)})
+    """Parent vector of the path 1 - 2 - ... - r."""
+    return tuple(range(r - 1))
 
 
 def star_tree(r):
-    return IncreasingTree(range(1, r + 1), {v: 1 for v in range(2, r + 1)})
+    """Parent vector of the star with every label under 1."""
+    return (0,) * (r - 1)
 
 
-def collapse_by_definition(u):
-    """Parent vector of the collapse of u, straight from its definition:
-    remove the minimum vertex, hang the minimum of each remaining
-    component under it, and do the same inside each component."""
+def labels_of(pv):
+    return tuple(range(1, len(pv) + 2))
+
+
+def normal(edges):
+    """An edge list as a tree: the set of its edges, ends sorted."""
+    return frozenset(tuple(sorted(e)) for e in edges)
+
+
+def collapse_by_definition(r, edges):
+    """Parent vector of the collapse of the tree on {1..r} with the given
+    edges, straight from its definition: remove the minimum vertex, hang
+    the minimum of each remaining component under it, and do the same
+    inside each component."""
     parent = {}
-    neighbors = {v: set() for v in u.vertices}
-    for a, b in u.edges:
+    neighbors = {v: set() for v in range(1, r + 1)}
+    for a, b in edges:
         neighbors[a].add(b)
         neighbors[b].add(a)
 
@@ -67,52 +79,35 @@ def collapse_by_definition(u):
             hang(seen)
             rest -= seen
 
-    hang(set(u.vertices))
-    return tuple(parent[v] - 1 for v in u.vertices[1:])
+    hang(set(range(1, r + 1)))
+    return tuple(parent[v] - 1 for v in range(2, r + 1))
 
 
 class TestIncreasing:
     def test_counts_match_enumeration(self):
         for r in range(1, 8):
-            family = set(enumerate_increasing(range(1, r + 1)))
+            family = set(parent_vectors(r))
             assert len(family) == increasing_count(r) == factorial(r - 1)
 
     def test_every_tree_is_increasing(self):
-        for t in enumerate_increasing(range(1, 6)):
-            for v, p in t.parent.items():
-                assert p < v
+        for pv in parent_vectors(5):
+            for j, p in enumerate(pv, 1):
+                assert 0 <= p < j
 
     def test_enumeration_order_is_stable(self):
-        first, second = list(enumerate_increasing([1, 2, 3]))
-        assert first.parent == {2: 1, 3: 1}
-        assert second.parent == {2: 1, 3: 2}
-
-    def test_arbitrary_label_sets(self):
-        ts = list(enumerate_increasing([2, 5, 9]))
-        assert len(ts) == 2
-        assert all(t.root == 2 for t in ts)
-
-    def test_constructor_rejects_bad_parent_maps(self):
-        with pytest.raises(ValueError):
-            IncreasingTree([1, 2, 3], {2: 1})
-        with pytest.raises(ValueError):
-            IncreasingTree([1, 2, 3], {2: 1, 3: 4})
-        with pytest.raises(ValueError):
-            IncreasingTree([1, 2, 3], {2: 3, 3: 1})
-        for parent in (True, 1.0):
-            with pytest.raises(ValueError, match="not a vertex"):
-                IncreasingTree([1, 2], {2: parent})
+        first, second = list(parent_vectors(3))
+        assert increasing_to_json_dict(first)["parent"] == {"2": 1, "3": 1}
+        assert increasing_to_json_dict(second)["parent"] == {"2": 1, "3": 2}
 
     def test_json_round_trip(self):
         # the record `enumerate increasing` writes determines its tree
-        for t in enumerate_increasing(range(1, 5)):
-            data = t.to_json_dict()
-            parent = {int(v): p for v, p in data["parent"].items()}
-            assert IncreasingTree(data["labels"], parent) == t
+        for pv in parent_vectors(4):
+            data = increasing_to_json_dict(pv)
+            assert data["labels"] == [1, 2, 3, 4]
+            assert tuple(data["parent"][str(v)] - 1 for v in data["labels"][1:]) == pv
 
     def test_dot_golden(self):
-        t = star_tree(3)
-        assert t.to_dot() == (
+        assert increasing_to_dot(star_tree(3)) == (
             "digraph increasing_tree {\n"
             "  ordering=out;\n"
             "  1;\n  2;\n  3;\n"
@@ -120,14 +115,15 @@ class TestIncreasing:
         )
 
 
-def shape_string(t):
-    """Canonical form of t's unordered shape, built from the parent map alone."""
-    kids = {v: [c for c, p in t.parent.items() if p == v] for v in t.labels}
+def shape_string(pv):
+    """Canonical form of the unordered shape with parent vector pv, by
+    recursion on each vertex's children."""
+    kids = [[c for c, p in enumerate(pv, 1) if p == v] for v in range(len(pv) + 1)]
 
     def walk(v):
         return "(" + "".join(sorted(walk(c) for c in kids[v])) + ")"
 
-    return walk(t.root)
+    return walk(0)
 
 
 def key_string(key):
@@ -146,17 +142,14 @@ class TestShapes:
 
     def test_classes_match_an_independent_grouping(self):
         for n in range(1, 7):
-            trees = list(enumerate_increasing(range(1, n + 1)))
-            want = Counter(shape_string(t) for t in trees)
+            trees = list(parent_vectors(n))
+            want = Counter(shape_string(pv) for pv in trees)
             classes = shape_classes(n)
             assert {key_string(k): mult for k, (_, mult) in classes.items()} == want
             for key, (pv, _) in classes.items():
-                rep = IncreasingTree(
-                    range(1, n + 1), {j + 1: p + 1 for j, p in enumerate(pv, 1)}
-                )
-                assert shape_string(rep) == key_string(key)
+                assert shape_string(pv) == key_string(key)
                 # the representative is the first tree of its shape
-                assert next(t for t in trees if shape_string(t) == key_string(key)) == rep
+                assert next(t for t in trees if shape_string(t) == key_string(key)) == pv
 
     def test_automorphisms_of_path_and_star(self):
         for n in range(1, 9):
@@ -190,93 +183,88 @@ class TestShapes:
             classes = shape_classes(n)
             assert sorted(key for key, _ in shapes) == sorted(classes)
             for key, pv in shapes:
-                rep = IncreasingTree(
-                    range(1, n + 1), {j + 1: p + 1 for j, p in enumerate(pv, 1)}
-                )
-                assert shape_string(rep) == key_string(key)
-                lext, _ = linear_extension_check(rep)
+                assert shape_string(pv) == key_string(key)
+                lext, _ = linear_extension_check(pv)
                 assert lext == automorphisms(key) * classes[key][1]
 
 
-def hook_sets(t):
+def hook_sets(pv):
     """The label set of each vertex's subtree, by subtree_totals."""
-    found = subtree_totals([(v,) for v in t.labels], _parent_positions(t))
-    return {v: frozenset(h) for v, h in zip(t.labels, found)}
+    labels = labels_of(pv)
+    found = subtree_totals([(v,) for v in labels], pv)
+    return {v: frozenset(h) for v, h in zip(labels, found)}
 
 
 class TestHooks:
     def test_path_and_star(self):
-        pv = _parent_positions(path_tree(3))
-        assert subtree_totals([1, 1, 1], pv) == [3, 2, 1]
+        assert subtree_totals([1, 1, 1], path_tree(3)) == [3, 2, 1]
         assert hook_sets(path_tree(3))[2] == frozenset({2, 3})
-        assert subtree_totals([1] * 4, _parent_positions(star_tree(4))) == [4, 1, 1, 1]
+        assert subtree_totals([1] * 4, star_tree(4)) == [4, 1, 1, 1]
 
     def test_hook_contains_vertex_and_nests(self):
-        for t in enumerate_increasing(range(1, 6)):
-            sets = hook_sets(t)
-            sizes = subtree_totals([1] * len(t), _parent_positions(t))
-            for v, size in zip(t.labels, sizes):
+        for pv in parent_vectors(5):
+            sets = hook_sets(pv)
+            sizes = subtree_totals([1] * 5, pv)
+            for v, size in zip(labels_of(pv), sizes):
                 assert v in sets[v]
                 assert size == len(sets[v])
-            for v, p in t.parent.items():
-                assert sets[v] < sets[p]
+            for j, p in enumerate(pv, 1):
+                assert sets[j + 1] < sets[p + 1]
 
 
 class TestGrafting:
     def test_split_example(self):
-        host, shoot = split_at_second_min(star_tree(3))
-        assert host.labels == (1, 3) and shoot.labels == (2,)
+        (host, _), (shoot, _) = split_at_second_min((1, 2, 3), star_tree(3))
+        assert host == (1, 3) and shoot == (2,)
 
     def test_split_then_graft_restores(self):
         for r in range(2, 7):
-            for t in enumerate_increasing(range(1, r + 1)):
-                host, shoot = split_at_second_min(t)
-                assert shoot.root == 2
-                parent = {**host.parent, **shoot.parent, shoot.root: host.root}
-                assert IncreasingTree(host.labels + shoot.labels, parent) == t
+            for pv in parent_vectors(r):
+                parts = split_at_second_min(labels_of(pv), pv)
+                (host, _), (shoot, _) = parts
+                assert shoot[0] == 2
+                parent = {shoot[0]: host[0]}
+                for labels, sub_pv in parts:
+                    parent.update((labels[j], labels[p]) for j, p in enumerate(sub_pv, 1))
+                assert tuple(parent[v] - 1 for v in range(2, r + 1)) == pv
 
     def test_single_vertex_cannot_split(self):
         with pytest.raises(ValueError):
-            split_at_second_min(IncreasingTree([1], {}))
+            split_at_second_min((1,), ())
 
 
 class TestCayley:
     def test_counts_match_enumeration(self):
         for r in range(1, 7):
-            family = set(enumerate_cayley(r))
+            family = set(map(normal, cayley_edge_lists(r)))
             expected = 1 if r <= 2 else r ** (r - 2)
             assert len(family) == cayley_count(r) == expected
 
     def test_prufer_round_trip(self):
         for r in range(3, 7):
-            for u in enumerate_cayley(r):
-                code = prufer_encode(u)
+            for edges in cayley_edge_lists(r):
+                code = prufer_encode(edges)
                 assert len(code) == r - 2
-                assert CayleyTree(range(1, r + 1), prufer_edges(code)) == u
+                assert normal(prufer_edges(code)) == normal(edges)
 
     def test_prufer_examples(self):
-        star = CayleyTree([1, 2, 3, 4], [(1, 2), (1, 3), (1, 4)])
-        assert prufer_encode(star) == (1, 1)
-        path = CayleyTree([1, 2, 3], [(1, 2), (2, 3)])
-        assert prufer_encode(path) == (2,)
+        assert prufer_encode([(1, 2), (1, 3), (1, 4)]) == (1, 1)
+        assert prufer_encode([(1, 2), (2, 3)]) == (2,)
 
     def test_enumeration_follows_code_order(self):
         for r in range(2, 7):
-            codes = [prufer_encode(u) for u in enumerate_cayley(r)]
+            codes = [prufer_encode(edges) for edges in cayley_edge_lists(r)]
             assert codes == list(itertools.product(range(1, r + 1), repeat=r - 2))
-        assert list(enumerate_cayley(1)) == [CayleyTree([1], [])]
+        assert list(cayley_edge_lists(1)) == [[]]
         with pytest.raises(ValueError):
-            next(enumerate_cayley(0))
+            cayley_edge_lists(0)
 
     def test_edge_lists_are_the_enumerated_trees(self):
         for r in range(2, 7):
             codes = itertools.product(range(1, r + 1), repeat=r - 2)
-            lists = list(tr.cayley_edge_lists(r))
+            lists = list(cayley_edge_lists(r))
             assert lists == [prufer_edges(code) for code in codes]
-            normalized = [sorted(tuple(sorted(e)) for e in edges) for edges in lists]
-            assert normalized == [list(u.edges) for u in enumerate_cayley(r)]
-        with pytest.raises(ValueError):
-            tr.cayley_edge_lists(1)
+            assert all(len(edges) == r - 1 for edges in lists)
 
     def test_a_repeated_edge_is_refused(self, monkeypatch):
         # a heap whose first pop leaves the leaf in place: for (1, 1) the
@@ -299,21 +287,13 @@ class TestCayley:
             with pytest.raises(ValueError, match="ints in 1..3"):
                 prufer_edges([entry])
 
-    def test_constructor_validation(self):
-        with pytest.raises(ValueError):
-            CayleyTree([1, 2, 3], [(1, 2)])
-        with pytest.raises(ValueError):
-            CayleyTree([1, 2, 3, 4], [(1, 2), (3, 4), (1, 2)])
-        with pytest.raises(ValueError):
-            CayleyTree([1, 2], [(1, 1)])
-        for end in (True, 1.0):
-            with pytest.raises(ValueError, match="bad edge"):
-                CayleyTree([1, 2], [(end, 2)])
-
     def test_json_round_trip(self):
-        for u in enumerate_cayley(4):
-            data = u.to_json_dict()
-            assert CayleyTree(range(1, data["r"] + 1), data["edges"]) == u
+        for edges in cayley_edge_lists(4):
+            data = cayley_to_json_dict(edges)
+            assert data["r"] == 4 and normal(data["edges"]) == normal(edges)
+            # each edge low end first, the edges sorted
+            assert data["edges"] == sorted(sorted(e) for e in edges)
+        assert cayley_to_json_dict([]) == {"r": 1, "edges": []}
 
 
 class TestCollapse:
@@ -336,16 +316,15 @@ class TestCollapse:
     def test_each_edge_list_collapses_as_its_tree_does(self):
         for r in range(2, 7):
             for edges in cayley_edge_lists(r):
-                u = CayleyTree(range(1, r + 1), edges)
                 pv = _collapse(r, edges)
-                assert pv == _collapse(r, u.edges)
-                assert pv == collapse_by_definition(u)
+                assert pv == _collapse(r, sorted(normal(edges)))
+                assert pv == collapse_by_definition(r, edges)
 
     def test_surjective_with_fibers_partitioning(self):
         for r in range(1, 6):
             fibers = {}
-            for u in enumerate_cayley(r):
-                fibers.setdefault(_collapse(r, u.edges), []).append(u)
+            for edges in cayley_edge_lists(r):
+                fibers.setdefault(_collapse(r, edges), []).append(edges)
             assert set(fibers) == set(tr.parent_vectors(r))
             assert sum(len(v) for v in fibers.values()) == cayley_count(r)
 
@@ -362,33 +341,28 @@ class TestBinary:
         assert binary_to_json_dict(None) is None
 
     def test_order_by_left_size(self):
-        sizes = [t.left.size if t.left else 0 for t in enumerate_binary(3)]
+        sizes = [len(subtree_sizes(left)) for left, _ in enumerate_binary(3)]
         assert sizes == sorted(sizes)
 
     def test_subtree_sizes(self):
-        t = BinaryTree(BinaryTree(), BinaryTree(None, BinaryTree()))
-        assert t.size == 4
+        t = (LEAF, (None, LEAF))
+        assert subtree_sizes(t)[0] == 4
         assert sorted(subtree_sizes(t)) == [1, 1, 2, 4]
 
     def test_json_round_trip(self):
         def build(data):
             if data is None:
                 return None
-            return BinaryTree(build(data["left"]), build(data["right"]))
+            return build(data["left"]), build(data["right"])
 
         for t in enumerate_binary(4):
             assert build(binary_to_json_dict(t)) == t
 
     def test_dot_golden(self):
-        t = BinaryTree(BinaryTree(), None)
-        assert binary_to_dot(t) == (
+        assert binary_to_dot((LEAF, None)) == (
             'digraph binary_tree {\n  n0;\n  n1;\n  n0 -> n1 [label="L"];\n}'
         )
         assert binary_to_dot(None) == "digraph binary_tree {\n}"
-
-    def test_rejects_non_tree_children(self):
-        with pytest.raises(TypeError):
-            BinaryTree("leaf", None)
 
 
 SIZED = {
@@ -399,7 +373,7 @@ SIZED = {
     "falling_factorial": lambda n: falling_factorial(MultiPoly.variable(1, 0), n),
     "rooted_shapes": lambda n: list(rooted_shapes(n)),
     "shape_classes": shape_classes,
-    "enumerate_cayley": lambda n: list(enumerate_cayley(n)),
+    "cayley_edge_lists": lambda n: list(cayley_edge_lists(n)),
     "parent_vectors": tr.parent_vectors,
     "enumerate_binary": enumerate_binary,
     "binary_reciprocal_hook_sum": hf.binary_reciprocal_hook_sum,
