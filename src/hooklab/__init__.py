@@ -21,7 +21,6 @@ from hooklab.hookformula import (
     uniform_chain_sides,
 )
 from hooklab.kerov import (
-    IntPartition,
     bedard_goupil,
     binomial_simplification_check,
     block_cycle_permutation,
@@ -83,7 +82,6 @@ __all__ = [
     "set_partitions",
     "subset_closed_form",
     # factorization counts
-    "IntPartition",
     "partitions_of",
     "block_cycle_permutation",
     "count_factorizations",

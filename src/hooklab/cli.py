@@ -249,23 +249,23 @@ def _kerov(sizes: range, trace: bool):
         rows = []
         for mu in kv.partitions_of(n):
             count = kv.count_factorizations(mu)
-            j = mu.cycle_index
+            j = kv.cycle_index(mu)
             bg_sum = sum(
                 kv.bedard_goupil(lam, mu)
                 for lam in kv.partitions_of(n)
-                if lam.length == j - 1
+                if len(lam) == j - 1
             )
             signed = kv.signed_factorization_count(mu)
             closed = kv.factorization_count_closed_form(mu)
             ok = count == bg_sum == closed == abs(signed)
             ok = ok and kv.binomial_simplification_check(mu)
             tree_sum = None
-            if mu.length <= kv.TREE_BRIDGE_BOUND:
+            if len(mu) <= kv.TREE_BRIDGE_BOUND:
                 tree_sum = kv.tree_sum_at(mu)
                 ok = ok and tree_sum == count and kv.closed_rhs_at(mu) == count
             rows.append(
                 {
-                    "mu": list(mu.parts),
+                    "mu": list(mu),
                     "j": j,
                     "count": count,
                     "bg_sum": bg_sum,

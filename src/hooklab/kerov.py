@@ -1,13 +1,15 @@
 """Factorization counts in the symmetric group and their closed forms.
 
-Fix a partition mu of n and the canonical permutation sigma_mu whose
-cycles are the consecutive blocks (1..mu_1)(mu_1+1..mu_1+mu_2)...  The
-objects counted here are the pairs (s1, s2) with s1*s2 = sigma_mu, s2 a
-single n-cycle, and s1 having exactly j-1 cycles, where j = n - l(mu) + 2
-and l is the number of parts.  The cycle count of s1 = sigma * s2^(-1)
-is the genus statistic of unicellular maps (Goupil and Schaeffer,
-1998): c(s1) + c(s2) + c(sigma) <= n + 2, so the j-1 = n-l+1 cycles
-asked for are the most s1 can have, the genus-0 factorizations.
+A partition mu of n is a nonempty weakly decreasing tuple of positive
+ints, and a permutation of 0..n-1 is the tuple of its images.  Fix mu
+and the canonical permutation sigma_mu whose cycles are the consecutive
+blocks (0..mu_1-1)(mu_1..mu_1+mu_2-1)...  The objects counted here are
+the pairs (s1, s2) with s1*s2 = sigma_mu, s2 a single n-cycle, and s1
+having exactly j-1 cycles, where j = n - l(mu) + 2 and l is the number
+of parts.  The cycle count of s1 = sigma * s2^(-1) is the genus
+statistic of unicellular maps (Goupil and Schaeffer, 1998):
+c(s1) + c(s2) + c(sigma) <= n + 2, so the j-1 = n-l+1 cycles asked for
+are the most s1 can have, the genus-0 factorizations.
 
 The count is a pruned depth-first walk over the long cycles s2, built
 as visiting orders one position at a time: each position fixes one arc
@@ -30,25 +32,27 @@ tie the count to the tree weight sum: the expanded sum over trees and
 its closed form, each evaluated at k_i = mu_i, must reproduce it for
 partitions of at most TREE_BRIDGE_BOUND parts.
 
-Check functions compare and return; they never assert.
+Check functions compare and return; they never assert.  Every function
+that takes a partition refuses any other value, before any work.
 """
 
 from __future__ import annotations
 
-from math import comb, factorial
-from typing import Iterable, Iterator, Mapping, Sequence
+from collections import Counter
+from math import comb, factorial, prod
+from typing import Iterator, Sequence
 
 from hooklab.hookformula import hook_weight_closed_form, hook_weight_sum
 from hooklab.multipoly import MultiPoly
-from hooklab.trees import _check_int
+from hooklab.trees import _check_int, _is_int
 
 __all__ = [
-    "IntPartition",
     "bedard_goupil",
     "binomial_simplification_check",
     "block_cycle_permutation",
     "closed_rhs_at",
     "count_factorizations",
+    "cycle_index",
     "factorization_count_closed_form",
     "partitions_of",
     "signed_factorization_count",
@@ -58,62 +62,18 @@ __all__ = [
 TREE_BRIDGE_BOUND = 7
 
 
-class IntPartition:
-    """Weakly decreasing tuple of positive parts."""
-
-    __slots__ = ("_parts",)
-
-    def __init__(self, parts: Iterable[int]):
-        parts = tuple(sorted(parts, reverse=True))
-        for p in parts:
-            if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-                raise ValueError(f"parts must be positive ints, got {p!r}")
-        self._parts = parts
-
-    @property
-    def parts(self) -> tuple:
-        return self._parts
-
-    @property
-    def size(self) -> int:
-        return sum(self._parts)
-
-    @property
-    def length(self) -> int:
-        return len(self._parts)
-
-    @property
-    def cycle_index(self) -> int:
-        """The shared index j = size - length + 2 of the counting formulas.
-
-        j - 1 is the required cycle count of the first factor in the
-        pairs being counted, and j - 2 the lower index of the binomial
-        the per-type sum collapses to.
-        """
-        return self.size - self.length + 2
-
-    def multiplicities(self) -> Mapping[int, int]:
-        out: dict = {}
-        for p in self._parts:
-            out[p] = out.get(p, 0) + 1
-        return out
-
-    def __iter__(self):
-        return iter(self._parts)
-
-    def __len__(self) -> int:
-        return len(self._parts)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IntPartition):
-            return NotImplemented
-        return self._parts == other._parts
-
-    def __hash__(self) -> int:
-        return hash(self._parts)
-
-    def __repr__(self) -> str:
-        return f"IntPartition({self._parts!r})"
+def _check_partition(mu) -> None:
+    """Refuse anything but a nonempty weakly decreasing tuple of
+    positive ints; a bool is not an int here."""
+    if not (
+        isinstance(mu, tuple)
+        and mu
+        and all(_is_int(p) and p >= 1 for p in mu)
+        and all(a >= b for a, b in zip(mu, mu[1:]))
+    ):
+        raise ValueError(
+            f"a partition is a nonempty weakly decreasing tuple of positive ints, got {mu!r}"
+        )
 
 
 def _partition_tuples(n: int, cap: int) -> Iterator[tuple]:
@@ -125,46 +85,45 @@ def _partition_tuples(n: int, cap: int) -> Iterator[tuple]:
             yield (first,) + rest
 
 
-def partitions_of(n: int) -> Iterator[IntPartition]:
+def partitions_of(n: int) -> Iterator[tuple]:
     """Partitions of n in reverse lexicographic order: (n) first, (1,..,1) last."""
     _check_int(n, 0)
-    for parts in _partition_tuples(n, n):
-        yield IntPartition(parts)
+    return _partition_tuples(n, n)
 
 
-def block_cycle_permutation(mu: IntPartition) -> tuple:
-    """The images of 1, 2, ..., n under the permutation whose cycles are
-    consecutive blocks of sizes mu_1, mu_2, ...
+def cycle_index(mu: tuple) -> int:
+    """The shared index j = |mu| - l(mu) + 2 of the counting formulas.
 
-    The first cycle visits 1..mu_1 in order, the next mu_1+1..mu_1+mu_2,
-    and so on; it is the canonical representative of its conjugacy
-    class, which is all the counting below depends on.
+    j - 1 is the required cycle count of the first factor in the pairs
+    being counted, and j - 2 the lower index of the binomial the
+    per-type sum collapses to.
     """
-    if mu.length == 0:
-        raise ValueError("need a partition of at least 1")
+    _check_partition(mu)
+    return sum(mu) - len(mu) + 2
+
+
+def block_cycle_permutation(mu: tuple) -> tuple:
+    """The images of 0, 1, ..., n-1 under the permutation whose cycles
+    are consecutive blocks of sizes mu_1, mu_2, ...
+
+    The first cycle visits 0..mu_1-1 in order, the next
+    mu_1..mu_1+mu_2-1, and so on; it is the canonical representative of
+    its conjugacy class, which is all the counting below depends on.
+    """
+    _check_partition(mu)
     images = []
-    start = 1
-    for p in mu.parts:
-        block = list(range(start + 1, start + p)) + [start]
-        images.extend(block)
+    start = 0
+    for p in mu:
+        images.extend(range(start + 1, start + p))
+        images.append(start)
         start += p
     return tuple(images)
-
-
-def _check_size(n: int) -> None:
-    """Refuse the empty partition, before any long cycle is built."""
-    if n < 1:
-        raise ValueError("factorizations need a partition of size at least 1, got the empty one")
 
 
 def _check_coverage(visited: int, n: int) -> None:
     expected = factorial(n - 1)
     if visited != expected:
         raise RuntimeError(f"the sweep covered {visited} long cycles, expected {expected}")
-
-
-def _block_images(mu: IntPartition) -> tuple:
-    return tuple(x - 1 for x in block_cycle_permutation(mu))
 
 
 def _residual(
@@ -268,22 +227,22 @@ def _walk(sigma: Sequence[int], target: int) -> tuple:
     return place(0, 0, 0)
 
 
-def count_factorizations(mu: IntPartition) -> int:
+def count_factorizations(mu: tuple) -> int:
     """Pairs (s1, s2) with s1*s2 the block permutation of mu, s2 an n-cycle,
     and s1 having exactly j-1 cycles.
 
     The walk accounts for every long cycle s2, (n-1)! of them, solving
     each residual subproblem once, and raises RuntimeError unless it
     accounted for exactly that many.  Its work grows far more slowly
-    than (n-1)!, so only the empty partition is refused.
+    than (n-1)!, so every size is taken.
     """
-    _check_size(mu.size)
-    hits, covered = _walk(_block_images(mu), mu.cycle_index - 1)
-    _check_coverage(covered, mu.size)
+    _check_partition(mu)
+    hits, covered = _walk(block_cycle_permutation(mu), cycle_index(mu) - 1)
+    _check_coverage(covered, sum(mu))
     return hits
 
 
-def bedard_goupil(lam: IntPartition, mu: IntPartition) -> int:
+def bedard_goupil(lam: tuple, mu: tuple) -> int:
     """Count of the pairs whose first factor has cycle type lam.
 
     Valid when |lam| = |mu| and lam has exactly j-1 parts; the value is
@@ -292,86 +251,75 @@ def bedard_goupil(lam: IntPartition, mu: IntPartition) -> int:
 
     and is always a non-negative integer there.
     """
-    if lam.size != mu.size:
+    _check_partition(lam)
+    j = cycle_index(mu)
+    if sum(lam) != sum(mu):
         raise ValueError("cycle type must have the same size as the partition")
-    j = mu.cycle_index
-    if lam.length != j - 1:
-        raise ValueError(
-            f"cycle type needs exactly {j - 1} parts, got {lam.length}"
-        )
-    num = factorial(mu.length - 1) * factorial(j - 2)
-    for p in mu.parts:
-        num *= p
-    den = 1
-    for m in lam.multiplicities().values():
-        den *= factorial(m)
-    value, rem = divmod(num, den)
+    if len(lam) != j - 1:
+        raise ValueError(f"cycle type needs exactly {j - 1} parts, got {len(lam)}")
+    num = factorial(len(mu) - 1) * factorial(j - 2) * prod(mu)
+    value, rem = divmod(num, prod(factorial(m) for m in Counter(lam).values()))
     if rem:
         raise ArithmeticError(f"count for {lam!r}, {mu!r} is not an integer")
     return value
 
 
-def binomial_simplification_check(mu: IntPartition) -> bool:
+def binomial_simplification_check(mu: tuple) -> bool:
     """Sum over admissible types of the arrangement count against a binomial.
 
     Each lam with |lam| = |mu| and j-1 parts contributes the number of
     orderings of its parts, (j-1)!/prod m_i(lam)!; the total over lam
     is the number of compositions being counted, C(|mu|-1, j-2).
     """
-    n = mu.size
-    j = mu.cycle_index
+    j = cycle_index(mu)
+    n = sum(mu)
     total = 0
     for lam in partitions_of(n):
-        if lam.length != j - 1:
-            continue
-        arrangements = factorial(j - 1)
-        for m in lam.multiplicities().values():
-            arrangements //= factorial(m)
-        total += arrangements
+        if len(lam) == j - 1:
+            total += factorial(j - 1) // prod(factorial(m) for m in Counter(lam).values())
     return total == comb(n - 1, j - 2)
 
 
-def factorization_count_closed_form(mu: IntPartition) -> int:
+def factorization_count_closed_form(mu: tuple) -> int:
     """The all-types total in closed form: prod(mu_i) (n-1)!/(n-l+1)!."""
-    n = mu.size
-    num = factorial(n - 1)
-    for p in mu.parts:
-        num *= p
-    value, rem = divmod(num, factorial(n - mu.length + 1))
+    _check_partition(mu)
+    n = sum(mu)
+    value, rem = divmod(factorial(n - 1) * prod(mu), factorial(n - len(mu) + 1))
     if rem:
         raise ArithmeticError(f"closed form for {mu!r} is not an integer")
     return value
 
 
-def signed_factorization_count(mu: IntPartition) -> int:
+def signed_factorization_count(mu: tuple) -> int:
     """The closed-form count carrying the sign (-1)^(l(mu)-1).
 
     This signed value is the top-degree coefficient of the character
     polynomial attached to mu; it is certified here purely through the
     factorization count, with no character machinery.
     """
-    sign = -1 if mu.length % 2 == 0 else 1
-    return sign * factorization_count_closed_form(mu)
+    value = factorization_count_closed_form(mu)
+    return -value if len(mu) % 2 == 0 else value
 
 
-def closed_rhs_at(mu: IntPartition) -> int:
+def closed_rhs_at(mu: tuple) -> int:
     """Closed form of the hook weight identity, evaluated at k_i = mu_i.
 
     The expanded polynomial in l(mu) variables is evaluated, so this
     goes through the same object the symbolic checks compare against
     rather than re-deriving the product.
     """
+    _check_partition(mu)
     at_mu = [MultiPoly.const(0, p) for p in mu]
-    return hook_weight_closed_form(mu.length).substitute(at_mu, 0).coefficient(())
+    return hook_weight_closed_form(len(mu)).substitute(at_mu, 0).coefficient(())
 
 
-def tree_sum_at(mu: IntPartition) -> int:
+def tree_sum_at(mu: tuple) -> int:
     """Hook weight sum over increasing trees on {1..l(mu)}, at k_i = mu_i.
 
     The expanded sum over the (l(mu)-1)! trees is evaluated; that sum
     is the expensive side, hence TREE_BRIDGE_BOUND on the lengths its
     callers pass.
     """
+    _check_partition(mu)
     at_mu = [MultiPoly.const(0, p) for p in mu]
-    return hook_weight_sum(mu.length).substitute(at_mu, 0).coefficient(())
-
+    return hook_weight_sum(len(mu)).substitute(at_mu, 0).coefficient(())

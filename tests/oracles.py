@@ -5,7 +5,8 @@ answer the slow, direct way.  Trees come in the encodings of
 hooklab.trees: an increasing tree as (labels, pv), its sorted labels
 and its parent-position vector; a binary shape as nested (left, right)
 tuples with None for the empty shape; a labelled tree on {1..r} as an
-edge list.
+edge list.  A partition comes as in hooklab.kerov, a weakly decreasing
+tuple of positive ints, and a permutation of 0..n-1 as its images.
 
 * increasing_trees(labels) lists the (labels, pv) of the trees on any
   label set, for the references below.
@@ -23,9 +24,11 @@ edge list.
   sums of binary_hook_sum and binary_reciprocal_hook_sum shape by shape.
 * prufer_encode(edges) reads off a tree's Pruefer sequence: it checks
   prufer_edges and the order of cayley_edge_lists.
-* factorization_counts_by_type builds every long cycle: it checks the
-  pruned walk of kerov.count_factorizations and, type by type,
-  kerov.bedard_goupil.  Sizes past FACTORIZATION_BOUND are refused.
+* factorization_counts_by_type(mu) builds every long cycle and keys
+  the count of each cycle type of the first factor by its partition
+  tuple: it checks the pruned walk of kerov.count_factorizations and,
+  type by type, kerov.bedard_goupil.  Sizes past FACTORIZATION_BOUND
+  are refused.
 """
 
 import itertools
@@ -183,9 +186,9 @@ def _inverse_long_cycles(n: int) -> Iterator:
         yield operator.itemgetter(*inv) if n > 1 else tuple
 
 
-def factorization_counts_by_type(mu: kv.IntPartition) -> Mapping:
+def factorization_counts_by_type(mu: tuple) -> Mapping:
     """All pairs (s1, s2) with s1*s2 = sigma and s2 an n-cycle, grouped
-    by the cycle type of s1.
+    by the cycle type of s1, a partition tuple.
 
     No cycle-count filter: the full distribution comes back, so the
     per-type closed formula can be checked type by type and the
@@ -193,13 +196,14 @@ def factorization_counts_by_type(mu: kv.IntPartition) -> Mapping:
     Every long cycle is built in full, so sizes past FACTORIZATION_BOUND
     are refused before the first.
     """
-    kv._check_size(mu.size)
-    if mu.size > FACTORIZATION_BOUND:
+    kv._check_partition(mu)
+    n = sum(mu)
+    if n > FACTORIZATION_BOUND:
         raise ValueError(f"long-cycle enumeration is capped at size {FACTORIZATION_BOUND}")
-    sigma = kv._block_images(mu)
+    sigma = kv.block_cycle_permutation(mu)
     out: dict = {}
-    for compose in _inverse_long_cycles(mu.size):
-        key = kv.IntPartition(_cycle_sizes(compose(sigma)))
+    for compose in _inverse_long_cycles(n):
+        key = tuple(sorted(_cycle_sizes(compose(sigma)), reverse=True))
         out[key] = out.get(key, 0) + 1
-    kv._check_coverage(sum(out.values()), mu.size)
+    kv._check_coverage(sum(out.values()), n)
     return out

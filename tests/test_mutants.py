@@ -20,6 +20,7 @@ import pytest
 import hooklab
 import hooklab.cli as cli
 import hooklab.hookformula as hf
+import hooklab.kerov as kv
 import hooklab.multipoly as mp
 import hooklab.recurrences as rc
 import hooklab.trees as tr
@@ -120,6 +121,26 @@ def without_single_variable_terms(real):
     return subset_entry
 
 
+def dropped_last_integer_partition(real):
+    def partitions_of(n):
+        parts = list(real(n))
+        return iter(parts[:-1] if n >= 2 else parts)
+
+    return partitions_of
+
+
+def last_two_blocks_joined(real):
+    def block_cycle_permutation(mu):
+        images = list(real(mu))
+        if len(mu) >= 2:
+            # the last points of the last two blocks trade images
+            a, b = len(images) - mu[-1] - 1, len(images) - 1
+            images[a], images[b] = images[b], images[a]
+        return tuple(images)
+
+    return block_cycle_permutation
+
+
 def doubled_shape_at_5(real):
     def rooted_shapes(n):
         shapes = list(real(n))
@@ -199,6 +220,12 @@ MUTANTS = {
     ),
     "rooted_shapes: shape doubled at 5": ((tr,), doubled_shape_at_5, LABELLING),
     "automorphisms": ((tr,), lambda real: lambda key: 1, LABELLING),
+    "partitions_of: last partition dropped": (
+        (kv, hooklab), dropped_last_integer_partition, {"kerov"}
+    ),
+    "block_cycle_permutation: last two blocks joined": (
+        (kv, hooklab), last_two_blocks_joined, {"kerov"}
+    ),
 }
 
 

@@ -1,8 +1,10 @@
 """The repository tracks no file that its own .gitignore excludes,
 exports no name it does not define, keeps each benchmark record whole,
-and keeps in src only code that the command line reaches."""
+keeps in src only code that the command line reaches, and shows README
+examples that run."""
 
 import ast
+import doctest
 import importlib
 import json
 import pkgutil
@@ -37,6 +39,14 @@ def test_every_exported_name_resolves():
     for module in modules:
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert missing == [], module.__name__
+
+
+def test_the_readme_python_block_runs_as_a_doctest():
+    text = (ROOT / "README.md").read_text()
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    test = doctest.DocTestParser().get_doctest(block, {}, "README.md", "README.md", 0)
+    results = doctest.DocTestRunner().run(test)
+    assert results.failed == 0 and results.attempted == len(test.examples) > 0
 
 
 BENCH_KEYS = {"harness", "machine", "order", "pairs", "runs", "summary"}
