@@ -3,7 +3,7 @@
 Everything is computed over the integers (rationals where a formula
 divides), so every check is an exact polynomial or integer equality.
 Polynomial arithmetic runs through one pure Python term-map kernel,
-hooklab._kernel_py.
+which lives in hooklab.multipoly beside the MultiPoly class it serves.
 """
 
 from hooklab.hookformula import (

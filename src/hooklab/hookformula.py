@@ -38,32 +38,31 @@ a tree on B and one on X without B, so the sum on X is
 
 and W(B), W(X without B) are the sums on {1..|B|} and {1..|X|-|B|}
 relabelled in order (_split_sum, _swept): one sum is built per size,
-and the sum on any label set is a relabelled copy.  Every sweep here
-runs in one process, the Cayley degree sum and the fiber sums included:
-one pass over the edge lists that the Prüfer sequences decode to, in
-order.
+and the sum on any label set is a relabelled copy.  The Cayley degree
+sum and the fiber sums are one pass over the edge lists that the
+Prüfer sequences decode to, in order.
 """
 
 from __future__ import annotations
 
-import struct
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
 from typing import Iterable, Mapping
 
-from hooklab._kernel_py import (
-    _FIELD_CODE,
+from hooklab.multipoly import (
     FIELD_MAX,
-    WIDTH,
+    MultiPoly,
+    _packed,
+    _relabel,
     addmul_terms,
     check_fields,
+    falling_factorial,
     iadd_terms,
     mul_terms,
     scale_terms,
     unit,
 )
-from hooklab.multipoly import MultiPoly, falling_factorial
 from hooklab.trees import (
     _check_int,
     _check_parent_vector,
@@ -177,7 +176,7 @@ def _split_sum(n: int, planted, below) -> dict:
     Raises RuntimeError unless the choices covered the (n-1)! trees,
     (|B|-1)! (|R|-1)! for each B, and OverflowError when an exponent
     overflows its key field: a product adds two keys with no field past
-    2**(WIDTH-1), so none carries into the next before the final check.
+    FIELD_MAX, so none carries into the next before the final check.
     """
     acc: dict = {}
     trees = 0
@@ -224,24 +223,6 @@ def _swept(top_only: bool, size: int) -> dict:
         return _relabel(*parts[m, planted], positions, size, 0 if planted else unit(size, 0))
 
     return _split_sum(size, lambda sub: part(sub, True), lambda rest: part(rest, False))
-
-
-def _packed(terms: dict, nvars: int) -> tuple:
-    """(terms, rows), the rows holding the exponents of each key in term
-    map order as WIDTH-bit fields, all in one bytes buffer."""
-    return terms, b"".join(e.to_bytes(WIDTH // 8 * nvars, "big") for e in terms)
-
-
-def _relabel(terms: dict, rows: bytes, positions, nvars: int, shift: int = 0) -> dict:
-    """Term map of a _packed map with its variable j moved to the sorted
-    position positions[j] of a ring of nvars variables, plus shift."""
-    buf = bytearray(len(rows) // len(positions) * nvars)
-    out, src = memoryview(buf).cast(_FIELD_CODE), memoryview(rows).cast(_FIELD_CODE)
-    for j, p in enumerate(positions):
-        out[p::nvars] = src[j :: len(positions)]
-    packed = struct.iter_unpack(f"{out.itemsize * nvars}s", buf)
-    keys = (int.from_bytes(k, "big") + shift for k, in packed)
-    return dict(zip(keys, terms.values()))
 
 
 def _resolve_ambient(labels: tuple, ambient: int | None) -> int:

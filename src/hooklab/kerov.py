@@ -22,15 +22,19 @@ such residual subproblem is solved once and every other branch that
 reaches it is credited with its count.  The walk still accounts for
 exactly (n-1)! long cycles and raises unless it did.
 
-Three closed descriptions of that count are evaluated alongside:
-grouping by the cycle type of s1 (a per-type product formula), the
-all-types total prod(mu_i) * (n-1)!/(n-l+1)!, and a binomial identity
-that the per-type sum collapses to.  The same total, carrying the sign
-(-1)^(l-1), is the top coefficient of a character polynomial; here it
-is certified purely through the counting.  tree_sum_at and closed_rhs_at
-tie the count to the tree weight sum: the expanded sum over trees and
-its closed form, each evaluated at k_i = mu_i, must reproduce it for
-partitions of at most TREE_BRIDGE_BOUND parts.
+Two closed forms of that count are evaluated alongside: grouping by
+the cycle type of s1 (a per-type product formula) and the all-types
+total prod(mu_i) * (n-1)!/(n-l+1)!; a binomial identity that the
+per-type sum collapses to is checked too.  The same total, carrying the
+sign (-1)^(l-1), is the top coefficient of a character polynomial.
+signed_factorization_count gives it as the all-types total with that
+sign attached, so the signed column is shown, not checked: a wrong sign
+passes until the sign has a derivation of its own.
+
+tree_sum_at and closed_rhs_at tie the count to the tree weight sum: the
+expanded sum over trees and its closed form, each evaluated at
+k_i = mu_i, must reproduce it for partitions of at most
+TREE_BRIDGE_BOUND parts.
 
 Check functions compare and return; they never assert.  Every function
 that takes a partition refuses any other value, before any work.
@@ -294,8 +298,8 @@ def signed_factorization_count(mu: tuple) -> int:
     """The closed-form count carrying the sign (-1)^(l(mu)-1).
 
     This signed value is the top-degree coefficient of the character
-    polynomial attached to mu; it is certified here purely through the
-    factorization count, with no character machinery.
+    polynomial attached to mu.  It is the closed form with a sign put
+    on, so nothing here certifies the sign.
     """
     value = factorization_count_closed_form(mu)
     return -value if len(mu) % 2 == 0 else value

@@ -1,20 +1,32 @@
-"""Exact sparse multivariate polynomials over the rationals.
+"""Exact sparse multivariate polynomials over the rationals, and the
+term-map kernel behind their arithmetic.
 
 A polynomial in n variables is stored as a term map: a dict sending the
 packed key of each exponent vector to a nonzero coefficient.  The key
-layout is hooklab._kernel_py's: variable i owns a WIDTH-bit field
-(16 bits), variable 0 the most significant one, and the top bit of each
-field is a guard that stored keys keep clear, so an exponent is at most
-FIELD_MAX (32767).  A monomial product is one integer add.  Exponent
-tuples (length n, non-negative ints) stay the only format at the API:
-the constructor and coefficient pack them; terms and the rendered
-forms unpack them.  An exponent the field cannot hold raises
-OverflowError; none wraps.
+of the exponent vector (e_0, ..., e_{n-1}) is the int
 
-Coefficients are exact, either int or fractions.Fraction; the two mix
-freely because Python's numeric tower makes them agree under ==, hash
-and arithmetic.  The term map is kept canonical at all times (no zero
-coefficients), so polynomial equality is plain dict equality.
+    e_0 << WIDTH*(n-1)  |  e_1 << WIDTH*(n-2)  |  ...  |  e_{n-1}
+
+so every variable owns a WIDTH-bit field (16 bits) and variable 0 the
+most significant one.  Descending key order is therefore descending
+lexicographic order of the exponent tuples, and the product of two
+monomials is the sum of their keys (the packed monomials of Monagan and
+Pearce, "Parallel sparse polynomial multiplication using heaps",
+ISSAC 2009).  Keys of different variable counts do not mix; the caller
+keeps the count.  The top bit of every field is a guard: stored keys
+keep it clear, so a field holds at most FIELD_MAX (32767) and the sum
+of two keys never carries from one field into the next.  mul_terms
+checks the guard bits of its output (check_fields), and an exponent
+the field cannot hold raises OverflowError; none wraps.  This module is
+the only one that reads a key's bytes: unpack, _packed and _relabel.
+
+Exponent tuples (length n, non-negative ints) stay the only format at
+the API: the constructor and coefficient pack them; terms and the
+rendered forms unpack them.  Coefficients are exact, either int or
+fractions.Fraction; the two mix freely because Python's numeric tower
+makes them agree under ==, hash and arithmetic.  Every term map, the
+kernel's results included, is kept canonical (no zero coefficients), so
+polynomial equality is plain dict equality.
 
 Term maps are unordered.  Both rendered forms (to_text and
 canonical_hash) sort terms in descending lexicographic order of the
@@ -24,13 +36,11 @@ renderer, which names the variables k1..kn: it builds the text of each
 distinct high and low half of a key once per call, and yields blocks of
 terms, which canonical_hash hashes one at a time.  A --trace summand stream
 shares one MonomialTable, which keeps each whole monomial's text.
-
-The hot arithmetic lives in hooklab._kernel_py; this module owns
-validation, construction and everything that is not a tight loop.
 """
 
 from __future__ import annotations
 
+import struct
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import reduce
@@ -39,18 +49,121 @@ from operator import or_
 from types import MappingProxyType
 from typing import Union
 
-from hooklab._kernel_py import (
-    _FIELD,
-    FIELD_MAX,
-    WIDTH,
-    iadd_terms,
-    mul_terms,
-    pack,
-    scale_terms,
-    unit,
-    unpack,
-)
 from hooklab.trees import _check_int, _is_int
+
+WIDTH = 16
+FIELD_MAX = (1 << (WIDTH - 1)) - 1
+_FIELD = (1 << WIDTH) - 1
+_FIELD_CODE = "H"  # struct code of one WIDTH-bit unsigned field
+
+
+def pack(exps) -> int:
+    """Key of a sequence of exponents, each already within [0, FIELD_MAX]."""
+    key = 0
+    for e in exps:
+        key = key << WIDTH | e
+    return key
+
+
+def unit(nvars: int, index: int) -> int:
+    """Key of the variable `index` in a ring of nvars variables."""
+    return 1 << WIDTH * (nvars - 1 - index)
+
+
+def unpack(key: int, nvars: int) -> tuple:
+    """Exponent tuple of a key in a ring of nvars variables."""
+    raw = key.to_bytes(WIDTH // 8 * nvars, "big")
+    return struct.unpack(f">{nvars}{_FIELD_CODE}", raw)
+
+
+def _packed(terms: dict, nvars: int) -> tuple:
+    """(terms, rows), the rows holding the exponents of each key in term
+    map order as WIDTH-bit fields, all in one bytes buffer."""
+    return terms, b"".join(e.to_bytes(WIDTH // 8 * nvars, "big") for e in terms)
+
+
+def _relabel(terms: dict, rows: bytes, positions, nvars: int, shift: int = 0) -> dict:
+    """Term map of a _packed map with its variable j moved to the sorted
+    position positions[j] of a ring of nvars variables, plus shift."""
+    buf = bytearray(len(rows) // len(positions) * nvars)
+    out, src = memoryview(buf).cast(_FIELD_CODE), memoryview(rows).cast(_FIELD_CODE)
+    for j, p in enumerate(positions):
+        out[p::nvars] = src[j :: len(positions)]
+    packed = struct.iter_unpack(f"{out.itemsize * nvars}s", buf)
+    keys = (int.from_bytes(k, "big") + shift for k, in packed)
+    return dict(zip(keys, terms.values()))
+
+
+def _guard_bits(key: int) -> int:
+    """The guard bit of every field that key reaches."""
+    fields = -(-key.bit_length() // WIDTH)
+    return ((1 << WIDTH * fields) - 1) // _FIELD << (WIDTH - 1)
+
+
+def mul_terms(a, b):
+    """Return the product of two term maps as a new term map.
+
+    Raises OverflowError when an exponent of the product exceeds
+    FIELD_MAX.
+    """
+    return check_fields(addmul_terms({}, a, b))
+
+
+def addmul_terms(acc, a, b):
+    """Add the product of term maps a and b into acc in place and return acc.
+
+    Guard bits are not checked here: a caller that accumulates many
+    products checks the finished map once with check_fields, which is
+    sound as long as no field of an unchecked key can reach 2**WIDTH.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    get = acc.get
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = ea + eb
+            c = get(key)
+            if c is None:
+                acc[key] = ca * cb
+            else:
+                c = c + ca * cb
+                if c:
+                    acc[key] = c
+                else:
+                    del acc[key]
+    return acc
+
+
+def check_fields(terms):
+    """Return terms, or raise OverflowError if a key has a guard bit set."""
+    seen = reduce(or_, terms, 0)
+    if seen & _guard_bits(seen):
+        raise OverflowError(f"an exponent of the product exceeds {FIELD_MAX}")
+    return terms
+
+
+def iadd_terms(acc, b):
+    """Add term map b into acc in place and return acc."""
+    get = acc.get
+    for e, cb in b.items():
+        c = get(e)
+        if c is None:
+            acc[e] = cb
+        else:
+            c = c + cb
+            if c:
+                acc[e] = c
+            else:
+                del acc[e]
+    return acc
+
+
+def scale_terms(a, s):
+    """Return term map a scaled by a nonzero scalar s."""
+    if not s:
+        raise ValueError("scale_terms requires a nonzero scalar")
+    return {e: c * s for e, c in a.items()}
+
 
 Coeff = Union[int, Fraction]
 _BLOCK = 256  # terms per block of rendered text: one join and one hash update
@@ -124,15 +237,7 @@ class MultiPoly:
             key = pack(_check_exps(exps, nvars))
             c = _check_coeff(c)
             if c:
-                acc = clean.get(key)
-                if acc is None:
-                    clean[key] = c
-                else:
-                    acc = acc + c
-                    if acc:
-                        clean[key] = acc
-                    else:
-                        del clean[key]
+                iadd_terms(clean, {key: c})
         self._nvars = nvars
         self._terms = clean
 

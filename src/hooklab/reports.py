@@ -15,9 +15,8 @@ contract is elapsed_ms.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from hooklab.multipoly import MultiPoly
 
@@ -40,8 +39,7 @@ def side_summary(value) -> tuple[int, str]:
     raise TypeError(f"cannot summarize {type(value).__name__} as a verdict side")
 
 
-@dataclass
-class VerdictReport:
+class VerdictReport(NamedTuple):
     """Outcome of one two-sided comparison."""
 
     check: str

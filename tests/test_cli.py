@@ -9,6 +9,7 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 from argparse import Namespace
 from pathlib import Path
 
@@ -591,6 +592,23 @@ class TestFamilies:
         reports = cli.run_family("kerov", bound)
         assert reports[-1].params == {"size": bound}
         assert all(rep.equal for rep in reports)
+
+    def test_elapsed_ms_is_bounded_by_the_wall_clock(self):
+        """Every family at its default bound: each elapsed_ms is a time
+        in ms, and the sweeps they time are most of the wall time, the
+        rest being the summaries of the sides."""
+        cli.hf.tree_weight_sum.cache_clear()
+        try:
+            t0 = time.perf_counter()
+            reports = [
+                v for name, family in cli.FAMILIES.items()
+                for v in cli.run_family(name, family.default)
+            ]
+            wall_ms = (time.perf_counter() - t0) * 1000.0
+        finally:
+            cli.hf.tree_weight_sum.cache_clear()
+        assert all(v.elapsed_ms >= 0 for v in reports)
+        assert wall_ms / 4 <= sum(v.elapsed_ms for v in reports) <= wall_ms
 
     @pytest.mark.parametrize("name", list(cli.FAMILIES))
     def test_unread_size_flag_is_a_usage_error(self, name, capsys):

@@ -2,11 +2,16 @@
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import hooklab.cli as cli
 
 GOLDEN = Path(__file__).parent / "golden" / "verify_all.json"
+GOLDEN_TEXT = Path(__file__).parent / "golden" / "verify_all.txt"
+ELAPSED_LINE = re.compile(rb'^ *"elapsed_ms": [^\n]*,\n', re.M)
+# the 8-character millisecond column that ends each verdict line
+MS_COLUMN = re.compile(r"[ \d]{5}\d\.\d ms$", re.M)
 BENCH_REFERENCE = Path(__file__).parents[1] / "perfbench" / "reference.json"
 
 
@@ -17,6 +22,27 @@ def test_verify_all_matches_the_golden_file(tmp_path):
     for record in doc["checks"]:
         del record["elapsed_ms"]
     assert doc == json.loads(GOLDEN.read_text())
+
+
+def test_verify_all_json_bytes_match_the_golden_file(tmp_path):
+    """The raw report, not only its parse: indent, key order and the
+    final newline are part of the contract.  Only the elapsed_ms lines
+    are dropped."""
+    out = tmp_path / "all.json"
+    assert cli.main(["verify", "all", "--json", "--out", str(out)]) == 0
+    raw, dropped = ELAPSED_LINE.subn(b"", out.read_bytes())
+    assert dropped == len(json.loads(GOLDEN.read_text())["checks"])
+    assert raw == GOLDEN.read_bytes()
+
+
+def test_verify_all_text_matches_the_golden_file(tmp_path):
+    """verify all as text, the kerov table and the summary line
+    included, with the millisecond column of each verdict masked."""
+    out = tmp_path / "all.txt"
+    assert cli.main(["verify", "all", "--out", str(out)]) == 0
+    text, masked = MS_COLUMN.subn("    <ms> ms", out.read_text())
+    assert masked == len(json.loads(GOLDEN.read_text())["checks"])
+    assert text == GOLDEN_TEXT.read_text()
 
 
 def test_pooled_sweeps_match_the_golden_file(tmp_path):

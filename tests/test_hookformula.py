@@ -13,8 +13,7 @@ from test_mutants import apply_mutant, failed_at_bound_6
 
 import hooklab.cli as cli
 import hooklab.hookformula as hf
-from hooklab._kernel_py import pack
-from hooklab.multipoly import MultiPoly, top_homogeneous
+from hooklab.multipoly import MultiPoly, pack, top_homogeneous
 from hooklab.trees import (
     _collapse,
     enumerate_binary,

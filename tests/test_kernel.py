@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hooklab._kernel_py import (
+from hooklab.multipoly import (
     FIELD_MAX,
     WIDTH,
     iadd_terms,

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from test_mutants import apply_mutant
 
 import hooklab.cli as cli
-from hooklab._kernel_py import FIELD_MAX, WIDTH
 from hooklab.multipoly import (
     _BLOCK,
+    FIELD_MAX,
+    WIDTH,
     MonomialTable,
     MultiPoly,
     falling_factorial,

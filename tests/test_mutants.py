@@ -141,6 +141,16 @@ def last_two_blocks_joined(real):
     return block_cycle_permutation
 
 
+def cancelled_key_kept(real):
+    def iadd_terms(acc, b):
+        # a key whose coefficients cancel stays in the map, with 0
+        for e, cb in b.items():
+            acc[e] = acc.get(e, 0) + cb
+        return acc
+
+    return iadd_terms
+
+
 def doubled_shape_at_5(real):
     def rooted_shapes(n):
         shapes = list(real(n))
@@ -225,6 +235,24 @@ MUTANTS = {
     ),
     "block_cycle_permutation: last two blocks joined": (
         (kv, hooklab), last_two_blocks_joined, {"kerov"}
+    ),
+    # the sums on the rest of the labels lose the root's variable
+    "_relabel: shift dropped": (
+        (mp, hf),
+        lambda real: lambda terms, rows, positions, nvars, shift=0: real(
+            terms, rows, positions, nvars
+        ),
+        {
+            "theorem1",
+            "cayley/top-weight-sum",
+            "postnikov/chain",
+            "grafting/split",
+            "root-recurrence",
+            "kerov",
+        },
+    ),
+    "iadd_terms: a cancelled key kept as 0": (
+        (mp, hf), cancelled_key_kept, {"pq/finite-difference"}
     ),
 }
 
