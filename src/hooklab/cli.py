@@ -32,6 +32,12 @@ same output except for elapsed_ms.  Every sweep runs in this one
 process.  --threads is still accepted, and a value below 1 still
 refused, so that existing command lines keep running; it changes
 nothing.
+
+Output is written in blocks whatever PYTHONUNBUFFERED says.  A stdout
+that writes through, as it does under PYTHONUNBUFFERED or python -u,
+would make one write(2) per chunk of the JSON encoder, so for the length
+of a run it buffers, and it writes through again once the run's output
+is flushed.
 """
 
 from __future__ import annotations
@@ -192,24 +198,23 @@ def _traced(trace: bool, r: int, summands, entry) -> tuple:
 
 
 def _pq(sizes: range, trace: bool):
-    # split_polynomial(r), built once by the pq comparison and read back
-    # by the split family's checks at r and, through the finite
-    # difference, at r + 1
+    # split_polynomial(r) and closed_polynomial(r), each built once by
+    # the pq comparison and read back by its family's checks at r and,
+    # through the finite difference, at r + 1
     splits: dict = {}
+    closeds: dict = {}
     for r in sizes:
         payload, summands = _traced(trace, r, rc.split_summands(r), _split_entry)
         splits[r] = rc.split_polynomial(r, summands)
-        yield "pq", {"r": r}, splits[r], rc.closed_polynomial(r), payload
-        for name, family in (
-            ("split", splits.__getitem__),
-            ("closed", rc.closed_polynomial),
-        ):
+        closeds[r] = rc.closed_polynomial(r)
+        yield "pq", {"r": r}, splits[r], closeds[r], payload
+        for name, built in (("split", splits), ("closed", closeds)):
             params = {"r": r, "family": name}
-            lhs, rhs = rc.constant_term_sides(r, family)
+            lhs, rhs = rc.constant_term_sides(r, built.__getitem__)
             yield "pq/constant-term", params, lhs, rhs, None
-            lhs, rhs = rc.finite_difference_sides(r, family)
+            lhs, rhs = rc.finite_difference_sides(r, built.__getitem__)
             yield "pq/finite-difference", params, lhs, rhs, None
-        splits.pop(r - 1, None)
+            built.pop(r - 1, None)
 
 
 def _grafting(sizes: range, trace: bool):
@@ -476,7 +481,8 @@ def _build_parser() -> argparse.ArgumentParser:
 @contextlib.contextmanager
 def _output(out_path):
     """stdout, or the file at out_path; a path that cannot be opened for
-    writing is a usage error.
+    writing is a usage error.  A stdout that writes through is buffered
+    until the body has finished.
 
     A file is written under a temporary name beside out_path and renamed
     onto it only once the body has finished, so a run that raises leaves
@@ -484,7 +490,15 @@ def _output(out_path):
     (a device, a pipe) is written in place.
     """
     if out_path is None:
-        yield sys.stdout
+        stream = sys.stdout
+        through = getattr(stream, "write_through", False)
+        if through:
+            stream.reconfigure(write_through=False)
+        try:
+            yield stream
+        finally:
+            if through:
+                stream.reconfigure(write_through=True)  # flushes
         return
     target = os.path.realpath(out_path)  # a symlink is written through
     in_place = os.path.exists(target) and not os.path.isfile(target)

@@ -14,11 +14,10 @@ contract is elapsed_ms.
 
 from __future__ import annotations
 
-import hashlib
 from fractions import Fraction
 from typing import Any, Mapping, NamedTuple
 
-from hooklab.multipoly import MultiPoly
+from hooklab.multipoly import MultiPoly, sha256
 
 __all__ = ["VerdictReport", "compare_sides", "side_summary"]
 
@@ -35,7 +34,7 @@ def side_summary(value) -> tuple[int, str]:
         raise TypeError("a verdict side must be a polynomial or a number")
     if isinstance(value, (int, Fraction)):
         text = str(value)
-        return 1, hashlib.sha256(text.encode("ascii")).hexdigest()
+        return 1, sha256(text.encode("ascii")).hexdigest()
     raise TypeError(f"cannot summarize {type(value).__name__} as a verdict side")
 
 

@@ -3,8 +3,10 @@
 import ast
 import functools
 import hashlib
+import io
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -249,15 +251,16 @@ class TestVerify:
         assert calls == [1, 2, 3, 4]
         assert all(rep.equal for rep in reports) and len(reports) == 8
 
-    def test_pq_builds_each_split_polynomial_once(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("builder", ["split_polynomial", "closed_polynomial"])
+    def test_pq_builds_each_family_polynomial_once(self, builder, monkeypatch, capsys):
         calls = []
-        real = cli.rc.split_polynomial
+        real = getattr(cli.rc, builder)
 
-        def counted(r, summands=None):
+        def counted(r, *summands):
             calls.append(r)
-            return real(r, summands)
+            return real(r, *summands)
 
-        monkeypatch.setattr(cli.rc, "split_polynomial", counted)
+        monkeypatch.setattr(cli.rc, builder, counted)
         code, out, _ = run_main(["verify", "pq", "--r", "5", "--json"], capsys)
         assert code == 0 and json.loads(out)["pass"] is True
         assert calls == [2, 3, 4, 5]
@@ -715,3 +718,45 @@ class TestConsoleScript:
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
         assert out.stdout == "[]\n"
+
+    def test_import_maps_no_openssl(self):
+        # hashes come from the built-in SHA-256, so no launch loads
+        # hashlib or _hashlib, which maps OpenSSL's libcrypto
+        probe = "import sys, hooklab.cli; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "[]\n"
+
+
+class CountingRaw(io.RawIOBase):
+    """A raw stream that keeps what it is given and counts the calls."""
+
+    def __init__(self):
+        self.writes = 0
+        self.data = bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        self.writes += 1
+        self.data += b
+        return len(b)
+
+
+def test_output_leaves_in_blocks_when_stdout_writes_through(monkeypatch):
+    # under PYTHONUNBUFFERED stdout writes through: each write would be
+    # one write(2), and the JSON encoder writes every token on its own
+    argv = ["verify", "pq", "--r", "6", "--trace", "--json"]
+    elapsed = re.compile(rb'"elapsed_ms": [0-9.e+-]+')
+    raw = CountingRaw()
+    through = io.TextIOWrapper(raw, encoding="utf-8", write_through=True)
+    monkeypatch.setattr(sys, "stdout", through)
+    assert cli.main(argv) == 0
+    assert through.write_through
+    assert 0 < raw.writes <= len(raw.data) // 4096 + 4
+    buffered = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", buffered)
+    assert cli.main(argv) == 0
+    buffered.flush()
+    assert elapsed.sub(b"", raw.data) == elapsed.sub(b"", buffered.buffer.getvalue())

@@ -217,6 +217,11 @@ class TestSubstitute:
         # 30000 * 3 carries past the guard bit into the next field
         with pytest.raises(OverflowError):
             MultiPoly(1, {(30000,): 1}).substitute([MultiPoly(2, {(0, 3): 1})], 2)
+        # a monomial image's shift and a two-term image's power overflow
+        # only in their product
+        images = [MultiPoly(1, {(20000,): 1}), MultiPoly(1, {(20000,): 1, (0,): 1})]
+        with pytest.raises(OverflowError):
+            MultiPoly(2, {(1, 1): 1}).substitute(images, 1)
 
     def test_monomial_images_that_carry_together_raise(self):
         # each image fits its field alone; three of them overflow it

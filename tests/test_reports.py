@@ -1,5 +1,6 @@
 """Verdict records: each side summarized by its term count and canonical hash."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,11 @@ class TestCompareSides:
     def test_equal_sides_of_two_types_are_each_summarized(self, summarized):
         v = reports.compare_sides("c", {}, 1, Fraction(1), 0.0)
         assert v.equal and summarized == [1, Fraction(1)]
+
+    @pytest.mark.parametrize("value", [0, -7, 10**40, Fraction(-3, 4)])
+    def test_a_number_hashes_its_decimal_text(self, value):
+        digest = hashlib.sha256(str(value).encode()).hexdigest()
+        assert reports.side_summary(value) == (1, digest)
 
     def test_a_bool_side_is_refused(self):
         with pytest.raises(TypeError):
