@@ -32,12 +32,6 @@ same output except for elapsed_ms.  Every sweep runs in this one
 process.  --threads is still accepted, and a value below 1 still
 refused, so that existing command lines keep running; it changes
 nothing.
-
-Output is written in blocks whatever PYTHONUNBUFFERED says.  A stdout
-that writes through, as it does under PYTHONUNBUFFERED or python -u,
-would make one write(2) per chunk of the JSON encoder, so for the length
-of a run it buffers, and it writes through again once the run's output
-is flushed.
 """
 
 from __future__ import annotations
@@ -481,8 +475,7 @@ def _build_parser() -> argparse.ArgumentParser:
 @contextlib.contextmanager
 def _output(out_path):
     """stdout, or the file at out_path; a path that cannot be opened for
-    writing is a usage error.  A stdout that writes through is buffered
-    until the body has finished.
+    writing is a usage error.
 
     A file is written under a temporary name beside out_path and renamed
     onto it only once the body has finished, so a run that raises leaves
@@ -490,15 +483,7 @@ def _output(out_path):
     (a device, a pipe) is written in place.
     """
     if out_path is None:
-        stream = sys.stdout
-        through = getattr(stream, "write_through", False)
-        if through:
-            stream.reconfigure(write_through=False)
-        try:
-            yield stream
-        finally:
-            if through:
-                stream.reconfigure(write_through=True)  # flushes
+        yield sys.stdout
         return
     target = os.path.realpath(out_path)  # a symlink is written through
     in_place = os.path.exists(target) and not os.path.isfile(target)

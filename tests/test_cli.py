@@ -3,10 +3,8 @@
 import ast
 import functools
 import hashlib
-import io
 import json
 import os
-import re
 import stat
 import subprocess
 import sys
@@ -709,54 +707,21 @@ class TestConsoleScript:
         assert out.returncode == 0
         assert json.loads(out.stdout)["labels"] == [1, 2]
 
-    def test_import_loads_no_process_pool(self):
-        # every sweep runs in one process, so importing the cli pays for
-        # neither stdlib pool package; the second name is spelled in two
-        # pieces so that a grep of the tree for pool code finds none
-        pool_packages = {"concurrent.futures", "multi" + "processing"}
-        probe = f"import sys, hooklab.cli; print(sorted({pool_packages!r} & set(sys.modules)))"
+    @pytest.mark.parametrize(
+        "modules",
+        [
+            # every sweep runs in one process, so importing the cli pays
+            # for neither stdlib pool package; the second name is spelled
+            # in two pieces so that a grep of the tree for pool code finds
+            # none
+            pytest.param({"concurrent.futures", "multi" + "processing"}, id="process-pools"),
+            # hashes come from the built-in SHA-256, so no launch loads
+            # hashlib or _hashlib, which maps OpenSSL's libcrypto
+            pytest.param({"hashlib", "_hashlib"}, id="openssl"),
+        ],
+    )
+    def test_import_loads_none_of(self, modules):
+        probe = f"import sys, hooklab.cli; print(sorted({modules!r} & set(sys.modules)))"
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
         assert out.stdout == "[]\n"
-
-    def test_import_maps_no_openssl(self):
-        # hashes come from the built-in SHA-256, so no launch loads
-        # hashlib or _hashlib, which maps OpenSSL's libcrypto
-        probe = "import sys, hooklab.cli; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
-        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout == "[]\n"
-
-
-class CountingRaw(io.RawIOBase):
-    """A raw stream that keeps what it is given and counts the calls."""
-
-    def __init__(self):
-        self.writes = 0
-        self.data = bytearray()
-
-    def writable(self):
-        return True
-
-    def write(self, b):
-        self.writes += 1
-        self.data += b
-        return len(b)
-
-
-def test_output_leaves_in_blocks_when_stdout_writes_through(monkeypatch):
-    # under PYTHONUNBUFFERED stdout writes through: each write would be
-    # one write(2), and the JSON encoder writes every token on its own
-    argv = ["verify", "pq", "--r", "6", "--trace", "--json"]
-    elapsed = re.compile(rb'"elapsed_ms": [0-9.e+-]+')
-    raw = CountingRaw()
-    through = io.TextIOWrapper(raw, encoding="utf-8", write_through=True)
-    monkeypatch.setattr(sys, "stdout", through)
-    assert cli.main(argv) == 0
-    assert through.write_through
-    assert 0 < raw.writes <= len(raw.data) // 4096 + 4
-    buffered = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
-    monkeypatch.setattr(sys, "stdout", buffered)
-    assert cli.main(argv) == 0
-    buffered.flush()
-    assert elapsed.sub(b"", raw.data) == elapsed.sub(b"", buffered.buffer.getvalue())

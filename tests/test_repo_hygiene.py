@@ -1,7 +1,7 @@
 """The repository tracks no file that its own .gitignore excludes,
 exports no name it does not define, keeps each benchmark record whole,
-keeps in src only code that the command line reaches, imports hashlib
-in src only as a fallback, and shows README examples that run."""
+keeps in src only code that the command line reaches, and shows README
+examples that run."""
 
 import ast
 import doctest
@@ -138,35 +138,3 @@ def test_no_src_module_imports_a_name_it_never_reads():
             if name not in read and name not in exported
         ]
     assert unread == []
-
-
-def test_src_imports_hashlib_only_where_no_builtin_sha256_is_built():
-    """hashlib maps OpenSSL's libcrypto into the process, so src takes
-    SHA-256 from CPython's built-in module and imports hashlib only in the
-    ImportError handler of a try that imports that module."""
-    builtin = {"_sha2", "_sha256"}
-
-    def imported(node):
-        if isinstance(node, ast.Import):
-            return {a.name for a in node.names}
-        if isinstance(node, ast.ImportFrom):
-            return {node.module}
-        return set()
-
-    stray = []
-    for path in sorted((ROOT / "src" / "hooklab").glob("*.py")):
-        tree = ast.parse(path.read_text())
-        fallback = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Try) and any(
-                imported(n) & builtin for stmt in node.body for n in ast.walk(stmt)
-            ):
-                for handler in node.handlers:
-                    if isinstance(handler.type, ast.Name) and handler.type.id == "ImportError":
-                        fallback.update(id(n) for n in ast.walk(handler))
-        stray += [
-            f"{path.name}:{node.lineno}"
-            for node in ast.walk(tree)
-            if "hashlib" in imported(node) and id(node) not in fallback
-        ]
-    assert stray == []
